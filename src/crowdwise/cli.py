@@ -55,12 +55,10 @@ from .model import (
 )
 from .montecarlo import SimulationSpec, random_model, simulate
 from .schemes import (
-    QPSolution,
-    best_member_selection,
+    SELECTION_RULES,
     inverse_mse_weights,
     optimal_weights,
     skill_scores,
-    skill_selection,
     skill_weights,
     uniform_selection,
     uniform_weights,
@@ -74,8 +72,6 @@ from .wisdom import (
 
 SCHEMA_VERSION = 1
 COMMANDS = ("analyze", "optimize", "candidate", "simulate", "sweep")
-WEIGHT_SCHEMES = ("uniform", "skill", "inverse-mse", "optimal")
-SELECTION_SCHEMES = ("uniform", "skill", "best")
 
 DEFAULT_SWEEP_BIAS = (0.0, 0.5, 1.0, 2.0)
 DEFAULT_SWEEP_CORRELATION = (-0.4, -0.2, 0.0, 0.2, 0.4, 0.8)
@@ -409,12 +405,8 @@ def _resolve_weights(model: CrowdModel, scheme: str) -> WeightVector:
 
 
 def _resolve_selection(model: CrowdModel, scheme: str) -> SelectionDistribution:
-    if scheme == "uniform":
-        return uniform_selection(model.n_judges)
-    if scheme == "skill":
-        return skill_selection(model)
-    if scheme == "best":
-        return best_member_selection(model).selection
+    if scheme in SELECTION_RULES:
+        return SELECTION_RULES[scheme](model)
     return SelectionDistribution(
         _load_simplex_file(scheme, model.n_judges, "selection")
     )
@@ -695,8 +687,10 @@ def _cmd_simulate(request: AnalysisRequest) -> int:
     return 0
 
 
-def _parse_sweep_grid(path: str) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
-    fields = _parse_document(path)
+def _parse_sweep_grid(
+    path: str | None,
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
+    fields = _parse_document(path) if path is not None else {}
     bias = DEFAULT_SWEEP_BIAS
     correlation = DEFAULT_SWEEP_CORRELATION
     sizes = DEFAULT_SWEEP_SIZES
@@ -715,12 +709,7 @@ def _parse_sweep_grid(path: str) -> tuple[tuple[float, ...], tuple[float, ...], 
 
 
 def _cmd_sweep(request: AnalysisRequest) -> int:
-    if request.sweep_grid_path is not None:
-        bias_grid, corr_grid, size_grid = _parse_sweep_grid(request.sweep_grid_path)
-    else:
-        bias_grid = DEFAULT_SWEEP_BIAS
-        corr_grid = DEFAULT_SWEEP_CORRELATION
-        size_grid = DEFAULT_SWEEP_SIZES
+    bias_grid, corr_grid, size_grid = _parse_sweep_grid(request.sweep_grid_path)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         [
@@ -829,21 +818,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """Every ``dest`` is the name of an AnalysisRequest field."""
     parser = _Parser(prog="crowdwise", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_weights=True):
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--data", help="judgments CSV with a 'criterion' column")
-        group.add_argument("--model", help="model file (see save_model format)")
+        group.add_argument(
+            "--data", dest="data_path", help="judgments CSV with a 'criterion' column"
+        )
+        group.add_argument(
+            "--model", dest="model_path", help="model file (see save_model format)"
+        )
         if with_weights:
             p.add_argument(
                 "--weights",
+                dest="weight_scheme",
                 default="uniform",
                 help="uniform | skill | inverse-mse | optimal | FILE",
             )
         p.add_argument(
             "--selection",
+            dest="selection_scheme",
             default="uniform",
             help="uniform | skill | best | FILE",
         )
@@ -863,9 +859,12 @@ def _build_parser() -> _Parser:
 
     p_cand = sub.add_parser("candidate", help="rank prospective members")
     add_common(p_cand, with_weights=False)
-    p_cand.add_argument("--candidates", required=True, help="candidate CSV")
+    p_cand.add_argument(
+        "--candidates", dest="candidates_path", required=True, help="candidate CSV"
+    )
     p_cand.add_argument(
         "--uniform-gain",
+        dest="show_uniform_gain",
         action="store_true",
         help="also show the simple-average marginal gain",
     )
@@ -879,7 +878,11 @@ def _build_parser() -> _Parser:
     )
 
     p_sweep = sub.add_parser("sweep", help="wisdom gap over a parameter grid")
-    p_sweep.add_argument("--sweep-grid", help="grid file (bias_scale/correlation/n_judges)")
+    p_sweep.add_argument(
+        "--sweep-grid",
+        dest="sweep_grid_path",
+        help="grid file (bias_scale/correlation/n_judges)",
+    )
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--tolerance", type=float, default=1e-10)
     p_sweep.add_argument("--max-iterations", type=int, default=100_000)
@@ -887,33 +890,7 @@ def _build_parser() -> _Parser:
 
 
 def request_from_args(argv: list[str] | None = None) -> AnalysisRequest:
-    args = _build_parser().parse_args(argv)
-    kwargs = {
-        "command": args.command,
-        "data_path": getattr(args, "data", None),
-        "model_path": getattr(args, "model", None),
-        "selection_scheme": getattr(args, "selection", "uniform"),
-        "output_format": getattr(args, "output_format", "human"),
-    }
-    if hasattr(args, "weights"):
-        kwargs["weight_scheme"] = args.weights
-    if hasattr(args, "trials"):
-        kwargs["trials"] = args.trials
-    if hasattr(args, "seed"):
-        kwargs["seed"] = args.seed
-    if hasattr(args, "generator"):
-        kwargs["generator"] = args.generator
-    if hasattr(args, "candidates"):
-        kwargs["candidates_path"] = args.candidates
-    if hasattr(args, "uniform_gain"):
-        kwargs["show_uniform_gain"] = args.uniform_gain
-    if hasattr(args, "sweep_grid"):
-        kwargs["sweep_grid_path"] = args.sweep_grid
-    if hasattr(args, "tolerance"):
-        kwargs["tolerance"] = args.tolerance
-    if hasattr(args, "max_iterations"):
-        kwargs["max_iterations"] = args.max_iterations
-    return AnalysisRequest(**kwargs)
+    return AnalysisRequest(**vars(_build_parser().parse_args(argv)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,25 +19,17 @@ from .errors import (
     JointNotPSD,
     ShapeMismatch,
     UndefinedSkill,
+    ValidationFailed,
     ZeroCriterionVariance,
 )
 from .model import CrowdModel, _readonly, validate_model
-from .schemes import (
-    best_member_selection,
-    optimal_weights,
-    skill_scores,
-    skill_selection,
-    uniform_selection,
-    uniform_weights,
-)
-from .wisdom import SelectionDistribution, WisdomReport, crowd_mse, evaluate
-
-SELECTION_RULES = ("uniform", "skill", "best")
+from .schemes import SELECTION_RULES, optimal_weights, skill_scores, uniform_weights
+from .wisdom import WisdomReport, crowd_mse, evaluate
 
 
 @dataclass(frozen=True)
 class CandidateMember:
-    """Moments of a prospective judge relative to an existing crowd."""
+    """Moments of a prospective judge relative to an existing crowd (finite)."""
 
     mean: float
     variance: float
@@ -53,6 +45,9 @@ class CandidateMember:
         object.__setattr__(self, "mean", float(self.mean))
         object.__setattr__(self, "variance", float(self.variance))
         object.__setattr__(self, "cov_with_criterion", float(self.cov_with_criterion))
+        moments = (self.mean, self.variance, self.cov_with_criterion)
+        if not (np.isfinite(moments).all() and np.isfinite(self.cov_with_members).all()):
+            raise ValidationFailed(["candidate moments must be finite"])
 
 
 @dataclass(frozen=True)
@@ -132,18 +127,6 @@ def extend_model(
     return extended
 
 
-def _derive_selection(model: CrowdModel, rule: str) -> SelectionDistribution:
-    if rule == "uniform":
-        return uniform_selection(model.n_judges)
-    if rule == "skill":
-        return skill_selection(model)
-    if rule == "best":
-        return best_member_selection(model).selection
-    raise ShapeMismatch(
-        f"unknown selection rule {rule!r}; choose one of {SELECTION_RULES}"
-    )
-
-
 def evaluate_candidate(
     model: CrowdModel,
     candidate: CandidateMember,
@@ -155,13 +138,17 @@ def evaluate_candidate(
     The selection rule is re-derived on each model so both reports answer
     the same question at their own crowd size.
     """
+    if p_rule not in SELECTION_RULES:
+        raise ShapeMismatch(
+            f"unknown selection rule {p_rule!r}; "
+            f"choose one of {tuple(SELECTION_RULES)}"
+        )
+    select = SELECTION_RULES[p_rule]
     extended = extend_model(model, candidate, label)
     before_sol = optimal_weights(model)
     after_sol = optimal_weights(extended)
-    before = evaluate(model, before_sol.weights, _derive_selection(model, p_rule))
-    after = evaluate(
-        extended, after_sol.weights, _derive_selection(extended, p_rule)
-    )
+    before = evaluate(model, before_sol.weights, select(model))
+    after = evaluate(extended, after_sol.weights, select(extended))
     try:
         skill = float(skill_scores(extended).skills[-1])
     except (ZeroCriterionVariance, UndefinedSkill):

@@ -73,7 +73,8 @@ class JointNotPSD(CrowdwiseError):
 class NoConvergence(CrowdwiseError):
     """Weight optimization hit its iteration cap.
 
-    ``best`` holds the best iterate found, as a QPSolution.
+    ``best`` holds the last iterate, which descent makes the best one, as a
+    QPSolution certified at its own weights.
     """
 
     exit_code = 3

@@ -151,12 +151,17 @@ def _min_eigenvalue_ok(m: np.ndarray) -> tuple[bool, float]:
 def validate_model(model: CrowdModel) -> list[str]:
     """Return every invariant violation; an empty list certifies the model.
 
-    Checks, in order: at least one judge, judge_cov symmetry (relative
-    tolerance 1e-9), judge_cov positive semidefinite, criterion_var >= 0, and
-    the joint (judges, criterion) covariance positive semidefinite.  The last
-    check subsumes the zero-variance-criterion case: with criterion_var = 0,
-    any nonzero cross_cov breaks joint PSD, so it is reported once, there.
+    Checks, in order: every moment finite (if not, that is the only violation
+    reported), at least one judge, judge_cov symmetry (relative tolerance
+    1e-9), judge_cov positive semidefinite, criterion_var >= 0, and the joint
+    (judges, criterion) covariance positive semidefinite.  The last check
+    subsumes the zero-variance-criterion case: with criterion_var = 0, any
+    nonzero cross_cov breaks joint PSD, so it is reported once, there.
     """
+    moments = ("judge_means", "judge_cov", "criterion_mean", "criterion_var", "cross_cov")
+    nonfinite = [m for m in moments if not np.all(np.isfinite(getattr(model, m)))]
+    if nonfinite:
+        return [f"non-finite values in {', '.join(nonfinite)}"]
     violations: list[str] = []
     if model.n_judges < 1:
         violations.append("model has no judges")
@@ -193,9 +198,11 @@ def _clamp_psd_rounding(m: np.ndarray) -> np.ndarray:
 
     Sample moment matrices are PSD by construction, so any tiny negative
     eigenvalue is floating-point rounding.  Genuinely negative eigenvalues are
-    preserved so that validation still fails loudly.
+    preserved so that validation still fails loudly, as are non-finite entries.
     """
     sym = (m + m.T) / 2.0
+    if not np.all(np.isfinite(sym)):
+        return sym
     eigs, vecs = np.linalg.eigh(sym)
     largest = max(float(eigs[-1]), 0.0)
     rounding = (eigs < 0.0) & (eigs >= -PSD_RTOL * largest)

@@ -7,12 +7,14 @@ The optimal aggregate solves
 
 a convex quadratic program (the Hessian 2(Sigma + mu mu') is PSD).  It is
 solved by projected gradient descent with exact Euclidean projection onto the
-simplex and fixed step 1/L, L = 2(lambda_max(Sigma) + |mu|^2) from power
-iteration.  Convergence is certified by the first-order residual over the
-simplex: with tau = min_i df/dw_i, the residual is the largest excess
-df/dw_i - tau over judges carrying weight.  A residual of r guarantees the
-objective is within r of the true minimum, so a converged solution beats
-every single judge and hence every selection distribution.
+simplex and fixed step 1/L, L the largest eigenvalue of the Hessian.  With
+that step no iteration raises the objective (the sufficient-decrease lemma
+of projected gradient methods), so the last iterate is the best one.
+Convergence is certified by the first-order residual over the simplex: with
+tau = min_i df/dw_i, the residual is the largest excess df/dw_i - tau over
+judges carrying weight.  A residual of r guarantees the objective is within
+r of the true minimum, so a converged solution beats every single judge and
+hence every selection distribution.
 """
 
 from __future__ import annotations
@@ -175,6 +177,16 @@ def best_member_selection(model: CrowdModel) -> BestMemberChoice:
     )
 
 
+# Named selection rules: each derives a selection distribution from a model.
+# The lambdas look each function up when called, so a wrapper installed on the
+# module name (perfbench's tracer installs one) sees every call.
+SELECTION_RULES = {
+    "uniform": lambda model: uniform_selection(model.n_judges),
+    "skill": lambda model: skill_selection(model),
+    "best": lambda model: best_member_selection(model).selection,
+}
+
+
 def _project(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the simplex (sort-and-threshold, exact)."""
     u = np.sort(v)[::-1]
@@ -193,19 +205,6 @@ def project_to_simplex(v) -> WeightVector:
     return WeightVector(_project(arr))
 
 
-def objective_value(model: CrowdModel, w: np.ndarray) -> float:
-    """The crowd squared-error objective at an arbitrary (not necessarily
-    feasible) weight vector."""
-    w = np.asarray(w, dtype=float)
-    bias = float(model.judge_means @ w) - model.criterion_mean
-    return (
-        bias * bias
-        + float(w @ model.judge_cov @ w)
-        - 2.0 * float(model.cross_cov @ w)
-        + model.criterion_var
-    )
-
-
 def objective_gradient(model: CrowdModel, w: np.ndarray) -> np.ndarray:
     """Gradient 2(mu' w - mu_y) mu + 2 Sigma w - 2 sigma_xy."""
     w = np.asarray(w, dtype=float)
@@ -215,36 +214,6 @@ def objective_gradient(model: CrowdModel, w: np.ndarray) -> np.ndarray:
         + 2.0 * (model.judge_cov @ w)
         - 2.0 * model.cross_cov
     )
-
-
-def _power_lambda_max(m: np.ndarray) -> float:
-    """Largest eigenvalue of a PSD matrix by power iteration.
-
-    Floored at the largest diagonal entry, which is a valid lower bound for
-    PSD matrices and guards against a start vector leaning on the null space.
-    """
-    n = m.shape[0]
-    floor = max(float(np.diag(m).max()), 0.0)
-    if n == 1 or np.abs(m).max() == 0.0:
-        return floor
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(1000):
-        u = m @ v
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = u / norm
-        lam_new = float(v @ (m @ v))
-        if abs(lam_new - lam) <= 1e-14 * max(abs(lam_new), 1.0):
-            lam = lam_new
-            break
-        lam = lam_new
-    return max(lam, floor)
 
 
 def _certificate_residual(w: np.ndarray, grad: np.ndarray) -> float:
@@ -303,18 +272,25 @@ def optimal_weights(
     distribution up to that slack.
 
     Raises:
-        NoConvergence: iteration cap reached; carries the best iterate found.
+        NoConvergence: iteration cap reached; carries the last iterate, which
+            descent makes the best one, certified at its stored weights.
     """
     n = model.n_judges
     mu = model.judge_means
     q2 = 2.0 * (model.judge_cov + np.outer(mu, mu))
     b = -2.0 * (model.criterion_mean * mu + model.cross_cov)
-    lipschitz = 2.0 * (_power_lambda_max(model.judge_cov) + float(mu @ mu))
-    smallest_curvature = float(np.linalg.eigvalsh(q2)[0])
-    nonunique = smallest_curvature < 1e-10
+    curvatures = np.linalg.eigvalsh(q2)
+    lipschitz = float(curvatures[-1])
+    nonunique = float(curvatures[0]) < 1e-10
 
-    def build(w: np.ndarray, iterations: int, residual: float) -> QPSolution:
+    def build(
+        w: np.ndarray, iterations: int, residual: float | None = None
+    ) -> QPSolution:
         wv = WeightVector(w)
+        if residual is None:
+            residual = _certificate_residual(
+                wv.weights, objective_gradient(model, wv.weights)
+            )
         return QPSolution(
             weights=wv,
             objective=crowd_mse(model, wv).total,
@@ -329,12 +305,9 @@ def optimal_weights(
         grad = objective_gradient(model, w)
         w = np.zeros(n)
         w[int(np.argmin(grad))] = 1.0
-        grad = objective_gradient(model, w)
-        return build(w, 0, _certificate_residual(w, grad))
+        return build(w, 0)
 
     step = 1.0 / lipschitz
-    best_w = w
-    best_f = objective_value(model, w)
     for iteration in range(max_iterations + 1):
         grad = objective_gradient(model, w)
         residual = _certificate_residual(w, grad)
@@ -347,11 +320,7 @@ def optimal_weights(
                 cand_residual = _certificate_residual(candidate, cand_grad)
                 if cand_residual <= tolerance:
                     return build(candidate, iteration, cand_residual)
-        f = objective_value(model, w)
-        if f < best_f:
-            best_f, best_w = f, w
         if iteration == max_iterations:
             break
         w = _project(w - step * grad)
-    best_residual = _certificate_residual(best_w, objective_gradient(model, best_w))
-    raise NoConvergence(build(best_w, max_iterations, best_residual))
+    raise NoConvergence(build(w, max_iterations))

@@ -10,47 +10,29 @@ and a judge drawn with probabilities p has
                                - 2 sigma_yxi + sigma_y^2 ].
 
 The crowd is wise when the first quantity does not exceed the second.  Both
-sides are evaluated exactly from a CrowdModel; the N-term reductions use
-compensated summation (math.fsum) so that placing all weight on judge i
-reproduces that judge's own expected squared error bit for bit.
+sides are evaluated from a CrowdModel with plain numpy reductions.  Placing
+all weight on judge i still reproduces that judge's own expected squared
+error bit for bit, because the other N-1 products are exact zeros.
+
+Ties count as wise.  A true tie can come out of floating point as a tiny
+negative gap, so the verdict forgives gaps down to -TIE_ROUNDING * N * eps
+times the sum of the magnitudes of the terms involved; ``wisdom_gap`` itself
+is reported as computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatch, ValidationFailed
 from .model import CrowdModel, _readonly
 
-
-def _cdot(a: np.ndarray, b: np.ndarray) -> float:
-    """Compensated dot product: fsum of the elementwise products."""
-    return math.fsum(np.asarray(a, dtype=float) * np.asarray(b, dtype=float))
-
-
-def _cquad(m: np.ndarray, w: np.ndarray) -> float:
-    """Compensated quadratic form w' M w, one fsum per N-term reduction."""
-    return math.fsum(w[i] * _cdot(m[i], w) for i in range(len(w)))
-
-
-def _simplex_point(values, kind: str) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValidationFailed([f"{kind} must be a nonempty vector"])
-    if np.any(v < -1e-12) or np.any(~np.isfinite(v)):
-        raise ValidationFailed(
-            [f"{kind} entries must be nonnegative and finite, got {v.tolist()}"]
-        )
-    v = np.maximum(v, 0.0)
-    total = math.fsum(v)
-    if total <= 0.0:
-        raise ValidationFailed([f"{kind} entries sum to zero"])
-    if total != 1.0:
-        v = v / total
-    return v
+# Rounding allowance of the tie rule, in units of N * eps * scale.
+TIE_ROUNDING = 4.0
 
 
 @dataclass(frozen=True)
@@ -60,9 +42,21 @@ class WeightVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", _readonly(_simplex_point(self.weights, "weights"))
-        )
+        kind = type(self).__name__
+        v = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        if v.ndim != 1 or v.shape[0] < 1:
+            raise ValidationFailed([f"{kind} must be a nonempty vector"])
+        if np.any(v < -1e-12) or np.any(~np.isfinite(v)):
+            raise ValidationFailed(
+                [f"{kind} entries must be nonnegative and finite, got {v.tolist()}"]
+            )
+        v = np.maximum(v, 0.0)
+        total = math.fsum(v)
+        if total <= 0.0:
+            raise ValidationFailed([f"{kind} entries sum to zero"])
+        if total != 1.0:
+            v = v / total
+        object.__setattr__(self, "weights", _readonly(v))
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -74,25 +68,12 @@ class WeightVector:
         return cls(v)
 
 
-@dataclass(frozen=True)
-class SelectionDistribution:
+class SelectionDistribution(WeightVector):
     """Probabilities of selecting each judge (normalized on construction)."""
 
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "probs", _readonly(_simplex_point(self.probs, "probs"))
-        )
-
-    def __len__(self) -> int:
-        return self.probs.shape[0]
-
-    @classmethod
-    def point_mass(cls, index: int, n: int) -> "SelectionDistribution":
-        v = np.zeros(n)
-        v[index] = 1.0
-        return cls(v)
+    @property
+    def probs(self) -> np.ndarray:
+        return self.weights
 
 
 @dataclass(frozen=True)
@@ -154,10 +135,10 @@ def crowd_mse(model: CrowdModel, w: WeightVector) -> CrowdMse:
     """
     _check_length(model.n_judges, len(w), "weight vector")
     wv = w.weights
-    bias = _cdot(model.judge_means, wv) - model.criterion_mean
+    bias = float(model.judge_means @ wv) - model.criterion_mean
     bias_sq = bias * bias
-    variance = _cquad(model.judge_cov, wv)
-    cross_term = -2.0 * _cdot(model.cross_cov, wv)
+    variance = float(wv @ model.judge_cov @ wv)
+    cross_term = -2.0 * float(model.cross_cov @ wv)
     total = bias_sq + variance + cross_term + model.criterion_var
     return CrowdMse(
         total=total,
@@ -174,36 +155,34 @@ def per_judge_mse(model: CrowdModel) -> np.ndarray:
     Entry i is computed with the identical arithmetic as ``crowd_mse`` at the
     point-mass weight on judge i, so the two paths agree exactly.
     """
-    out = np.empty(model.n_judges)
-    for i in range(model.n_judges):
-        bias = model.judge_means[i] - model.criterion_mean
-        bias_sq = bias * bias
-        variance = model.judge_cov[i, i]
-        cross_term = -2.0 * model.cross_cov[i]
-        out[i] = bias_sq + variance + cross_term + model.criterion_var
-    return out
+    bias = model.judge_means - model.criterion_mean
+    cross_term = -2.0 * model.cross_cov
+    return bias * bias + np.diag(model.judge_cov) + cross_term + model.criterion_var
 
 
 def individual_mse(model: CrowdModel, p: SelectionDistribution) -> IndividualMse:
     """Expected squared error of a judge selected with probabilities ``p``."""
     _check_length(model.n_judges, len(p), "selection distribution")
     per_judge = per_judge_mse(model)
-    total = _cdot(p.probs, per_judge)
+    total = float(p.probs @ per_judge)
     return IndividualMse(total=total, per_judge=per_judge)
 
 
 def evaluate(
     model: CrowdModel, w: WeightVector, p: SelectionDistribution
 ) -> WisdomReport:
-    """Assemble the full report; ties (zero gap) count as wise."""
+    """Assemble the full report; ties, up to rounding, count as wise."""
     crowd = crowd_mse(model, w)
     individual = individual_mse(model, p)
     gap = individual.total - crowd.total
+    scale = abs(crowd.bias_sq) + abs(crowd.variance) + abs(crowd.cross_term)
+    scale += crowd.criterion_var + abs(individual.total)
+    slack = TIE_ROUNDING * model.n_judges * sys.float_info.epsilon * scale
     return WisdomReport(
         crowd_mse=crowd.total,
         individual_mse=individual.total,
         wisdom_gap=gap,
-        is_wise=gap >= 0.0,
+        is_wise=gap >= -slack,
         crowd_bias_sq=crowd.bias_sq,
         crowd_variance=crowd.variance,
         crowd_cross_term=crowd.cross_term,

@@ -9,6 +9,7 @@ from crowdwise.cli import (
     load_model,
     main,
     read_candidates,
+    request_from_args,
     run,
     save_model,
 )
@@ -413,6 +414,24 @@ class TestExitCodes:
         assert main(["analyze", "--model", str(path), "--weights", "skill"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_non_finite_model_file_is_two(self, command, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text(
+            "judge_labels = a, b\n"
+            "judge_means = nan, 3.0\n"
+            "judge_cov = 1.0, 0.0, 0.0, 1.0\n"
+            "criterion_mean = 0.0\n"
+            "criterion_var = 1.0\n"
+            "cross_cov = 0.0, 0.0\n"
+        )
+        assert main([command, "--model", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "non-finite values in judge_means" in err
+        assert err.count("\n") == 1
+
     def test_numerical_failure_is_three(self, tmp_path, capsys):
         model = fixed_criterion_model([0.0, 0.0], np.diag([1.0, 4.0]), 0.0)
         path = tmp_path / "model.txt"
@@ -431,3 +450,50 @@ class TestRunApi:
         request = AnalysisRequest(command="explode", data_path="x")
         assert run(request) == 1
         capsys.readouterr()
+
+
+REQUEST_CASES = [
+    (["analyze", "--data", "d.csv"], dict(command="analyze", data_path="d.csv")),
+    (
+        ["analyze", "--model", "m.txt", "--weights", "skill", "--selection", "best",
+         "--format", "machine"],
+        dict(command="analyze", model_path="m.txt", weight_scheme="skill",
+             selection_scheme="best", output_format="machine"),
+    ),
+    (
+        ["optimize", "--data", "d.csv", "--selection", "skill", "--format", "human",
+         "--tolerance", "1e-8", "--max-iterations", "7"],
+        dict(command="optimize", data_path="d.csv", selection_scheme="skill",
+             tolerance=1e-8, max_iterations=7),
+    ),
+    (
+        ["candidate", "--model", "m.txt", "--candidates", "c.csv", "--selection",
+         "best", "--uniform-gain", "--format", "machine"],
+        dict(command="candidate", model_path="m.txt", candidates_path="c.csv",
+             selection_scheme="best", show_uniform_gain=True,
+             output_format="machine"),
+    ),
+    (
+        ["simulate", "--data", "d.csv", "--weights", "w.txt", "--selection", "p.txt",
+         "--trials", "50", "--seed", "9", "--generator", "uniform", "--format",
+         "machine"],
+        dict(command="simulate", data_path="d.csv", weight_scheme="w.txt",
+             selection_scheme="p.txt", trials=50, seed=9, generator="uniform",
+             output_format="machine"),
+    ),
+    (["sweep"], dict(command="sweep")),
+    (
+        ["sweep", "--sweep-grid", "g.txt", "--seed", "4", "--tolerance", "1e-9",
+         "--max-iterations", "12"],
+        dict(command="sweep", sweep_grid_path="g.txt", seed=4, tolerance=1e-9,
+             max_iterations=12),
+    ),
+]
+
+
+class TestRequestFromArgs:
+    @pytest.mark.parametrize(
+        "argv, fields", REQUEST_CASES, ids=[" ".join(a) for a, _ in REQUEST_CASES]
+    )
+    def test_argv_maps_to_request(self, argv, fields):
+        assert request_from_args(argv) == AnalysisRequest(**fields)

@@ -10,9 +10,17 @@ from crowdwise.diversity import (
     extend_model,
     rank_candidates,
 )
-from crowdwise.errors import JointNotPSD, ShapeMismatch
+from crowdwise.errors import JointNotPSD, ShapeMismatch, ValidationFailed
 from crowdwise.model import CrowdModel, fixed_criterion_model, validate_model
 from crowdwise.montecarlo import random_model
+from crowdwise.schemes import (
+    SELECTION_RULES,
+    best_member_selection,
+    optimal_weights,
+    skill_selection,
+    uniform_selection,
+)
+from crowdwise.wisdom import individual_mse
 
 
 def one_judge_crowd(variance=1.0):
@@ -254,3 +262,57 @@ class TestRankCandidates:
         ]
         ranking = rank_candidates(base, others, labels=["indep", "split"])
         assert sorted(ev.label for ev in ranking.evaluations) == ["indep", "split"]
+
+    @pytest.mark.parametrize("rule", sorted(SELECTION_RULES))
+    def test_every_selection_rule(self, rule):
+        expected = {
+            "uniform": lambda m: uniform_selection(m.n_judges),
+            "skill": skill_selection,
+            "best": lambda m: best_member_selection(m).selection,
+        }[rule]
+        full = random_model(6, seed=77, bias_scale=0.5, criterion_var=1.0)
+        base, split = candidate_from_model(full)
+        indep = CandidateMember(
+            mean=0.2,
+            variance=1.5,
+            cov_with_members=np.zeros(base.n_judges),
+            cov_with_criterion=0.3,
+        )
+        ranking = rank_candidates(base, [split, indep], p_rule=rule)
+        assert ranking.failures == ()
+        before = optimal_weights(base).objective
+        for ev in ranking.evaluations:
+            assert ev.before.crowd_mse == pytest.approx(before, rel=1e-12)
+            assert ev.before.individual_mse == individual_mse(base, expected(base)).total
+        split_after = next(ev for ev in ranking.evaluations if ev.label == "candidate_1")
+        assert split_after.after.individual_mse == individual_mse(full, expected(full)).total
+
+    def test_unknown_selection_rule_fails_every_candidate(self):
+        fine = CandidateMember(
+            mean=0.0, variance=1.0, cov_with_members=[0.0], cov_with_criterion=0.0
+        )
+        ranking = rank_candidates(one_judge_crowd(), [fine, fine], p_rule="median")
+        assert ranking.evaluations == ()
+        assert [f.index for f in ranking.failures] == [0, 1]
+        assert all(isinstance(f.error, ShapeMismatch) for f in ranking.failures)
+        with pytest.raises(ShapeMismatch, match="median"):
+            evaluate_candidate(one_judge_crowd(), fine, p_rule="median")
+
+
+class TestCandidateMember:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mean", np.nan),
+            ("variance", np.inf),
+            ("cov_with_criterion", -np.inf),
+            ("cov_with_members", [np.nan]),
+        ],
+    )
+    def test_non_finite_moments_rejected(self, field, value):
+        moments = dict(
+            mean=0.0, variance=1.0, cov_with_members=[0.0], cov_with_criterion=0.0
+        )
+        moments[field] = value
+        with pytest.raises(ValidationFailed):
+            CandidateMember(**moments)

@@ -84,6 +84,29 @@ class TestValidateModel:
         )
         assert any("criterion_var" in v for v in validate_model(model))
 
+    def test_non_finite_moments_listed_first_and_alone(self):
+        model = CrowdModel(
+            judge_means=[np.nan, 3.0],
+            judge_cov=[[1.0, 0.0], [0.0, np.inf]],
+            criterion_mean=0.0,
+            criterion_var=-1.0,
+            cross_cov=[0.0, 0.0],
+        )
+        assert validate_model(model) == [
+            "non-finite values in judge_means, judge_cov"
+        ]
+
+    def test_non_finite_moments_rejected_by_constructors(self):
+        with pytest.raises(ValidationFailed, match="non-finite"):
+            fixed_criterion_model([0.0, np.nan], np.eye(2), 0.0)
+        with pytest.raises(ValidationFailed, match="non-finite"):
+            estimate_model(
+                JudgmentSample(
+                    judgments=[[1.0, np.nan], [2.0, 3.0], [0.0, 1.0]],
+                    criterion=[1.0, 2.0, 3.0],
+                )
+            )
+
 
 class TestEstimateModel:
     def test_two_trial_hand_computation(self):

@@ -18,6 +18,7 @@ from crowdwise.errors import (
 )
 from crowdwise.model import CrowdModel, fixed_criterion_model
 from crowdwise.schemes import (
+    _certificate_residual,
     best_member_selection,
     inverse_mse_weights,
     objective_gradient,
@@ -306,6 +307,29 @@ class TestOptimalWeights:
         best = exc.value.best
         assert best.kkt_residual > 1e-10
         assert abs(math.fsum(best.weights.weights) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("cap", [0, 1, 7, 60])
+    def test_capped_iterate_carries_its_own_certificate(self, cap):
+        model = model_corpus(1, base_seed=5, sizes=(8,))[0]
+        with pytest.raises(NoConvergence) as exc:
+            optimal_weights(model, tolerance=1e-300, max_iterations=cap)
+        best = exc.value.best
+        w = best.weights.weights
+        assert best.iterations == cap
+        assert best.kkt_residual == _certificate_residual(w, objective_gradient(model, w))
+        assert best.objective == crowd_mse(model, best.weights).total
+
+    def test_capped_objective_never_rises(self):
+        # Projected gradient with step 1/L descends monotonically, so the last
+        # iterate at each cap is the best one seen so far.
+        for model in model_corpus(12, base_seed=6, sizes=(5, 8)):
+            previous = math.inf
+            for cap in range(40):
+                with pytest.raises(NoConvergence) as exc:
+                    optimal_weights(model, tolerance=1e-300, max_iterations=cap)
+                objective = exc.value.best.objective
+                assert objective <= previous + 1e-13 * abs(previous)
+                previous = objective
 
     def test_matches_grid_oracle_small_models(self):
         models = model_corpus(24, base_seed=3, sizes=(2, 3))

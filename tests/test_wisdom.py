@@ -1,5 +1,8 @@
 """Both sides of the squared-error comparison and their exact decomposition."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +12,13 @@ from conftest import affine_model, model_corpus, random_simplex_points
 from crowdwise.errors import ShapeMismatch, ValidationFailed
 from crowdwise.model import CrowdModel, fixed_criterion_model
 from crowdwise.wisdom import (
+    TIE_ROUNDING,
     SelectionDistribution,
     WeightVector,
     crowd_mse,
     evaluate,
     individual_mse,
+    per_judge_mse,
 )
 
 
@@ -131,6 +136,35 @@ class TestVertexConsistency:
                 assert abs(vertex - per_judge[i]) <= 1e-12 * scale
 
 
+class TestCompensatedReference:
+    def test_numpy_reductions_stay_within_tie_allowance(self):
+        # Reference: one judge at a time for the per-judge errors, and math.fsum
+        # over every product for the N-term and N^2-term reductions.
+        rng = np.random.default_rng(29)
+        for model in model_corpus(200, base_seed=4):
+            n = model.n_judges
+            wv = WeightVector(rng.dirichlet(np.ones(n)))
+            pv = SelectionDistribution(rng.dirichlet(np.ones(n)))
+            w, p = wv.weights, pv.probs
+            per_judge = np.empty(n)
+            for i in range(n):
+                bias = model.judge_means[i] - model.criterion_mean
+                cross = -2.0 * model.cross_cov[i]
+                variance = model.judge_cov[i, i]
+                per_judge[i] = bias * bias + variance + cross + model.criterion_var
+            np.testing.assert_array_equal(per_judge_mse(model), per_judge)
+            bias = math.fsum(model.judge_means * w) - model.criterion_mean
+            variance = math.fsum((np.outer(w, w) * model.judge_cov).ravel())
+            cross = -2.0 * math.fsum(model.cross_cov * w)
+            crowd = bias * bias + variance + cross + model.criterion_var
+            individual = math.fsum(p * per_judge)
+            report = evaluate(model, wv, pv)
+            scale = abs(bias * bias) + abs(variance) + abs(cross)
+            scale += model.criterion_var + abs(individual)
+            allowance = TIE_ROUNDING * n * sys.float_info.epsilon * scale
+            assert abs(report.wisdom_gap - (individual - crowd)) <= allowance
+
+
 class TestEvaluate:
     def test_four_biased_judges_gap(self):
         model = biased_independent_model(4, bias=1.0)
@@ -157,6 +191,36 @@ class TestEvaluate:
         assert report.individual_mse == 1.0
         assert report.wisdom_gap == 0.0
         assert report.is_wise
+
+    def test_identical_judges_tie_up_to_rounding(self):
+        # Identical, perfectly correlated judges: averaging them changes
+        # nothing, so the true gap is exactly zero, but rounding may leave a
+        # tiny negative one.
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            n = int(rng.integers(2, 60))
+            sd, sd_y = rng.uniform(0.01, 30.0, size=2)
+            model = CrowdModel(
+                judge_means=np.full(n, rng.normal(0.0, 20.0)),
+                judge_cov=np.full((n, n), sd * sd),
+                criterion_mean=rng.normal(0.0, 20.0),
+                criterion_var=sd_y * sd_y,
+                cross_cov=np.full(n, rng.uniform(-1.0, 1.0) * sd * sd_y),
+            )
+            uniform = np.full(n, 1.0 / n)
+            report = evaluate(
+                model, WeightVector(uniform), SelectionDistribution(uniform)
+            )
+            assert abs(report.wisdom_gap) <= 1e-12 * report.individual_mse
+            assert report.is_wise
+
+    def test_loss_beyond_rounding_is_unwise(self):
+        model = fixed_criterion_model([0.0, 0.0], np.diag([1.0 + 1e-12, 1.0]), 0.0)
+        report = evaluate(
+            model, WeightVector([1.0, 0.0]), SelectionDistribution([0.0, 1.0])
+        )
+        assert report.wisdom_gap < 0.0
+        assert not report.is_wise
 
     def test_report_fields_recompose(self):
         rng = np.random.default_rng(3)
