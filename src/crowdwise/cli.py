@@ -10,11 +10,13 @@ Commands:
 Input is either a judgments CSV (``--data``, one ``criterion`` column, one
 column per judge, one row per trial) or a model file (``--model``, the
 key-value format written by ``save_model``).  ``--format machine`` emits a
-flat key = value document with a schema_version field; every number a human
-report shows is derived from a value present in the machine report.
+flat key = value document with a schema_version field; the human report is
+rendered from the same key/value pairs, so every number it shows is in the
+machine report.  A failed command writes nothing to stdout.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error,
-3 numerical failure.  Error detail goes to stderr, never stdout.
+Exit codes: 0 success, 1 usage error, 2 data or validation error (including
+nan or inf in any input file), 3 numerical failure or internal error.  Error
+detail goes to stderr as one line, never to stdout.
 
 Weights are treated as fixed choices supplied before judgments realize.
 Estimating weights from the same trials they are scored on is not detected
@@ -25,50 +27,29 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diversity import CandidateMember, CandidateRanking, rank_candidates
+from .diversity import CandidateMember, rank_candidates
 from .errors import (
-    CrowdwiseError,
-    DuplicateJudgeLabel,
-    InfeasibleCorrelationRange,
-    MissingCriterionColumn,
-    NonNumericCell,
-    ParseError,
-    SampleTooSmall,
-    UndefinedSkill,
-    UsageError,
-    ValidationFailed,
-    ZeroCriterionVariance,
+    CrowdwiseError, DuplicateJudgeLabel, InfeasibleCorrelationRange,
+    MissingCriterionColumn, NonNumericCell, ParseError, SampleTooSmall,
+    UndefinedSkill, UsageError, ValidationFailed, ZeroCriterionVariance,
     ZeroJudges,
 )
-from .model import (
-    CrowdModel,
-    JudgmentSample,
-    estimate_model,
-    validate_model,
-)
+from .model import CrowdModel, JudgmentSample, estimate_model, validate_model
 from .montecarlo import SimulationSpec, random_model, simulate
 from .schemes import (
-    SELECTION_RULES,
-    inverse_mse_weights,
-    optimal_weights,
-    skill_scores,
-    skill_weights,
-    uniform_selection,
-    uniform_weights,
+    SELECTION_RULES, inverse_mse_weights, optimal_weights, skill_scores,
+    skill_weights, uniform_selection, uniform_weights,
 )
-from .wisdom import (
-    SelectionDistribution,
-    WeightVector,
-    WisdomReport,
-    evaluate,
-)
+from .wisdom import SelectionDistribution, WeightVector, WisdomReport, evaluate
 
 SCHEMA_VERSION = 1
 COMMANDS = ("analyze", "optimize", "candidate", "simulate", "sweep")
@@ -78,12 +59,8 @@ DEFAULT_SWEEP_CORRELATION = (-0.4, -0.2, 0.0, 0.2, 0.4, 0.8)
 DEFAULT_SWEEP_SIZES = (2, 5, 10, 25)
 
 _MODEL_FIELDS = (
-    "judge_labels",
-    "judge_means",
-    "judge_cov",
-    "criterion_mean",
-    "criterion_var",
-    "cross_cov",
+    "judge_labels", "judge_means", "judge_cov",
+    "criterion_mean", "criterion_var", "cross_cov",
 )
 
 
@@ -108,8 +85,40 @@ class AnalysisRequest:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# CSV input: judgments and candidates
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _csv_rows(path: str):
+    """Open a CSV and yield its stripped header and an iterator of its rows.
+
+    The iterator skips blank rows and yields ``(line number, cells)``,
+    counting the header as line 1; every row has as many cells as the header.
+    """
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err}") from None
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ParseError(f"{path} is empty") from None
+
+        def rows():
+            for line_no, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"{path} line {line_no}: expected {len(header)} cells, "
+                        f"got {len(row)}"
+                    )
+                yield line_no, row
+
+        yield header, rows()
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
@@ -130,17 +139,7 @@ def ingest_csv(path: str) -> JudgmentSample:
     holds the realized criterion value of each trial.  Cells must be plain
     decimal numbers.  Row numbers in errors count from the header as line 1.
     """
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
+    with _csv_rows(path) as (header, rows):
         criterion_cols = [i for i, h in enumerate(header) if h == "criterion"]
         if not criterion_cols:
             raise MissingCriterionColumn(
@@ -158,38 +157,87 @@ def ingest_csv(path: str) -> JudgmentSample:
             raise DuplicateJudgeLabel(
                 f"{path} has duplicated judge columns: {sorted(dupes)}"
             )
-        rows: list[list[float]] = []
+        judgments: list[list[float]] = []
         criterion: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path} line {line_no}: expected {len(header)} cells, "
-                    f"got {len(row)}"
-                )
+        for line_no, row in rows:
             parsed = [
                 _parse_cell(cell, line_no, header[i])
                 for i, cell in enumerate(row)
             ]
             criterion.append(parsed[criterion_idx])
-            rows.append(
+            judgments.append(
                 [v for i, v in enumerate(parsed) if i != criterion_idx]
             )
-    if len(rows) < 2:
+    if len(judgments) < 2:
         raise SampleTooSmall(
-            f"{path} has {len(rows)} data rows; at least 2 trials are needed"
+            f"{path} has {len(judgments)} data rows; at least 2 trials are needed"
         )
     return JudgmentSample(
-        judgments=np.array(rows),
+        judgments=np.array(judgments),
         criterion=np.array(criterion),
         judge_labels=tuple(judge_labels),
     )
 
 
+def read_candidates(
+    path: str, model: CrowdModel
+) -> tuple[list[CandidateMember], list[str]]:
+    """Read the candidate CSV for ``model``.
+
+    Header must be exactly ``label,mean,variance,cov_with_criterion`` followed
+    by the model's judge labels in order.
+    """
+    expected = ["label", "mean", "variance", "cov_with_criterion"]
+    expected += list(model.judge_labels)
+    candidates: list[CandidateMember] = []
+    labels: list[str] = []
+    with _csv_rows(path) as (header, rows):
+        if header != expected:
+            raise ParseError(
+                f"{path}: header {header} does not match expected {expected} "
+                "(the model's judge labels, in order)"
+            )
+        for line_no, row in rows:
+            values = [
+                _parse_cell(cell, line_no, expected[i])
+                for i, cell in enumerate(row[1:], start=1)
+            ]
+            labels.append(row[0].strip())
+            candidates.append(
+                CandidateMember(
+                    mean=values[0],
+                    variance=values[1],
+                    cov_with_criterion=values[2],
+                    cov_with_members=np.array(values[3:]),
+                )
+            )
+    if not candidates:
+        raise ParseError(f"{path} lists no candidates")
+    return candidates, labels
+
+
 # ---------------------------------------------------------------------------
 # Model files and the machine report format
 # ---------------------------------------------------------------------------
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err}") from None
+
+
+def _parse_numbers(text: str, path: str, key: str) -> np.ndarray:
+    """Comma-separated finite numbers; an empty text is an empty list."""
+    try:
+        values = np.array([float(p) for p in text.split(",")] if text else [])
+    except ValueError:
+        raise ParseError(f"{path}: field {key!r} is not a list of numbers") from None
+    if not np.isfinite(values).all():
+        raise ParseError(f"{path}: non-finite values in {key}")
+    return values
 
 
 def _format_value(value) -> str:
@@ -211,13 +259,8 @@ def _render_document(pairs: list[tuple[str, object]]) -> str:
 
 
 def _parse_document(path: str) -> dict[str, str]:
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            lines = handle.readlines()
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from None
     fields: dict[str, str] = {}
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -231,14 +274,6 @@ def _parse_document(path: str) -> dict[str, str]:
             raise ParseError(f"{path} line {line_no}: duplicate key {key!r}")
         fields[key] = value.strip()
     return fields
-
-
-def _parse_floats(text: str, path: str, key: str) -> np.ndarray:
-    parts = [p.strip() for p in text.split(",")] if text else []
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError:
-        raise ParseError(f"{path}: field {key!r} is not a list of numbers") from None
 
 
 def save_model(model: CrowdModel, path: str) -> None:
@@ -266,7 +301,8 @@ def load_model(path: str) -> CrowdModel:
     """Read a model file and certify it.
 
     Raises:
-        ParseError: malformed document or inconsistent shapes.
+        ParseError: malformed document, non-finite numbers or inconsistent
+            shapes.
         ValidationFailed: the stored moments violate a model invariant.
     """
     fields = _parse_document(path)
@@ -277,9 +313,9 @@ def load_model(path: str) -> CrowdModel:
     if any(not label for label in labels):
         raise ParseError(f"{path}: empty judge label")
     n = len(labels)
-    means = _parse_floats(fields["judge_means"], path, "judge_means")
-    cov_flat = _parse_floats(fields["judge_cov"], path, "judge_cov")
-    cross = _parse_floats(fields["cross_cov"], path, "cross_cov")
+    means = _parse_numbers(fields["judge_means"], path, "judge_means")
+    cov_flat = _parse_numbers(fields["judge_cov"], path, "judge_cov")
+    cross = _parse_numbers(fields["cross_cov"], path, "cross_cov")
     if means.shape[0] != n:
         raise ParseError(f"{path}: {means.shape[0]} judge_means for {n} labels")
     if cov_flat.shape[0] != n * n:
@@ -310,126 +346,71 @@ def load_model(path: str) -> CrowdModel:
     return model
 
 
-def _load_simplex_file(path: str, n: int, kind: str) -> np.ndarray:
-    """Read N nonnegative numbers (comma or whitespace separated)."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from None
-    parts = text.replace(",", " ").split()
-    try:
-        values = np.array([float(p) for p in parts])
-    except ValueError:
-        raise ParseError(f"{path}: expected numbers, got {text!r}") from None
-    if values.shape[0] != n:
-        raise ParseError(
-            f"{path}: {kind} file has {values.shape[0]} entries for {n} judges"
-        )
-    return values
-
-
-# ---------------------------------------------------------------------------
-# Candidate CSV
-# ---------------------------------------------------------------------------
-
-
-def read_candidates(
-    path: str, model: CrowdModel
-) -> tuple[list[CandidateMember], list[str]]:
-    """Read the candidate CSV for ``model``.
-
-    Header must be exactly ``label,mean,variance,cov_with_criterion`` followed
-    by the model's judge labels in order.
-    """
-    expected = ["label", "mean", "variance", "cov_with_criterion"]
-    expected += list(model.judge_labels)
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path} is empty") from None
-        if header != expected:
-            raise ParseError(
-                f"{path}: header {header} does not match expected {expected} "
-                "(the model's judge labels, in order)"
-            )
-        candidates: list[CandidateMember] = []
-        labels: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected):
-                raise ParseError(
-                    f"{path} line {line_no}: expected {len(expected)} cells, "
-                    f"got {len(row)}"
-                )
-            values = [
-                _parse_cell(cell, line_no, expected[i])
-                for i, cell in enumerate(row[1:], start=1)
-            ]
-            labels.append(row[0].strip())
-            candidates.append(
-                CandidateMember(
-                    mean=values[0],
-                    variance=values[1],
-                    cov_with_criterion=values[2],
-                    cov_with_members=np.array(values[3:]),
-                )
-            )
-    if not candidates:
-        raise ParseError(f"{path} lists no candidates")
-    return candidates, labels
-
-
 # ---------------------------------------------------------------------------
 # Scheme resolution
 # ---------------------------------------------------------------------------
 
+_WEIGHT_RULES = {
+    "uniform": lambda model: uniform_weights(model.n_judges),
+    "skill": lambda model: skill_weights(model),
+    "inverse-mse": lambda model: inverse_mse_weights(model),
+    "optimal": lambda model: optimal_weights(model).weights,
+}
 
-def _resolve_weights(model: CrowdModel, scheme: str) -> WeightVector:
-    if scheme == "uniform":
-        return uniform_weights(model.n_judges)
-    if scheme == "skill":
-        return skill_weights(model)
-    if scheme == "inverse-mse":
-        return inverse_mse_weights(model)
-    if scheme == "optimal":
-        return optimal_weights(model).weights
-    return WeightVector(_load_simplex_file(scheme, model.n_judges, "weights"))
+_SCHEMES = {
+    "weights": (_WEIGHT_RULES, WeightVector),
+    "selection": (SELECTION_RULES, SelectionDistribution),
+}
 
 
-def _resolve_selection(model: CrowdModel, scheme: str) -> SelectionDistribution:
-    if scheme in SELECTION_RULES:
-        return SELECTION_RULES[scheme](model)
-    return SelectionDistribution(
-        _load_simplex_file(scheme, model.n_judges, "selection")
-    )
+def _resolve(kind: str, scheme: str, model: CrowdModel) -> WeightVector:
+    """Apply the ``kind`` rule named ``scheme``, or read it from that file.
+
+    A file holds one number per judge, separated by commas or whitespace.
+    """
+    rules, vector_type = _SCHEMES[kind]
+    if scheme in rules:
+        return rules[scheme](model)
+    text = ",".join(_read_text(scheme).replace(",", " ").split())
+    values = _parse_numbers(text, scheme, kind)
+    if values.shape[0] != model.n_judges:
+        raise ParseError(
+            f"{scheme}: {kind} file has {values.shape[0]} entries "
+            f"for {model.n_judges} judges"
+        )
+    return vector_type(values)
 
 
 def _skill_pairs(model: CrowdModel) -> list[tuple[str, object]]:
     try:
         return [("skill", skill_scores(model).skills)]
     except ZeroCriterionVariance:
-        return [("skill_note", "undefined: criterion variance is zero")]
+        note = "criterion variance is zero"
     except UndefinedSkill as err:
-        return [
-            (
-                "skill_note",
-                "undefined: zero-variance judges at indices "
-                f"{err.judge_indices}",
-            )
-        ]
+        note = f"zero-variance judges at indices {err.judge_indices}"
+    return [("skill_note", f"undefined: {note}")]
 
 
 # ---------------------------------------------------------------------------
-# Report rendering
+# Human reports, rendered from the machine pairs alone
 # ---------------------------------------------------------------------------
+
+_VERDICT_ROWS = (
+    ("  crowd MSE", "crowd_mse"),
+    ("    bias^2", "crowd_bias_sq"),
+    ("    variance", "crowd_variance"),
+    ("    cross term", "crowd_cross_term"),
+    ("    criterion var", "criterion_var"),
+    ("  individual MSE", "individual_mse"),
+    ("  wisdom gap", "wisdom_gap"),
+    ("  wise", "is_wise"),
+)
+
+_OPTIMIZER_ROWS = (
+    ("  objective", "objective"),
+    ("  iterations", "iterations"),
+    ("  KKT residual", "kkt_residual"),
+)
 
 
 def _hfmt(value) -> str:
@@ -438,6 +419,94 @@ def _hfmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.10g}"
     return str(value)
+
+
+def _label_rows(values: dict, rows) -> list[str]:
+    return [f"{label:<19}{_hfmt(values[key])}" for label, key in rows]
+
+
+def _human_analyze(values: dict, request: AnalysisRequest) -> list[str]:
+    lines = [f"crowd of {values['n_judges']} judge(s)"]
+    lines += _label_rows(values, _VERDICT_ROWS)
+    lines.append("  judge            weight       selection    per-judge MSE  skill")
+    columns = zip(
+        values["judge_labels"],
+        values["weights"],
+        values["selection"],
+        values["per_judge_mse"],
+        values.get("skill", ["-"] * values["n_judges"]),
+    )
+    for label, weight, prob, mse, skill in columns:
+        lines.append(
+            f"  {label:<16} {_hfmt(weight):<12} {_hfmt(prob):<12} "
+            f"{_hfmt(mse):<14} {_hfmt(skill)}"
+        )
+    if "skill_note" in values:
+        lines.append(f"  note: {values['skill_note']}")
+    return lines
+
+
+def _human_optimize(values: dict, request: AnalysisRequest) -> list[str]:
+    lines = ["optimal weights"]
+    for label, weight in zip(values["judge_labels"], values["weights"]):
+        lines.append(f"  {label:<16} {_hfmt(weight)}")
+    lines += _label_rows(values, _OPTIMIZER_ROWS)
+    if values["possibly_nonunique"]:
+        lines.append("  note: minimizer may not be unique (singular curvature)")
+    return lines + _human_analyze(values, request)
+
+
+def _human_candidate(values: dict, request: AnalysisRequest) -> list[str]:
+    ranked = values["n_candidates"] - values["n_failures"]
+    uniform = request.show_uniform_gain
+    lines = [
+        f"{ranked} candidate(s) ranked by marginal gain in optimal crowd MSE",
+        f"  {'rank':<5} {'label':<16} {'gain':<13} {'weight':<13} {'MSE after':<13}"
+        + (" uniform-weight gain" if uniform else ""),
+    ]
+    for rank in range(1, ranked + 1):
+        c = f"candidate_{rank}_"
+        keys = ("marginal_gain", "weight", "crowd_mse_after")
+        line = f"  {rank:<5} {values[c + 'label']:<16} "
+        line += " ".join(f"{_hfmt(values[c + key]):<13}" for key in keys)
+        if uniform:
+            line += f" {_hfmt(values[c + 'uniform_marginal_gain'])}"
+        lines.append(line)
+    for i in range(1, values["n_failures"] + 1):
+        lines.append(
+            f"  failed: {values[f'failure_{i}_label']}: {values[f'failure_{i}_error']}"
+        )
+    return lines
+
+
+def _human_simulate(values: dict, request: AnalysisRequest) -> list[str]:
+    v = {key: _hfmt(value) for key, value in values.items()}
+    lines = [
+        f"simulation: {v['trials']} trials, seed {v['seed']}, "
+        f"{v['generator']} generator",
+        f"  {'':<18} {'empirical':<16} {'analytic':<16} std. error",
+        f"  {'crowd MSE':<18} {v['empirical_crowd_mse']:<16} "
+        f"{v['analytic_crowd_mse']:<16} {v['crowd_mse_se']}",
+        f"  {'individual MSE':<18} {v['empirical_individual_mse']:<16} "
+        f"{v['analytic_individual_mse']:<16} {v['individual_mse_se']}",
+        f"  {'wisdom gap':<18} {v['empirical_wisdom_gap']:<16} "
+        f"{v['analytic_wisdom_gap']:<16}",
+    ]
+    if values["degenerate_se"]:
+        lines.append("  note: single trial, standard errors reported as zero")
+    return lines
+
+
+# ---------------------------------------------------------------------------
+# Commands: each returns its machine pairs (sweep: its CSV rows)
+# ---------------------------------------------------------------------------
+
+
+def _load_input(request: AnalysisRequest) -> CrowdModel:
+    if request.data_path is not None:
+        return estimate_model(ingest_csv(request.data_path))
+    assert request.model_path is not None
+    return load_model(request.model_path)
 
 
 def _report_pairs(
@@ -470,101 +539,30 @@ def _report_pairs(
     return pairs
 
 
-def _print_human_report(
-    model: CrowdModel,
-    w: WeightVector,
-    p: SelectionDistribution,
-    report: WisdomReport,
-    out,
-) -> None:
-    print(f"crowd of {model.n_judges} judge(s)", file=out)
-    print(f"  crowd MSE        {_hfmt(report.crowd_mse)}", file=out)
-    print(f"    bias^2         {_hfmt(report.crowd_bias_sq)}", file=out)
-    print(f"    variance       {_hfmt(report.crowd_variance)}", file=out)
-    print(f"    cross term     {_hfmt(report.crowd_cross_term)}", file=out)
-    print(f"    criterion var  {_hfmt(report.criterion_var)}", file=out)
-    print(f"  individual MSE   {_hfmt(report.individual_mse)}", file=out)
-    print(f"  wisdom gap       {_hfmt(report.wisdom_gap)}", file=out)
-    print(f"  wise             {_hfmt(report.is_wise)}", file=out)
-    skill_pairs = _skill_pairs(model)
-    skills = dict(skill_pairs).get("skill")
-    print("  judge            weight       selection    per-judge MSE  skill", file=out)
-    for i, label in enumerate(model.judge_labels):
-        skill_text = _hfmt(skills[i]) if skills is not None else "-"
-        print(
-            f"  {label:<16} {_hfmt(w.weights[i]):<12} {_hfmt(p.probs[i]):<12} "
-            f"{_hfmt(report.per_judge_mse[i]):<14} {skill_text}",
-            file=out,
-        )
-    if skills is None:
-        print(f"  note: {dict(skill_pairs)['skill_note']}", file=out)
-
-
-def _emit(pairs: list[tuple[str, object]], request: AnalysisRequest, human) -> None:
-    if request.output_format == "machine":
-        sys.stdout.write(_render_document(pairs))
-    else:
-        human(sys.stdout)
-
-
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-
-def _load_input(request: AnalysisRequest) -> CrowdModel:
-    if request.data_path is not None:
-        return estimate_model(ingest_csv(request.data_path))
-    assert request.model_path is not None
-    return load_model(request.model_path)
-
-
-def _cmd_analyze(request: AnalysisRequest) -> int:
+def _cmd_analyze(request: AnalysisRequest) -> list[tuple[str, object]]:
     model = _load_input(request)
-    w = _resolve_weights(model, request.weight_scheme)
-    p = _resolve_selection(model, request.selection_scheme)
-    report = evaluate(model, w, p)
-    pairs = _report_pairs(request, model, w, p, report)
-    _emit(
-        pairs,
-        request,
-        lambda out: _print_human_report(model, w, p, report, out),
-    )
-    return 0
+    w = _resolve("weights", request.weight_scheme, model)
+    p = _resolve("selection", request.selection_scheme, model)
+    return _report_pairs(request, model, w, p, evaluate(model, w, p))
 
 
-def _cmd_optimize(request: AnalysisRequest) -> int:
+def _cmd_optimize(request: AnalysisRequest) -> list[tuple[str, object]]:
     model = _load_input(request)
     solution = optimal_weights(
         model, tolerance=request.tolerance, max_iterations=request.max_iterations
     )
-    p = _resolve_selection(model, request.selection_scheme)
+    p = _resolve("selection", request.selection_scheme, model)
     report = evaluate(model, solution.weights, p)
     request = replace(request, weight_scheme="optimal")
-    pairs = _report_pairs(request, model, solution.weights, p, report)
-    pairs += [
+    return _report_pairs(request, model, solution.weights, p, report) + [
         ("objective", solution.objective),
         ("iterations", solution.iterations),
         ("kkt_residual", solution.kkt_residual),
         ("possibly_nonunique", solution.possibly_nonunique),
     ]
 
-    def human(out):
-        print("optimal weights", file=out)
-        for label, weight in zip(model.judge_labels, solution.weights.weights):
-            print(f"  {label:<16} {_hfmt(weight)}", file=out)
-        print(f"  objective        {_hfmt(solution.objective)}", file=out)
-        print(f"  iterations       {solution.iterations}", file=out)
-        print(f"  KKT residual     {_hfmt(solution.kkt_residual)}", file=out)
-        if solution.possibly_nonunique:
-            print("  note: minimizer may not be unique (singular curvature)", file=out)
-        _print_human_report(model, solution.weights, p, report, out)
 
-    _emit(pairs, request, human)
-    return 0
-
-
-def _cmd_candidate(request: AnalysisRequest) -> int:
+def _cmd_candidate(request: AnalysisRequest) -> list[tuple[str, object]]:
     if request.candidates_path is None:
         raise UsageError("candidate requires --candidates CSV")
     model = _load_input(request)
@@ -598,36 +596,13 @@ def _cmd_candidate(request: AnalysisRequest) -> int:
             (f"failure_{i}_label", failure.label),
             (f"failure_{i}_error", str(failure.error)),
         ]
-
-    def human(out):
-        print(
-            f"{len(ranking.evaluations)} candidate(s) ranked by marginal gain "
-            "in optimal crowd MSE",
-            file=out,
-        )
-        header = f"  {'rank':<5} {'label':<16} {'gain':<13} {'weight':<13} {'MSE after':<13}"
-        if request.show_uniform_gain:
-            header += " uniform-weight gain"
-        print(header, file=out)
-        for rank, ev in enumerate(ranking.evaluations, start=1):
-            line = (
-                f"  {rank:<5} {ev.label:<16} {_hfmt(ev.marginal_gain):<13} "
-                f"{_hfmt(ev.candidate_weight):<13} {_hfmt(ev.after.crowd_mse):<13}"
-            )
-            if request.show_uniform_gain:
-                line += f" {_hfmt(ev.uniform_marginal_gain)}"
-            print(line, file=out)
-        for failure in ranking.failures:
-            print(f"  failed: {failure.label}: {failure.error}", file=out)
-
-    _emit(pairs, request, human)
-    return 0
+    return pairs
 
 
-def _cmd_simulate(request: AnalysisRequest) -> int:
+def _cmd_simulate(request: AnalysisRequest) -> list[tuple[str, object]]:
     model = _load_input(request)
-    w = _resolve_weights(model, request.weight_scheme)
-    p = _resolve_selection(model, request.selection_scheme)
+    w = _resolve("weights", request.weight_scheme, model)
+    p = _resolve("selection", request.selection_scheme, model)
     spec = SimulationSpec(
         model=model,
         trials=request.trials,
@@ -636,7 +611,7 @@ def _cmd_simulate(request: AnalysisRequest) -> int:
     )
     result = simulate(spec, w, p)
     analytic = evaluate(model, w, p)
-    pairs: list[tuple[str, object]] = [
+    return [
         ("schema_version", SCHEMA_VERSION),
         ("command", request.command),
         ("n_judges", model.n_judges),
@@ -657,124 +632,68 @@ def _cmd_simulate(request: AnalysisRequest) -> int:
         ("analytic_wisdom_gap", analytic.wisdom_gap),
     ]
 
-    def human(out):
-        values = dict(pairs)
-        print(
-            f"simulation: {result.trials} trials, seed {result.seed}, "
-            f"{request.generator} generator",
-            file=out,
-        )
-        print(f"  {'':<18} {'empirical':<16} {'analytic':<16} std. error", file=out)
-        print(
-            f"  {'crowd MSE':<18} {_hfmt(result.empirical_crowd_mse):<16} "
-            f"{_hfmt(analytic.crowd_mse):<16} {_hfmt(result.standard_errors[0])}",
-            file=out,
-        )
-        print(
-            f"  {'individual MSE':<18} {_hfmt(result.empirical_individual_mse):<16} "
-            f"{_hfmt(analytic.individual_mse):<16} {_hfmt(result.standard_errors[1])}",
-            file=out,
-        )
-        print(
-            f"  {'wisdom gap':<18} {_hfmt(values['empirical_wisdom_gap']):<16} "
-            f"{_hfmt(analytic.wisdom_gap):<16}",
-            file=out,
-        )
-        if result.degenerate_se:
-            print("  note: single trial, standard errors reported as zero", file=out)
-
-    _emit(pairs, request, human)
-    return 0
-
 
 def _parse_sweep_grid(
     path: str | None,
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
     fields = _parse_document(path) if path is not None else {}
-    bias = DEFAULT_SWEEP_BIAS
-    correlation = DEFAULT_SWEEP_CORRELATION
-    sizes = DEFAULT_SWEEP_SIZES
-    if "bias_scale" in fields:
-        bias = tuple(_parse_floats(fields["bias_scale"], path, "bias_scale"))
-    if "correlation" in fields:
-        correlation = tuple(
-            _parse_floats(fields["correlation"], path, "correlation")
-        )
-    if "n_judges" in fields:
-        raw = _parse_floats(fields["n_judges"], path, "n_judges")
-        if np.any(raw != np.round(raw)) or np.any(raw < 1):
-            raise ParseError(f"{path}: n_judges must be positive integers")
-        sizes = tuple(int(v) for v in raw)
-    return bias, correlation, sizes
+
+    def axis(key: str, default: tuple) -> tuple:
+        if key not in fields:
+            return default
+        return tuple(_parse_numbers(fields[key], path, key))
+
+    bias = axis("bias_scale", DEFAULT_SWEEP_BIAS)
+    correlation = axis("correlation", DEFAULT_SWEEP_CORRELATION)
+    sizes = axis("n_judges", DEFAULT_SWEEP_SIZES)
+    if any(v != np.round(v) or v < 1 for v in sizes):
+        raise ParseError(f"{path}: n_judges must be positive integers")
+    return bias, correlation, tuple(int(v) for v in sizes)
 
 
-def _cmd_sweep(request: AnalysisRequest) -> int:
+_SWEEP_HEADER = (
+    "bias_scale,correlation,n_judges,status,crowd_mse_uniform,"
+    "crowd_mse_optimal,individual_mse,gap_uniform,gap_optimal"
+)
+
+
+def _cmd_sweep(request: AnalysisRequest) -> list[list[object]]:
     bias_grid, corr_grid, size_grid = _parse_sweep_grid(request.sweep_grid_path)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        [
-            "bias_scale",
-            "correlation",
-            "n_judges",
-            "status",
-            "crowd_mse_uniform",
-            "crowd_mse_optimal",
-            "individual_mse",
-            "gap_uniform",
-            "gap_optimal",
-        ]
-    )
-    cell = 0
-    for bias in bias_grid:
-        for rho in corr_grid:
-            for n in size_grid:
-                cell += 1
-                try:
-                    model = random_model(
-                        n,
-                        seed=request.seed * 100_003 + cell,
-                        bias_scale=bias,
-                        correlation_range=(rho, rho),
-                        criterion_var=0.0,
-                    )
-                except InfeasibleCorrelationRange:
-                    writer.writerow(
-                        [bias, rho, n, "infeasible_correlation", "", "", "", "", ""]
-                    )
-                    continue
-                p = uniform_selection(n)
-                uniform_report = evaluate(model, uniform_weights(n), p)
-                optimal_report = evaluate(
-                    model,
-                    optimal_weights(
-                        model,
-                        tolerance=request.tolerance,
-                        max_iterations=request.max_iterations,
-                    ).weights,
-                    p,
-                )
-                writer.writerow(
-                    [
-                        bias,
-                        rho,
-                        n,
-                        "ok",
-                        repr(uniform_report.crowd_mse),
-                        repr(optimal_report.crowd_mse),
-                        repr(uniform_report.individual_mse),
-                        repr(uniform_report.wisdom_gap),
-                        repr(optimal_report.wisdom_gap),
-                    ]
-                )
-    return 0
+    rows: list[list[object]] = [_SWEEP_HEADER.split(",")]
+    grid = itertools.product(bias_grid, corr_grid, size_grid)
+    for cell, (bias, rho, n) in enumerate(grid, start=1):
+        try:
+            model = random_model(
+                n,
+                seed=request.seed * 100_003 + cell,
+                bias_scale=bias,
+                correlation_range=(rho, rho),
+                criterion_var=0.0,
+            )
+        except InfeasibleCorrelationRange:
+            rows.append([bias, rho, n, "infeasible_correlation", "", "", "", "", ""])
+            continue
+        p = uniform_selection(n)
+        uniform = evaluate(model, uniform_weights(n), p)
+        solution = optimal_weights(
+            model, tolerance=request.tolerance, max_iterations=request.max_iterations
+        )
+        optimal = evaluate(model, solution.weights, p)
+        values = (
+            uniform.crowd_mse, optimal.crowd_mse, uniform.individual_mse,
+            uniform.wisdom_gap, optimal.wisdom_gap,
+        )
+        rows.append([bias, rho, n, "ok"] + [repr(v) for v in values])
+    return rows
 
 
+# (command, human renderer); sweep writes CSV in every format.
 _HANDLERS = {
-    "analyze": _cmd_analyze,
-    "optimize": _cmd_optimize,
-    "candidate": _cmd_candidate,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
+    "analyze": (_cmd_analyze, _human_analyze),
+    "optimize": (_cmd_optimize, _human_optimize),
+    "candidate": (_cmd_candidate, _human_candidate),
+    "simulate": (_cmd_simulate, _human_simulate),
+    "sweep": (_cmd_sweep, None),
 }
 
 
@@ -797,14 +716,24 @@ def validate_request(request: AnalysisRequest) -> None:
 def run(request: AnalysisRequest) -> int:
     """Execute a request; returns the process exit code.
 
-    Error detail is written to stderr; stdout carries only the report.
+    Error detail is written to stderr.  Stdout carries only the report, written
+    once the command has finished, so a failed command writes nothing there.
     """
     try:
         validate_request(request)
-        return _HANDLERS[request.command](request)
+        command, render_human = _HANDLERS[request.command]
+        output = command(request)
     except CrowdwiseError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    if render_human is None:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(output)
+    elif request.output_format == "machine":
+        sys.stdout.write(_render_document(output))
+    else:
+        lines = render_human(dict(output), request)
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +837,10 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except Exception as err:
+        # A defect rather than bad input: one line, never a traceback.
+        print(f"error: internal: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

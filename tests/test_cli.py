@@ -185,11 +185,33 @@ class TestAnalyzeCommand:
         assert floats(fields["per_judge_mse"]) == pytest.approx([0.75, 0.75], abs=1e-9)
         assert floats(fields["skill"]) == pytest.approx([1.0, 1.0], abs=1e-9)
 
-    def test_every_human_number_is_in_machine_report(self, data_csv, capsys):
-        assert main(["analyze", "--data", data_csv, "--format", "machine"]) == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["optimize"],
+            ["candidate", "--uniform-gain"],
+            ["simulate", "--trials", "500", "--seed", "5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_every_human_number_is_in_machine_report(
+        self, argv, data_csv, tmp_path, capsys
+    ):
+        if argv[0] == "candidate":
+            cands = tmp_path / "cands.csv"
+            cands.write_text(
+                "label,mean,variance,cov_with_criterion,a,b\n"
+                "steady,2.5,0.25,0.1,0.2,0.2\n"
+                "hedge,2.0,1.5,0.2,-0.5,-0.5\n"
+            )
+            argv = argv + ["--candidates", str(cands)]
+        argv = argv + ["--data", data_csv]
+        assert main(argv + ["--format", "machine"]) == 0
         machine = machine_fields(capsys.readouterr().out)
-        assert main(["analyze", "--data", data_csv]) == 0
+        assert main(argv) == 0
         human = capsys.readouterr().out
+        assert human.strip()
         machine_numbers = set()
         for value in machine.values():
             for part in value.split(","):
@@ -206,6 +228,24 @@ class TestAnalyzeCommand:
                 number == pytest.approx(m, rel=1e-9, abs=1e-9)
                 for m in machine_numbers
             ), f"human value {number} missing from machine report"
+
+    def test_human_layout(self, data_csv, capsys):
+        # Hand-computed values of BASIC_CSV: 0.5 = 0.75 - 0.25.
+        assert main(["analyze", "--data", data_csv]) == 0
+        assert capsys.readouterr().out == (
+            "crowd of 2 judge(s)\n"
+            "  crowd MSE        0.5\n"
+            "    bias^2         0\n"
+            "    variance       2\n"
+            "    cross term     -2\n"
+            "    criterion var  0.5\n"
+            "  individual MSE   0.75\n"
+            "  wisdom gap       0.25\n"
+            "  wise             true\n"
+            "  judge            weight       selection    per-judge MSE  skill\n"
+            "  a                0.5          0.5          0.75           1\n"
+            "  b                0.5          0.5          0.75           1\n"
+        )
 
     def test_file_path_equals_in_memory_path(self, data_csv, tmp_path, capsys):
         # ingest -> estimate -> save -> load -> analyze vs direct evaluation
@@ -365,6 +405,25 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 4 * 6 * 4
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "n_judges = inf\n",
+            "bias_scale = nan\n",
+            "correlation = nan\n",
+            "correlation = 0.0, 1.5\n",
+        ],
+        ids=["n_judges_inf", "bias_scale_nan", "correlation_nan", "correlation_1.5"],
+    )
+    def test_bad_grid_is_two_with_empty_stdout(self, grid, tmp_path, capsys):
+        path = tmp_path / "grid.txt"
+        path.write_text(grid)
+        assert main(["sweep", "--sweep-grid", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_success_is_zero(self, data_csv, capsys):
@@ -430,6 +489,34 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
         assert "non-finite values in judge_means" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--weights", "--selection"])
+    def test_non_finite_vector_file_is_two(self, flag, data_csv, tmp_path, capsys):
+        path = tmp_path / "vector.txt"
+        path.write_text("inf, 0.0\n")
+        assert main(["analyze", "--data", data_csv, flag, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: non-finite values in {flag[2:]}\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_internal_error_is_three_without_traceback(self, tmp_path, capsys):
+        # Finite but overflowing moments break the solver's arithmetic.
+        path = tmp_path / "huge.txt"
+        path.write_text(
+            "judge_labels = a, b\n"
+            "judge_means = 1e200, 3.0\n"
+            "judge_cov = 1.0, 0.0, 0.0, 1.0\n"
+            "criterion_mean = 0.0\n"
+            "criterion_var = 1.0\n"
+            "cross_cov = 0.0, 0.0\n"
+        )
+        assert main(["optimize", "--model", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: internal: ")
         assert err.count("\n") == 1
 
     def test_numerical_failure_is_three(self, tmp_path, capsys):
