@@ -15,8 +15,9 @@ rendered from the same key/value pairs, so every number it shows is in the
 machine report.  A failed command writes nothing to stdout.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error (including
-nan or inf in any input file), 3 numerical failure or internal error.  Error
-detail goes to stderr as one line, never to stdout.
+nan or inf in any input file), 3 numerical failure (including a report that
+overflows to inf or nan) or internal error.  Error detail goes to stderr as
+one line, never to stdout.
 
 Weights are treated as fixed choices supplied before judgments realize.
 Estimating weights from the same trials they are scored on is not detected
@@ -31,6 +32,7 @@ import itertools
 import math
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -39,9 +41,9 @@ import numpy as np
 from .diversity import CandidateMember, rank_candidates
 from .errors import (
     CrowdwiseError, DuplicateJudgeLabel, InfeasibleCorrelationRange,
-    MissingCriterionColumn, NonNumericCell, ParseError, SampleTooSmall,
-    UndefinedSkill, UsageError, ValidationFailed, ZeroCriterionVariance,
-    ZeroJudges,
+    MissingCriterionColumn, NonFiniteReport, NonNumericCell, ParseError,
+    SampleTooSmall, UndefinedSkill, UsageError, ValidationFailed,
+    ZeroCriterionVariance, ZeroJudges,
 )
 from .model import CrowdModel, JudgmentSample, estimate_model, validate_model
 from .montecarlo import SimulationSpec, random_model, simulate
@@ -90,25 +92,32 @@ class AnalysisRequest:
 
 
 @contextmanager
+def _csv_header(path: str):
+    """Open a CSV and yield the handle, positioned after the header record,
+    and the stripped header."""
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err}") from None
+    with handle:
+        try:
+            header = [h.strip() for h in next(csv.reader(handle))]
+        except StopIteration:
+            raise ParseError(f"{path} is empty") from None
+        yield handle, header
+
+
+@contextmanager
 def _csv_rows(path: str):
     """Open a CSV and yield its stripped header and an iterator of its rows.
 
     The iterator skips blank rows and yields ``(line number, cells)``,
     counting the header as line 1; every row has as many cells as the header.
     """
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path} is empty") from None
+    with _csv_header(path) as (handle, header):
 
         def rows():
-            for line_no, row in enumerate(reader, start=2):
+            for line_no, row in enumerate(csv.reader(handle), start=2):
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) != len(header):
@@ -132,14 +141,41 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
     return value
 
 
+def _fast_table(handle, n_columns: int) -> np.ndarray | None:
+    """The remaining rows of ``handle`` as one array, or None to fall back.
+
+    One C-level parse.  It is accepted only when it reads at least two rows
+    of ``n_columns`` finite numbers; every cell it parses equals ``float`` of
+    that cell.  Anything else it rejects or might read differently (quotes,
+    whitespace-only rows, ragged rows, ``1_0``, non-ASCII digits, nan, inf)
+    is left to the per-cell parser, which alone raises ingest errors.
+    """
+    with warnings.catch_warnings():
+        # A header-only file is reported by the per-cell parser.
+        warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if table.shape[1] != n_columns or table.shape[0] < 2:
+        return None
+    return table if np.isfinite(table).all() else None
+
+
 def ingest_csv(path: str) -> JudgmentSample:
     """Read a trials-by-judges CSV with a required ``criterion`` column.
 
     The header names the judges; the (case-sensitive) ``criterion`` column
     holds the realized criterion value of each trial.  Cells must be plain
     decimal numbers.  Row numbers in errors count from the header as line 1.
+
+    All data rows are parsed by one vectorised ``np.loadtxt`` call.  That
+    fast path is all-or-nothing: if it fails, or its table is not at least
+    two rows of finite numbers, one per header column, the file is read again
+    by the per-cell parser, which gives the same sample or raises the error
+    that locates the first bad row or cell.
     """
-    with _csv_rows(path) as (header, rows):
+    with _csv_header(path) as (handle, header):
         criterion_cols = [i for i, h in enumerate(header) if h == "criterion"]
         if not criterion_cols:
             raise MissingCriterionColumn(
@@ -157,24 +193,22 @@ def ingest_csv(path: str) -> JudgmentSample:
             raise DuplicateJudgeLabel(
                 f"{path} has duplicated judge columns: {sorted(dupes)}"
             )
-        judgments: list[list[float]] = []
-        criterion: list[float] = []
-        for line_no, row in rows:
-            parsed = [
-                _parse_cell(cell, line_no, header[i])
-                for i, cell in enumerate(row)
-            ]
-            criterion.append(parsed[criterion_idx])
-            judgments.append(
-                [v for i, v in enumerate(parsed) if i != criterion_idx]
+        table = _fast_table(handle, len(header))
+    if table is None:
+        with _csv_rows(path) as (_, rows):
+            table = np.array(
+                [
+                    [_parse_cell(c, line_no, header[i]) for i, c in enumerate(row)]
+                    for line_no, row in rows
+                ]
             )
-    if len(judgments) < 2:
-        raise SampleTooSmall(
-            f"{path} has {len(judgments)} data rows; at least 2 trials are needed"
-        )
+        if len(table) < 2:
+            raise SampleTooSmall(
+                f"{path} has {len(table)} data rows; at least 2 trials are needed"
+            )
     return JudgmentSample(
-        judgments=np.array(judgments),
-        criterion=np.array(criterion),
+        judgments=np.delete(table, criterion_idx, axis=1),
+        criterion=table[:, criterion_idx],
         judge_labels=tuple(judge_labels),
     )
 
@@ -648,6 +682,8 @@ def _parse_sweep_grid(
     sizes = axis("n_judges", DEFAULT_SWEEP_SIZES)
     if any(v != np.round(v) or v < 1 for v in sizes):
         raise ParseError(f"{path}: n_judges must be positive integers")
+    if any(not -1.0 <= v <= 1.0 for v in correlation):
+        raise ParseError(f"{path}: correlation values must lie in [-1, 1]")
     return bias, correlation, tuple(int(v) for v in sizes)
 
 
@@ -713,16 +749,30 @@ def validate_request(request: AnalysisRequest) -> None:
         raise UsageError("--trials must be at least 1")
 
 
+def _require_finite(pairs: list[tuple[str, object]]) -> None:
+    bad = [
+        key
+        for key, value in pairs
+        if isinstance(value, (float, np.floating, np.ndarray))
+        and not np.isfinite(value).all()
+    ]
+    if bad:
+        raise NonFiniteReport(f"non-finite values in the report: {', '.join(bad)}")
+
+
 def run(request: AnalysisRequest) -> int:
     """Execute a request; returns the process exit code.
 
     Error detail is written to stderr.  Stdout carries only the report, written
-    once the command has finished, so a failed command writes nothing there.
+    once the command has finished and every number in it is finite, so a
+    failed command writes nothing there.
     """
     try:
         validate_request(request)
         command, render_human = _HANDLERS[request.command]
         output = command(request)
+        if render_human is not None:
+            _require_finite(output)
     except CrowdwiseError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -93,6 +93,12 @@ class InfeasibleCorrelationRange(CrowdwiseError):
     exit_code = 3
 
 
+class NonFiniteReport(CrowdwiseError):
+    """Finite inputs produced inf or nan in a report (e.g. by overflow)."""
+
+    exit_code = 3
+
+
 class MissingCriterionColumn(CrowdwiseError):
     """Input CSV lacks the required ``criterion`` column."""
 

@@ -1,8 +1,13 @@
 """CSV ingestion, model files, command dispatch, and exit codes."""
 
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
 
+from crowdwise import cli
 from crowdwise.cli import (
     AnalysisRequest,
     ingest_csv,
@@ -47,6 +52,54 @@ def machine_fields(captured: str) -> dict[str, str]:
 
 def floats(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
+
+
+def float_reference(data: bytes):
+    """Labels, judgments and criterion of a judgments CSV, read cell by cell
+    with plain ``float`` and no fast path."""
+    text = data.decode("utf-8-sig")
+    rows = [
+        row
+        for row in csv.reader(io.StringIO(text, newline=""))
+        if any(cell.strip() for cell in row)
+    ]
+    header = [h.strip() for h in rows[0]]
+    k = header.index("criterion")
+    table = np.array([[float(cell) for cell in row] for row in rows[1:]])
+    labels = tuple(h for h in header if h != "criterion")
+    return labels, np.delete(table, k, axis=1), table[:, k]
+
+
+def generated_csv(rows: int) -> bytes:
+    rng = np.random.default_rng(11)
+    values = rng.normal(scale=10.0, size=(rows, 4))
+    lines = ["a,b,criterion,c"]
+    for i, row in enumerate(values.tolist()):
+        # Shortest round-trip text and six-decimal text, row by row.
+        lines.append(",".join(repr(v) if i % 2 else f"{v:.6f}" for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+INGEST_CORPUS = {
+    "criterion_first": b"criterion,a,b\n1,2,3\n4,5,7\n6,1,2\n",
+    "criterion_middle": b"a,criterion,b\n1,2,3\n4,5,7\n6,1,2\n",
+    "criterion_last": b"a,b,criterion\n1,2,3\n4,5,7\n6,1,2\n",
+    "padded_cells": b"a , b,\tcriterion\n 1 ,\t2\t, 3\n4 , 5,6 \n\t7,8 ,  9\n",
+    "number_forms": b"a,b,criterion\n+1,.5,1.\n-0,1e5,0001\n",
+    "quoted_cells": b'a,b,criterion\n"1.5",2,3\n4,"5","6"\n',
+    "utf8_bom": b"\xef\xbb\xbfa,criterion\n1,2\n3,4\n",
+    "crlf": b"a,criterion\r\n1,2\r\n3,4\r\n",
+    "cr_only": b"a,criterion\r1,2\r3,4\r",
+    "blank_rows": b"a,criterion\n1,2\n\n3,4\n   \n \t, \n5,6\n",
+    "underscore_and_arabic_indic": "a,criterion\n1_0,2\n\u0663,4\n".encode(),
+    "generated_5000_rows": generated_csv(5000),
+}
+
+
+def write_rows(tmp_path, header: str, rows: list[str]) -> str:
+    path = tmp_path / "big.csv"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    return str(path)
 
 
 class TestIngestCsv:
@@ -106,6 +159,66 @@ class TestIngestCsv:
         path.write_text("a,b,criterion\n1,2,3\n4,5\n")
         with pytest.raises(ParseError):
             ingest_csv(str(path))
+
+    @pytest.mark.parametrize("name", sorted(INGEST_CORPUS))
+    def test_equals_per_cell_float_reference(self, name, tmp_path):
+        data = INGEST_CORPUS[name]
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(data)
+        sample = ingest_csv(str(path))
+        labels, judgments, criterion = float_reference(data)
+        assert sample.judge_labels == labels
+        np.testing.assert_array_equal(sample.judgments, judgments)
+        np.testing.assert_array_equal(sample.criterion, criterion)
+        np.testing.assert_array_equal(
+            np.signbit(sample.judgments), np.signbit(judgments)
+        )
+
+    def test_plain_file_skips_per_cell_parser(self, tmp_path, monkeypatch):
+        def per_cell(*args):
+            raise AssertionError("plain numeric rows reached the per-cell parser")
+
+        monkeypatch.setattr(cli, "_parse_cell", per_cell)
+        path = tmp_path / "plain.csv"
+        path.write_bytes(INGEST_CORPUS["generated_5000_rows"])
+        assert ingest_csv(str(path)).n_trials == 5000
+
+    @pytest.mark.parametrize("bad", ["N/A", "nan", "inf"])
+    def test_bad_cell_deep_in_large_file_located(self, bad, tmp_path):
+        rows = [f"{i},{i + 1},{i + 2},{i + 3},{i % 7}" for i in range(60000)]
+        rows[49999] = f"1,2,{bad},4,5"  # line 50001, counting the header as 1
+        path = write_rows(tmp_path, "a,b,c,d,criterion", rows)
+        with pytest.raises(NonNumericCell) as exc:
+            ingest_csv(path)
+        assert (exc.value.row, exc.value.column, exc.value.value) == (50001, "c", bad)
+        assert str(exc.value) == f"non-numeric cell {bad!r} at row 50001, column 'c'"
+
+    def test_ragged_row_deep_in_large_file_located(self, tmp_path):
+        rows = [f"{i},{i + 1},{i + 2},{i + 3},{i % 7}" for i in range(60000)]
+        rows[49999] = "1,2,4,5"
+        path = write_rows(tmp_path, "a,b,c,d,criterion", rows)
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(path)
+        assert str(exc.value) == f"{path} line 50001: expected 5 cells, got 4"
+
+    def test_uniformly_short_rows_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("a,b,criterion\n1,2\n3,4\n5,6\n")
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(str(path))
+        assert str(exc.value) == f"{path} line 2: expected 3 cells, got 2"
+
+    @pytest.mark.parametrize("rows", [0, 1], ids=["header_only", "one_row"])
+    def test_too_few_rows_without_warnings(self, rows, tmp_path):
+        path = tmp_path / "small.csv"
+        path.write_text("a,b,criterion\n" + "1,2,3\n" * rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SampleTooSmall) as exc:
+                ingest_csv(str(path))
+        assert str(exc.value) == (
+            f"{path} has {rows} data rows; at least 2 trials are needed"
+        )
 
 
 class TestModelFiles:
@@ -400,6 +513,20 @@ class TestSweepCommand:
         cells = ok_row.split(",")
         assert float(cells[8]) >= float(cells[7]) - 1e-12  # optimal gap >= uniform gap
 
+    def test_grid_checked_before_any_cell_is_solved(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def solve(*args, **kwargs):
+            raise AssertionError("a cell was solved before the grid was checked")
+
+        monkeypatch.setattr(cli, "optimal_weights", solve)
+        path = tmp_path / "grid.txt"
+        path.write_text("correlation = 0.0, 1.5\n")
+        assert main(["sweep", "--sweep-grid", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: correlation values must lie in [-1, 1]\n"
+
     def test_default_grid_runs(self, capsys):
         assert main(["sweep"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -518,6 +645,29 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith("error: internal: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("output_format", ["human", "machine"])
+    def test_overflowing_report_is_three(self, output_format, tmp_path, capsys):
+        # Finite moments whose squares overflow: crowd_mse = inf, gap = nan.
+        path = tmp_path / "huge.txt"
+        path.write_text(
+            "judge_labels = a, b\n"
+            "judge_means = 1e200, 3.0\n"
+            "judge_cov = 1.0, 0.0, 0.0, 1.0\n"
+            "criterion_mean = 0.0\n"
+            "criterion_var = 1.0\n"
+            "cross_cov = 0.0, 0.0\n"
+        )
+        argv = ["analyze", "--model", str(path), "--format", output_format]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        last = err.splitlines()[-1]
+        assert err.endswith(last + "\n")
+        assert last.startswith("error: non-finite values in the report: ")
+        assert {"crowd_mse", "wisdom_gap"} <= set(last.split(": ")[-1].split(", "))
+        assert "weights" not in last.split(": ")[-1].split(", ")
 
     def test_numerical_failure_is_three(self, tmp_path, capsys):
         model = fixed_criterion_model([0.0, 0.0], np.diag([1.0, 4.0]), 0.0)
