@@ -91,20 +91,30 @@ class AnalysisRequest:
 # ---------------------------------------------------------------------------
 
 
+def _not_utf8(path: str, err: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not valid UTF-8 (byte {err.object[err.start]:#04x})")
+
+
 @contextmanager
 def _csv_header(path: str):
     """Open a CSV and yield the handle, positioned after the header record,
-    and the stripped header."""
+    and the stripped header.
+
+    A byte that is not UTF-8, met while reading the header or later in the
+    caller's block (the ``_csv_rows`` iteration), raises ``ParseError``.
+    """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from None
     with handle:
         try:
-            header = [h.strip() for h in next(csv.reader(handle))]
-        except StopIteration:
-            raise ParseError(f"{path} is empty") from None
-        yield handle, header
+            header = next(csv.reader(handle), None)
+            if header is None:
+                raise ParseError(f"{path} is empty")
+            yield handle, [h.strip() for h in header]
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
 
 
 @contextmanager
@@ -261,6 +271,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
 
 
 def _parse_numbers(text: str, path: str, key: str) -> np.ndarray:

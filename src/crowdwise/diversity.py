@@ -6,6 +6,12 @@ never rises.  How much it falls is the accuracy-diversity trade-off made
 concrete.  A candidate that hedges the crowd (negative covariance with the
 incumbents) can be worth more than a lower-variance but redundant one, and
 the ranking here scores exactly that.
+
+The same nesting makes ranking cheap.  ``rank_candidates`` solves and
+evaluates the base crowd once, then starts each extended crowd's solve at the
+base optimum padded with zero weight on the candidate.  That point is
+feasible and usually almost optimal, and it is already certified when the
+candidate is redundant (its gradient there is at least the base multiplier).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import (
     ValidationFailed,
     ZeroCriterionVariance,
 )
-from .model import CrowdModel, _readonly, validate_model
+from .model import CrowdModel, _nonfinite_violation, _readonly, validate_model
 from .schemes import SELECTION_RULES, optimal_weights, skill_scores, uniform_weights
 from .wisdom import WisdomReport, crowd_mse, evaluate
 
@@ -93,6 +99,7 @@ def extend_model(
 
     Raises:
         ShapeMismatch: covariance vector length disagrees with the crowd.
+        ValidationFailed: the crowd's moments hold nan or inf.
         JointNotPSD: the extended covariance admits no joint distribution.
     """
     n = model.n_judges
@@ -118,6 +125,8 @@ def extend_model(
     )
     violations = validate_model(extended)
     if violations:
+        if _nonfinite_violation(extended):
+            raise ValidationFailed(violations)
         smallest = float(np.linalg.eigvalsh(extended.joint_covariance())[0])
         raise JointNotPSD(
             smallest,
@@ -135,35 +144,13 @@ def evaluate_candidate(
 ) -> CandidateEvaluation:
     """Compare optimal-weight wisdom with and without the candidate.
 
-    The selection rule is re-derived on each model so both reports answer
-    the same question at their own crowd size.
+    The one-candidate case of ``rank_candidates``: returns its evaluation, or
+    raises the error ``rank_candidates`` reports as its failure.
     """
-    if p_rule not in SELECTION_RULES:
-        raise ShapeMismatch(
-            f"unknown selection rule {p_rule!r}; "
-            f"choose one of {tuple(SELECTION_RULES)}"
-        )
-    select = SELECTION_RULES[p_rule]
-    extended = extend_model(model, candidate, label)
-    before_sol = optimal_weights(model)
-    after_sol = optimal_weights(extended)
-    before = evaluate(model, before_sol.weights, select(model))
-    after = evaluate(extended, after_sol.weights, select(extended))
-    try:
-        skill = float(skill_scores(extended).skills[-1])
-    except (ZeroCriterionVariance, UndefinedSkill):
-        skill = None
-    uniform_before = crowd_mse(model, uniform_weights(model.n_judges)).total
-    uniform_after = crowd_mse(extended, uniform_weights(extended.n_judges)).total
-    return CandidateEvaluation(
-        label=label,
-        before=before,
-        after=after,
-        marginal_gain=before.crowd_mse - after.crowd_mse,
-        candidate_weight=float(after_sol.weights.weights[-1]),
-        candidate_skill=skill,
-        uniform_marginal_gain=uniform_before - uniform_after,
-    )
+    ranking = rank_candidates(model, [candidate], p_rule, [label])
+    if ranking.failures:
+        raise ranking.failures[0].error
+    return ranking.evaluations[0]
 
 
 def rank_candidates(
@@ -174,8 +161,15 @@ def rank_candidates(
 ) -> CandidateRanking:
     """Evaluate every candidate and sort by marginal gain, best first.
 
+    The base crowd is solved and evaluated once; each extended crowd is
+    solved from the base optimum with zero weight on the candidate.  The
+    selection rule is derived on each model, so the before and after reports
+    answer the same question at their own crowd size.
+
     Ties keep input order.  A candidate that fails (inconsistent covariance,
-    solver failure) is reported in ``failures`` without sinking the batch.
+    solver failure) is reported in ``failures`` without sinking the batch; a
+    failure on the base crowd (unknown selection rule, base solve) is
+    reported for every candidate.
     """
     if labels is None:
         labels = [f"candidate_{i + 1}" for i in range(len(candidates))]
@@ -183,13 +177,48 @@ def rank_candidates(
         raise ShapeMismatch(
             f"{len(labels)} labels for {len(candidates)} candidates"
         )
+    try:
+        if p_rule not in SELECTION_RULES:
+            raise ShapeMismatch(
+                f"unknown selection rule {p_rule!r}; "
+                f"choose one of {tuple(SELECTION_RULES)}"
+            )
+        select = SELECTION_RULES[p_rule]
+        base = optimal_weights(model)
+        before = evaluate(model, base.weights, select(model))
+        uniform_before = crowd_mse(model, uniform_weights(model.n_judges)).total
+    except CrowdwiseError as err:
+        failures = tuple(
+            CandidateFailure(index=i, label=label, error=err)
+            for i, label in enumerate(labels)
+        )
+        return CandidateRanking(evaluations=(), failures=failures)
+    start = base.weights.padded()
+
+    def assess(candidate: CandidateMember, label: str) -> CandidateEvaluation:
+        extended = extend_model(model, candidate, label)
+        after_sol = optimal_weights(extended, start=start)
+        after = evaluate(extended, after_sol.weights, select(extended))
+        try:
+            skill = float(skill_scores(extended).skills[-1])
+        except (ZeroCriterionVariance, UndefinedSkill):
+            skill = None
+        uniform_after = crowd_mse(extended, uniform_weights(extended.n_judges)).total
+        return CandidateEvaluation(
+            label=label,
+            before=before,
+            after=after,
+            marginal_gain=before.crowd_mse - after.crowd_mse,
+            candidate_weight=float(after_sol.weights.weights[-1]),
+            candidate_skill=skill,
+            uniform_marginal_gain=uniform_before - uniform_after,
+        )
+
     evaluations: list[CandidateEvaluation] = []
     failures: list[CandidateFailure] = []
     for i, (candidate, label) in enumerate(zip(candidates, labels)):
         try:
-            evaluations.append(
-                evaluate_candidate(model, candidate, p_rule, label)
-            )
+            evaluations.append(assess(candidate, label))
         except CrowdwiseError as err:
             failures.append(CandidateFailure(index=i, label=label, error=err))
     evaluations.sort(key=lambda ev: -ev.marginal_gain)

@@ -148,6 +148,13 @@ def _min_eigenvalue_ok(m: np.ndarray) -> tuple[bool, float]:
     return smallest >= -PSD_RTOL * max(largest, 0.0), smallest
 
 
+def _nonfinite_violation(model: CrowdModel) -> list[str]:
+    """The violation naming every moment that holds nan or inf, or []."""
+    moments = ("judge_means", "judge_cov", "criterion_mean", "criterion_var", "cross_cov")
+    nonfinite = [m for m in moments if not np.all(np.isfinite(getattr(model, m)))]
+    return [f"non-finite values in {', '.join(nonfinite)}"] if nonfinite else []
+
+
 def validate_model(model: CrowdModel) -> list[str]:
     """Return every invariant violation; an empty list certifies the model.
 
@@ -158,10 +165,9 @@ def validate_model(model: CrowdModel) -> list[str]:
     subsumes the zero-variance-criterion case: with criterion_var = 0, any
     nonzero cross_cov breaks joint PSD, so it is reported once, there.
     """
-    moments = ("judge_means", "judge_cov", "criterion_mean", "criterion_var", "cross_cov")
-    nonfinite = [m for m in moments if not np.all(np.isfinite(getattr(model, m)))]
+    nonfinite = _nonfinite_violation(model)
     if nonfinite:
-        return [f"non-finite values in {', '.join(nonfinite)}"]
+        return nonfinite
     violations: list[str] = []
     if model.n_judges < 1:
         violations.append("model has no judges")

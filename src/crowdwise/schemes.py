@@ -30,10 +30,11 @@ from .errors import (
     ShapeMismatch,
     SkillDegenerateWarning,
     UndefinedSkill,
+    ValidationFailed,
     ZeroCriterionVariance,
     ZeroJudges,
 )
-from .model import CrowdModel, _readonly
+from .model import CrowdModel, _nonfinite_violation, _readonly
 from .wisdom import SelectionDistribution, WeightVector, crowd_mse, per_judge_mse
 
 # Weights above this threshold count as active when certifying optimality.
@@ -262,20 +263,31 @@ def optimal_weights(
     model: CrowdModel,
     tolerance: float = 1e-10,
     max_iterations: int = 100_000,
+    start: WeightVector | None = None,
 ) -> QPSolution:
     """Minimize the crowd squared error over the simplex.
 
-    Projected gradient descent from the uniform start, with a periodic exact
-    solve on the current active face to sharpen the last digits.  Any
-    candidate is accepted only once its own first-order certificate is within
+    Projected gradient descent from ``start`` (uniform weights when None),
+    with a periodic exact solve on the current active face to sharpen the
+    last digits.  Descent never raises the objective from any feasible start,
+    so a start near the optimum, such as a smaller crowd's optimum padded
+    with zero weights, can certify in few iterations or none.  Any candidate
+    is accepted only once its own first-order certificate is within
     ``tolerance``, so the result is guaranteed wise against every selection
     distribution up to that slack.
 
     Raises:
+        ValidationFailed: some moment of the model is nan or inf.
+        ShapeMismatch: ``start`` does not have one weight per judge.
         NoConvergence: iteration cap reached; carries the last iterate, which
             descent makes the best one, certified at its stored weights.
     """
+    nonfinite = _nonfinite_violation(model)
+    if nonfinite:
+        raise ValidationFailed(nonfinite)
     n = model.n_judges
+    if start is not None and len(start) != n:
+        raise ShapeMismatch(f"start has {len(start)} weights for {n} judges")
     mu = model.judge_means
     q2 = 2.0 * (model.judge_cov + np.outer(mu, mu))
     b = -2.0 * (model.criterion_mean * mu + model.cross_cov)
@@ -286,7 +298,9 @@ def optimal_weights(
     def build(
         w: np.ndarray, iterations: int, residual: float | None = None
     ) -> QPSolution:
-        wv = WeightVector(w)
+        # A start that certifies is returned as given: wrapping its weights
+        # again would normalize them a second time and move their last bits.
+        wv = start if start is not None and w is start.weights else WeightVector(w)
         if residual is None:
             residual = _certificate_residual(
                 wv.weights, objective_gradient(model, wv.weights)
@@ -299,7 +313,7 @@ def optimal_weights(
             possibly_nonunique=nonunique,
         )
 
-    w = np.full(n, 1.0 / n)
+    w = np.full(n, 1.0 / n) if start is None else start.weights
     if lipschitz <= 0.0:
         # Zero curvature: the objective is affine, so a vertex minimizes it.
         grad = objective_gradient(model, w)

@@ -61,6 +61,16 @@ class WeightVector:
     def __len__(self) -> int:
         return self.weights.shape[0]
 
+    def padded(self) -> "WeightVector":
+        """These weights followed by one zero weight, bit for bit.
+
+        Appending a zero keeps every entry valid and the sum unchanged, so the
+        result is not normalized again, which could move its last bits.
+        """
+        out = object.__new__(type(self))
+        object.__setattr__(out, "weights", _readonly(np.append(self.weights, 0.0)))
+        return out
+
     @classmethod
     def point_mass(cls, index: int, n: int) -> "WeightVector":
         v = np.zeros(n)

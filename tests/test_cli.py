@@ -676,6 +676,35 @@ class TestExitCodes:
         assert main(["optimize", "--model", str(path), "--max-iterations", "1"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag", ["--data", "--model", "--candidates", "--weights", "--sweep-grid"]
+    )
+    def test_non_utf8_file_is_two(self, flag, data_csv, tmp_path, capsys):
+        model_path = tmp_path / "crowd.txt"
+        save_model(fixed_criterion_model([0.0], [[1.0]], 0.0, judge_labels=("j1",)),
+                   str(model_path))
+        valid = {
+            "--data": "a,b,criterion\n1,2,3\n4,5,6\n",
+            "--model": model_path.read_text(),
+            "--candidates": "label,mean,variance,cov_with_criterion,j1\nc,0,1,0,0\n",
+            "--weights": "0.5, 0.5\n",
+            "--sweep-grid": "bias_scale = 0, 1\n",
+        }[flag]
+        # One byte that no UTF-8 text contains, in the last line.
+        path = tmp_path / "input"
+        path.write_bytes(valid.encode()[:-3] + b"\xff" + valid.encode()[-3:])
+        argv = {
+            "--data": ["analyze", "--data", str(path)],
+            "--model": ["analyze", "--model", str(path)],
+            "--candidates": ["candidate", "--model", str(model_path), "--candidates", str(path)],
+            "--weights": ["analyze", "--data", data_csv, "--weights", str(path)],
+            "--sweep-grid": ["sweep", "--sweep-grid", str(path)],
+        }[flag]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: not valid UTF-8 (byte 0xff)\n"
+
 
 class TestRunApi:
     def test_request_object_direct(self, data_csv, capsys):

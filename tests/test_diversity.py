@@ -1,21 +1,25 @@
 """Marginal value of candidate members: extension, evaluation, ranking."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import model_corpus
+from crowdwise import diversity
 from crowdwise.diversity import (
     CandidateMember,
     evaluate_candidate,
     extend_model,
     rank_candidates,
 )
-from crowdwise.errors import JointNotPSD, ShapeMismatch, ValidationFailed
+from crowdwise.errors import JointNotPSD, NoConvergence, ShapeMismatch, ValidationFailed
 from crowdwise.model import CrowdModel, fixed_criterion_model, validate_model
 from crowdwise.montecarlo import random_model
 from crowdwise.schemes import (
     SELECTION_RULES,
     best_member_selection,
+    objective_gradient,
     optimal_weights,
     skill_selection,
     uniform_selection,
@@ -89,6 +93,30 @@ class TestExtendModel:
         with pytest.raises(JointNotPSD) as exc:
             extend_model(one_judge_crowd(), candidate)
         assert exc.value.eigenvalue == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("judge_means", [np.nan, 1.0]),
+            ("judge_cov", [[np.nan, 0.2], [0.2, 1.0]]),
+            ("cross_cov", [0.3, np.inf]),
+        ],
+    )
+    def test_non_finite_crowd_rejected_without_eigen_solve(self, field, value):
+        # CrowdModel itself does not validate, so a nan can reach extend_model.
+        moments = dict(
+            judge_means=[0.0, 1.0],
+            judge_cov=[[1.0, 0.2], [0.2, 1.0]],
+            criterion_mean=0.0,
+            criterion_var=1.0,
+            cross_cov=[0.3, 0.1],
+        )
+        moments[field] = value
+        candidate = CandidateMember(
+            mean=0.0, variance=1.0, cov_with_members=[0.0, 0.0], cov_with_criterion=0.0
+        )
+        with pytest.raises(ValidationFailed, match=f"non-finite values in {field}"):
+            extend_model(CrowdModel(**moments), candidate)
 
     def test_wrong_covariance_length_rejected(self):
         candidate = CandidateMember(
@@ -297,6 +325,89 @@ class TestRankCandidates:
         assert all(isinstance(f.error, ShapeMismatch) for f in ranking.failures)
         with pytest.raises(ShapeMismatch, match="median"):
             evaluate_candidate(one_judge_crowd(), fine, p_rule="median")
+
+
+class TestRankingReusesTheBaseSolve:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Every (model, solution) the ranking solves, in call order."""
+        log = []
+
+        def counting(model, *args, **kwargs):
+            solution = optimal_weights(model, *args, **kwargs)
+            log.append((model, solution))
+            return solution
+
+        monkeypatch.setattr(diversity, "optimal_weights", counting)
+        return log
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_base_solved_once(self, k, solves):
+        full = random_model(6, seed=88, bias_scale=0.5, criterion_var=1.0)
+        base, split = candidate_from_model(full)
+        indep = CandidateMember(
+            mean=0.1, variance=2.0, cov_with_members=np.zeros(5), cov_with_criterion=0.2
+        )
+        ranking = rank_candidates(base, [split, indep] * k)
+        assert len(ranking.evaluations) == 2 * k
+        assert sum(model is base for model, _ in solves) == 1
+        assert len(solves) == 2 * k + 1
+
+    def test_redundant_candidate_certifies_at_the_start(self, solves):
+        full = random_model(6, seed=91, bias_scale=0.5, criterion_var=1.0)
+        base = candidate_from_model(full)[0]
+        w_base = optimal_weights(base).weights.weights
+        # Normalizing these weights again would move their last bits.
+        assert math.fsum(w_base) != 1.0
+        grad = objective_gradient(base, w_base)
+        worst = int(np.argmax(grad))
+        assert grad[worst] > grad.min() + 1e-3  # an unused judge
+        # That judge plus independent noise: same gradient at zero weight.
+        redundant = CandidateMember(
+            mean=base.judge_means[worst],
+            variance=base.judge_cov[worst, worst] + 1.0,
+            cov_with_members=base.judge_cov[worst],
+            cov_with_criterion=base.cross_cov[worst],
+        )
+        ranking = rank_candidates(base, [redundant])
+        (ev,) = ranking.evaluations
+        _, after = solves[-1]
+        assert after.iterations == 0
+        assert after.weights.weights.tobytes() == np.append(w_base, 0.0).tobytes()
+        assert ev.candidate_weight == 0.0
+        assert abs(ev.marginal_gain) <= 1e-12
+
+    def test_base_failure_fails_every_candidate(self, monkeypatch):
+        full = random_model(6, seed=91, criterion_var=1.0)
+        base, split = candidate_from_model(full)
+        failure = NoConvergence(optimal_weights(base))
+
+        def solve(model, *args, **kwargs):
+            if model is base:
+                raise failure
+            return optimal_weights(model, *args, **kwargs)
+
+        monkeypatch.setattr(diversity, "optimal_weights", solve)
+        ranking = rank_candidates(base, [split, split], labels=["a", "b"])
+        assert ranking.evaluations == ()
+        assert [(f.index, f.label) for f in ranking.failures] == [(0, "a"), (1, "b")]
+        assert all(f.error is failure for f in ranking.failures)
+
+    def test_non_finite_base_fails_every_candidate(self):
+        base = CrowdModel(
+            judge_means=[0.0, 1.0],
+            judge_cov=[[np.nan, 0.2], [0.2, 1.0]],
+            criterion_mean=0.0,
+            criterion_var=1.0,
+            cross_cov=[0.3, 0.1],
+        )
+        fine = CandidateMember(
+            mean=0.0, variance=1.0, cov_with_members=[0.0, 0.0], cov_with_criterion=0.0
+        )
+        ranking = rank_candidates(base, [fine, fine])
+        assert ranking.evaluations == ()
+        assert [f.index for f in ranking.failures] == [0, 1]
+        assert all(isinstance(f.error, ValidationFailed) for f in ranking.failures)
 
 
 class TestCandidateMember:

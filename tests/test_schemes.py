@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from conftest import affine_model, model_corpus, random_simplex_points
 from crowdwise.errors import (
     NoConvergence,
+    ShapeMismatch,
     SkillDegenerateWarning,
     UndefinedSkill,
+    ValidationFailed,
     ZeroCriterionVariance,
     ZeroJudges,
 )
@@ -404,3 +406,46 @@ class TestOptimalWeights:
                 fd[i] = (raw_objective(model, up) - raw_objective(model, down)) / (2 * h)
             scale = max(float(np.linalg.norm(analytic)), 1e-8)
             assert np.linalg.norm(analytic - fd) / scale <= 1e-5
+
+    def test_non_finite_model_rejected_before_solving(self):
+        model = CrowdModel(
+            judge_means=[0.0, 1.0],
+            judge_cov=[[np.nan, 0.2], [0.2, 1.0]],
+            criterion_mean=0.0,
+            criterion_var=1.0,
+            cross_cov=[0.3, 0.1],
+        )
+        with pytest.raises(ValidationFailed, match="non-finite values in judge_cov"):
+            optimal_weights(model)
+
+
+class TestWarmStart:
+    def test_any_simplex_start_certifies_at_the_cold_optimum(self):
+        rng = np.random.default_rng(61)
+        for model in model_corpus(30, base_seed=43):
+            cold = optimal_weights(model)
+            for w0 in random_simplex_points(rng, model.n_judges, 3):
+                warm = optimal_weights(model, start=WeightVector(w0))
+                assert warm.kkt_residual <= 1e-10
+                assert abs(warm.objective - cold.objective) <= 1e-9
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_length_start_rejected(self, length):
+        model = fixed_criterion_model([0.0, 0.0, 0.0], np.diag([1.0, 2.0, 4.0]), 0.0)
+        with pytest.raises(ShapeMismatch):
+            optimal_weights(model, start=uniform_weights(length))
+
+    def test_none_start_is_the_uniform_cold_start(self):
+        for model in model_corpus(20, base_seed=47):
+            default = optimal_weights(model)
+            explicit = optimal_weights(model, start=None)
+            assert explicit.weights.weights.tobytes() == default.weights.weights.tobytes()
+            assert explicit.iterations == default.iterations
+
+    def test_certified_start_returned_bit_for_bit(self):
+        # A start that already certifies takes no step and is not renormalized.
+        for model in model_corpus(20, base_seed=53, sizes=(3, 5, 8)):
+            cold = optimal_weights(model)
+            warm = optimal_weights(model, start=cold.weights)
+            assert warm.iterations == 0
+            assert warm.weights is cold.weights
