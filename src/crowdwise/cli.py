@@ -14,6 +14,10 @@ flat key = value document with a schema_version field; the human report is
 rendered from the same key/value pairs, so every number it shows is in the
 machine report.  A failed command writes nothing to stdout.
 
+The argument parser is the one place where each command's options and their
+defaults are declared; the parsed namespace is the request every command
+reads.
+
 Exit codes: 0 success, 1 usage error, 2 data or validation error (including
 nan or inf in any input file), 3 numerical failure (including a report that
 overflows to inf or nan) or internal error.  Error detail goes to stderr as
@@ -34,15 +38,14 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diversity import CandidateMember, rank_candidates
 from .errors import (
     CrowdwiseError, DuplicateJudgeLabel, InfeasibleCorrelationRange,
-    MissingCriterionColumn, NonFiniteReport, NonNumericCell, ParseError,
-    SampleTooSmall, UndefinedSkill, UsageError, ValidationFailed,
+    MissingCriterionColumn, NoConvergence, NonFiniteReport, NonNumericCell,
+    ParseError, SampleTooSmall, UndefinedSkill, UsageError, ValidationFailed,
     ZeroCriterionVariance, ZeroJudges,
 )
 from .model import CrowdModel, JudgmentSample, estimate_model, validate_model
@@ -54,7 +57,6 @@ from .schemes import (
 from .wisdom import SelectionDistribution, WeightVector, WisdomReport, evaluate
 
 SCHEMA_VERSION = 1
-COMMANDS = ("analyze", "optimize", "candidate", "simulate", "sweep")
 
 DEFAULT_SWEEP_BIAS = (0.0, 0.5, 1.0, 2.0)
 DEFAULT_SWEEP_CORRELATION = (-0.4, -0.2, 0.0, 0.2, 0.4, 0.8)
@@ -64,26 +66,6 @@ _MODEL_FIELDS = (
     "judge_labels", "judge_means", "judge_cov",
     "criterion_mean", "criterion_var", "cross_cov",
 )
-
-
-@dataclass(frozen=True)
-class AnalysisRequest:
-    """One parsed invocation; ``run`` executes it."""
-
-    command: str
-    data_path: str | None = None
-    model_path: str | None = None
-    weight_scheme: str = "uniform"
-    selection_scheme: str = "uniform"
-    output_format: str = "human"
-    trials: int = 100_000
-    seed: int = 0
-    generator: str = "gaussian"
-    candidates_path: str | None = None
-    show_uniform_gain: bool = False
-    sweep_grid_path: str | None = None
-    tolerance: float = 1e-10
-    max_iterations: int = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +453,7 @@ def _label_rows(values: dict, rows) -> list[str]:
     return [f"{label:<19}{_hfmt(values[key])}" for label, key in rows]
 
 
-def _human_analyze(values: dict, request: AnalysisRequest) -> list[str]:
+def _human_analyze(values: dict, args: argparse.Namespace) -> list[str]:
     lines = [f"crowd of {values['n_judges']} judge(s)"]
     lines += _label_rows(values, _VERDICT_ROWS)
     lines.append("  judge            weight       selection    per-judge MSE  skill")
@@ -492,19 +474,19 @@ def _human_analyze(values: dict, request: AnalysisRequest) -> list[str]:
     return lines
 
 
-def _human_optimize(values: dict, request: AnalysisRequest) -> list[str]:
+def _human_optimize(values: dict, args: argparse.Namespace) -> list[str]:
     lines = ["optimal weights"]
     for label, weight in zip(values["judge_labels"], values["weights"]):
         lines.append(f"  {label:<16} {_hfmt(weight)}")
     lines += _label_rows(values, _OPTIMIZER_ROWS)
     if values["possibly_nonunique"]:
         lines.append("  note: minimizer may not be unique (singular curvature)")
-    return lines + _human_analyze(values, request)
+    return lines + _human_analyze(values, args)
 
 
-def _human_candidate(values: dict, request: AnalysisRequest) -> list[str]:
+def _human_candidate(values: dict, args: argparse.Namespace) -> list[str]:
     ranked = values["n_candidates"] - values["n_failures"]
-    uniform = request.show_uniform_gain
+    uniform = args.show_uniform_gain
     lines = [
         f"{ranked} candidate(s) ranked by marginal gain in optimal crowd MSE",
         f"  {'rank':<5} {'label':<16} {'gain':<13} {'weight':<13} {'MSE after':<13}"
@@ -525,7 +507,7 @@ def _human_candidate(values: dict, request: AnalysisRequest) -> list[str]:
     return lines
 
 
-def _human_simulate(values: dict, request: AnalysisRequest) -> list[str]:
+def _human_simulate(values: dict, args: argparse.Namespace) -> list[str]:
     v = {key: _hfmt(value) for key, value in values.items()}
     lines = [
         f"simulation: {v['trials']} trials, seed {v['seed']}, "
@@ -548,15 +530,14 @@ def _human_simulate(values: dict, request: AnalysisRequest) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _load_input(request: AnalysisRequest) -> CrowdModel:
-    if request.data_path is not None:
-        return estimate_model(ingest_csv(request.data_path))
-    assert request.model_path is not None
-    return load_model(request.model_path)
+def _load_input(args: argparse.Namespace) -> CrowdModel:
+    if args.data_path is not None:
+        return estimate_model(ingest_csv(args.data_path))
+    return load_model(args.model_path)
 
 
 def _report_pairs(
-    request: AnalysisRequest,
+    args: argparse.Namespace,
     model: CrowdModel,
     w: WeightVector,
     p: SelectionDistribution,
@@ -564,11 +545,11 @@ def _report_pairs(
 ) -> list[tuple[str, object]]:
     pairs: list[tuple[str, object]] = [
         ("schema_version", SCHEMA_VERSION),
-        ("command", request.command),
+        ("command", args.command),
         ("n_judges", model.n_judges),
         ("judge_labels", model.judge_labels),
-        ("weight_scheme", request.weight_scheme),
-        ("selection_scheme", request.selection_scheme),
+        ("weight_scheme", args.weight_scheme),
+        ("selection_scheme", args.selection_scheme),
         ("weights", w.weights),
         ("selection", p.probs),
         ("crowd_mse", report.crowd_mse),
@@ -585,22 +566,21 @@ def _report_pairs(
     return pairs
 
 
-def _cmd_analyze(request: AnalysisRequest) -> list[tuple[str, object]]:
-    model = _load_input(request)
-    w = _resolve("weights", request.weight_scheme, model)
-    p = _resolve("selection", request.selection_scheme, model)
-    return _report_pairs(request, model, w, p, evaluate(model, w, p))
+def _cmd_analyze(args: argparse.Namespace) -> list[tuple[str, object]]:
+    model = _load_input(args)
+    w = _resolve("weights", args.weight_scheme, model)
+    p = _resolve("selection", args.selection_scheme, model)
+    return _report_pairs(args, model, w, p, evaluate(model, w, p))
 
 
-def _cmd_optimize(request: AnalysisRequest) -> list[tuple[str, object]]:
-    model = _load_input(request)
+def _cmd_optimize(args: argparse.Namespace) -> list[tuple[str, object]]:
+    model = _load_input(args)
     solution = optimal_weights(
-        model, tolerance=request.tolerance, max_iterations=request.max_iterations
+        model, tolerance=args.tolerance, max_iterations=args.max_iterations
     )
-    p = _resolve("selection", request.selection_scheme, model)
+    p = _resolve("selection", args.selection_scheme, model)
     report = evaluate(model, solution.weights, p)
-    request = replace(request, weight_scheme="optimal")
-    return _report_pairs(request, model, solution.weights, p, report) + [
+    return _report_pairs(args, model, solution.weights, p, report) + [
         ("objective", solution.objective),
         ("iterations", solution.iterations),
         ("kkt_residual", solution.kkt_residual),
@@ -608,19 +588,17 @@ def _cmd_optimize(request: AnalysisRequest) -> list[tuple[str, object]]:
     ]
 
 
-def _cmd_candidate(request: AnalysisRequest) -> list[tuple[str, object]]:
-    if request.candidates_path is None:
-        raise UsageError("candidate requires --candidates CSV")
-    model = _load_input(request)
-    candidates, labels = read_candidates(request.candidates_path, model)
+def _cmd_candidate(args: argparse.Namespace) -> list[tuple[str, object]]:
+    model = _load_input(args)
+    candidates, labels = read_candidates(args.candidates_path, model)
     ranking = rank_candidates(
-        model, candidates, p_rule=request.selection_scheme, labels=labels
+        model, candidates, p_rule=args.selection_scheme, labels=labels
     )
     pairs: list[tuple[str, object]] = [
         ("schema_version", SCHEMA_VERSION),
-        ("command", request.command),
+        ("command", args.command),
         ("n_judges", model.n_judges),
-        ("selection_scheme", request.selection_scheme),
+        ("selection_scheme", args.selection_scheme),
         ("n_candidates", len(candidates)),
         ("n_failures", len(ranking.failures)),
     ]
@@ -645,27 +623,27 @@ def _cmd_candidate(request: AnalysisRequest) -> list[tuple[str, object]]:
     return pairs
 
 
-def _cmd_simulate(request: AnalysisRequest) -> list[tuple[str, object]]:
-    model = _load_input(request)
-    w = _resolve("weights", request.weight_scheme, model)
-    p = _resolve("selection", request.selection_scheme, model)
+def _cmd_simulate(args: argparse.Namespace) -> list[tuple[str, object]]:
+    model = _load_input(args)
+    w = _resolve("weights", args.weight_scheme, model)
+    p = _resolve("selection", args.selection_scheme, model)
     spec = SimulationSpec(
         model=model,
-        trials=request.trials,
-        seed=request.seed,
-        distribution=request.generator,
+        trials=args.trials,
+        seed=args.seed,
+        distribution=args.generator,
     )
     result = simulate(spec, w, p)
     analytic = evaluate(model, w, p)
     return [
         ("schema_version", SCHEMA_VERSION),
-        ("command", request.command),
+        ("command", args.command),
         ("n_judges", model.n_judges),
-        ("weight_scheme", request.weight_scheme),
-        ("selection_scheme", request.selection_scheme),
+        ("weight_scheme", args.weight_scheme),
+        ("selection_scheme", args.selection_scheme),
         ("trials", result.trials),
         ("seed", result.seed),
-        ("generator", request.generator),
+        ("generator", args.generator),
         ("empirical_crowd_mse", result.empirical_crowd_mse),
         ("empirical_individual_mse", result.empirical_individual_mse),
         ("crowd_mse_se", result.standard_errors[0]),
@@ -705,27 +683,30 @@ _SWEEP_HEADER = (
 )
 
 
-def _cmd_sweep(request: AnalysisRequest) -> list[list[object]]:
-    bias_grid, corr_grid, size_grid = _parse_sweep_grid(request.sweep_grid_path)
+def _cmd_sweep(args: argparse.Namespace) -> list[list[object]]:
+    bias_grid, corr_grid, size_grid = _parse_sweep_grid(args.sweep_grid_path)
     rows: list[list[object]] = [_SWEEP_HEADER.split(",")]
     grid = itertools.product(bias_grid, corr_grid, size_grid)
     for cell, (bias, rho, n) in enumerate(grid, start=1):
         try:
             model = random_model(
                 n,
-                seed=request.seed * 100_003 + cell,
+                seed=args.seed * 100_003 + cell,
                 bias_scale=bias,
                 correlation_range=(rho, rho),
                 criterion_var=0.0,
             )
+            solution = optimal_weights(
+                model, tolerance=args.tolerance, max_iterations=args.max_iterations
+            )
         except InfeasibleCorrelationRange:
             rows.append([bias, rho, n, "infeasible_correlation", "", "", "", "", ""])
             continue
+        except NoConvergence:
+            rows.append([bias, rho, n, "no_convergence", "", "", "", "", ""])
+            continue
         p = uniform_selection(n)
         uniform = evaluate(model, uniform_weights(n), p)
-        solution = optimal_weights(
-            model, tolerance=request.tolerance, max_iterations=request.max_iterations
-        )
         optimal = evaluate(model, solution.weights, p)
         values = (
             uniform.crowd_mse, optimal.crowd_mse, uniform.individual_mse,
@@ -733,32 +714,6 @@ def _cmd_sweep(request: AnalysisRequest) -> list[list[object]]:
         )
         rows.append([bias, rho, n, "ok"] + [repr(v) for v in values])
     return rows
-
-
-# (command, human renderer); sweep writes CSV in every format.
-_HANDLERS = {
-    "analyze": (_cmd_analyze, _human_analyze),
-    "optimize": (_cmd_optimize, _human_optimize),
-    "candidate": (_cmd_candidate, _human_candidate),
-    "simulate": (_cmd_simulate, _human_simulate),
-    "sweep": (_cmd_sweep, None),
-}
-
-
-def validate_request(request: AnalysisRequest) -> None:
-    if request.command not in COMMANDS:
-        raise UsageError(f"unknown command {request.command!r}")
-    has_data = request.data_path is not None
-    has_model = request.model_path is not None
-    if request.command == "sweep":
-        if has_data or has_model:
-            raise UsageError("sweep generates its own models; drop --data/--model")
-    elif has_data == has_model:
-        raise UsageError("provide exactly one of --data or --model")
-    if request.output_format not in ("human", "machine"):
-        raise UsageError(f"unknown format {request.output_format!r}")
-    if request.trials < 1:
-        raise UsageError("--trials must be at least 1")
 
 
 def _require_finite(pairs: list[tuple[str, object]]) -> None:
@@ -772,32 +727,6 @@ def _require_finite(pairs: list[tuple[str, object]]) -> None:
         raise NonFiniteReport(f"non-finite values in the report: {', '.join(bad)}")
 
 
-def run(request: AnalysisRequest) -> int:
-    """Execute a request; returns the process exit code.
-
-    Error detail is written to stderr.  Stdout carries only the report, written
-    once the command has finished and every number in it is finite, so a
-    failed command writes nothing there.
-    """
-    try:
-        validate_request(request)
-        command, render_human = _HANDLERS[request.command]
-        output = command(request)
-        if render_human is not None:
-            _require_finite(output)
-    except CrowdwiseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
-    if render_human is None:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(output)
-    elif request.output_format == "machine":
-        sys.stdout.write(_render_document(output))
-    else:
-        lines = render_human(dict(output), request)
-        sys.stdout.write("".join(line + "\n" for line in lines))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
@@ -808,92 +737,128 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
-    """Every ``dest`` is the name of an AnalysisRequest field."""
+    """Every option and default of every command.
+
+    Each subcommand sets ``handler`` to (command, human renderer); sweep
+    writes CSV in every format.  Options that several commands share live in
+    parent parsers, so each is declared once.
+    """
+    source = _Parser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument(
+        "--data", dest="data_path", help="judgments CSV with a 'criterion' column"
+    )
+    group.add_argument(
+        "--model", dest="model_path", help="model file (see save_model format)"
+    )
+    source.add_argument(
+        "--selection",
+        dest="selection_scheme",
+        default="uniform",
+        help="uniform | skill | best | FILE",
+    )
+    source.add_argument(
+        "--format", dest="output_format", default="human", choices=("human", "machine")
+    )
+    weights = _Parser(add_help=False)
+    weights.add_argument(
+        "--weights",
+        dest="weight_scheme",
+        default="uniform",
+        help="uniform | skill | inverse-mse | optimal | FILE",
+    )
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    solver = _Parser(add_help=False)
+    solver.add_argument("--tolerance", type=float, default=1e-10)
+    solver.add_argument("--max-iterations", type=int, default=100_000)
+
     parser = _Parser(prog="crowdwise", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_weights=True):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--data", dest="data_path", help="judgments CSV with a 'criterion' column"
-        )
-        group.add_argument(
-            "--model", dest="model_path", help="model file (see save_model format)"
-        )
-        if with_weights:
-            p.add_argument(
-                "--weights",
-                dest="weight_scheme",
-                default="uniform",
-                help="uniform | skill | inverse-mse | optimal | FILE",
-            )
-        p.add_argument(
-            "--selection",
-            dest="selection_scheme",
-            default="uniform",
-            help="uniform | skill | best | FILE",
-        )
-        p.add_argument(
-            "--format",
-            default="human",
-            choices=("human", "machine"),
-            dest="output_format",
-        )
+    p = sub.add_parser(
+        "analyze", help="report both sides and the verdict", parents=[source, weights]
+    )
+    p.set_defaults(handler=(_cmd_analyze, _human_analyze))
 
-    add_common(sub.add_parser("analyze", help="report both sides and the verdict"))
+    p = sub.add_parser(
+        "optimize", help="solve for optimal weights", parents=[source, solver]
+    )
+    p.set_defaults(handler=(_cmd_optimize, _human_optimize), weight_scheme="optimal")
 
-    p_opt = sub.add_parser("optimize", help="solve for optimal weights")
-    add_common(p_opt, with_weights=False)
-    p_opt.add_argument("--tolerance", type=float, default=1e-10)
-    p_opt.add_argument("--max-iterations", type=int, default=100_000)
-
-    p_cand = sub.add_parser("candidate", help="rank prospective members")
-    add_common(p_cand, with_weights=False)
-    p_cand.add_argument(
+    p = sub.add_parser("candidate", help="rank prospective members", parents=[source])
+    p.set_defaults(handler=(_cmd_candidate, _human_candidate))
+    p.add_argument(
         "--candidates", dest="candidates_path", required=True, help="candidate CSV"
     )
-    p_cand.add_argument(
+    p.add_argument(
         "--uniform-gain",
         dest="show_uniform_gain",
         action="store_true",
         help="also show the simple-average marginal gain",
     )
 
-    p_sim = sub.add_parser("simulate", help="empirical check of analytic values")
-    add_common(p_sim)
-    p_sim.add_argument("--trials", type=int, default=100_000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
-        "--generator", default="gaussian", choices=("gaussian", "uniform")
+    p = sub.add_parser(
+        "simulate",
+        help="empirical check of analytic values",
+        parents=[source, weights, seeded],
     )
+    p.set_defaults(handler=(_cmd_simulate, _human_simulate))
+    p.add_argument("--trials", type=_at_least_one, default=100_000)
+    p.add_argument("--generator", default="gaussian", choices=("gaussian", "uniform"))
 
-    p_sweep = sub.add_parser("sweep", help="wisdom gap over a parameter grid")
-    p_sweep.add_argument(
+    p = sub.add_parser(
+        "sweep", help="wisdom gap over a parameter grid", parents=[seeded, solver]
+    )
+    p.set_defaults(handler=(_cmd_sweep, None))
+    p.add_argument(
         "--sweep-grid",
         dest="sweep_grid_path",
         help="grid file (bias_scale/correlation/n_judges)",
     )
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--tolerance", type=float, default=1e-10)
-    p_sweep.add_argument("--max-iterations", type=int, default=100_000)
     return parser
 
 
-def request_from_args(argv: list[str] | None = None) -> AnalysisRequest:
-    return AnalysisRequest(**vars(_build_parser().parse_args(argv)))
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns the process exit code.
+
+    Error detail is written to stderr.  Stdout carries only the report, written
+    once the command has finished and every number in it is finite, so a
+    failed command writes nothing there.
+    """
     try:
-        request = request_from_args(argv)
+        args = _build_parser().parse_args(argv)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
+    command, render_human = args.handler
     try:
-        code = run(request)
+        output = command(args)
+        if render_human is None:
+            csv.writer(sys.stdout, lineterminator="\n").writerows(output)
+        else:
+            _require_finite(output)
+            if args.output_format == "machine":
+                sys.stdout.write(_render_document(output))
+            else:
+                lines = render_human(dict(output), args)
+                sys.stdout.write("".join(line + "\n" for line in lines))
         sys.stdout.flush()
-        return code
+        return 0
+    except CrowdwiseError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return err.exit_code
     except BrokenPipeError:
         # Downstream consumer (head, etc.) closed the pipe; not our error.
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -54,3 +54,42 @@ def affine_model(model: CrowdModel, a: float, b: float) -> CrowdModel:
 def random_simplex_points(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """``count`` points drawn uniformly from the (n-1)-simplex."""
     return rng.dirichlet(np.ones(n), size=count)
+
+
+def grid_minimum(model: CrowdModel, step: float = 1e-4) -> float:
+    """Minimum of the crowd objective over the simplex grid of spacing
+    ``step``, for 2 or 3 judges: an oracle independent of the solver.
+
+    The grid is a set of lines: for 2 judges the one line t -> (t, 1 - t); for
+    3 judges one line per first weight a = i * step, from (a, 0, 1 - a) along
+    (0, 1, -1).  Each line's points are ``np.linspace(0, length, m + 1)``.
+    Along a line the objective is a convex quadratic f0 + t * (g + t * h), so
+    its minimum over the line's points lies at one of the two points that
+    bracket the vertex, clipped to the line.  Those two points and the line's
+    ends are evaluated for all lines at once.
+    """
+    q = model.judge_cov + np.outer(model.judge_means, model.judge_means)
+    b = -2.0 * (model.criterion_mean * model.judge_means + model.cross_cov)
+    c = model.criterion_mean**2 + model.criterion_var
+    counts = int(round(1.0 / step))
+    if model.n_judges == 2:
+        bases, direction = np.array([[0.0, 1.0]]), np.array([1.0, -1.0])
+        lengths, points = np.array([1.0]), np.array([counts])
+    else:
+        assert model.n_judges == 3
+        first = np.arange(counts + 1) * step
+        lengths = 1.0 - first
+        bases = np.column_stack([first, np.zeros_like(first), lengths])
+        direction = np.array([0.0, 1.0, -1.0])
+        points = np.rint(lengths / step).astype(int)
+    f0 = ((bases @ q) * bases).sum(axis=1) + bases @ b + c
+    g = (2.0 * (bases @ q) + b) @ direction
+    h = direction @ q @ direction
+    spacing = np.divide(lengths, points, out=np.zeros_like(lengths), where=points > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where((h > 0) & (points > 0), -g / (2.0 * h * spacing), 0.0)
+    low = np.clip(np.floor(vertex), 0, points)
+    j = np.column_stack([np.zeros_like(low), points, low, np.minimum(low + 1, points)])
+    # linspace puts its last point at the line's length exactly.
+    t = np.where(j == points[:, None], lengths[:, None], j * spacing[:, None])
+    return float((f0[:, None] + t * (g[:, None] + t * h)).min())

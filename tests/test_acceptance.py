@@ -6,12 +6,10 @@ checked by hand, an independent brute-force oracle computed inside the test,
 or a seeded simulation whose tolerance comes from its own standard error.
 """
 
-import math
-
 import numpy as np
 import pytest
 
-from conftest import model_corpus, random_simplex_points
+from conftest import grid_minimum, model_corpus, random_simplex_points
 from crowdwise.cli import main, save_model
 from crowdwise.diversity import CandidateMember, rank_candidates
 from crowdwise.model import fixed_criterion_model
@@ -111,33 +109,6 @@ def test_criterion_5_always_wise():
             assert report.wisdom_gap >= -1e-9
             comparisons += 1
     _pass(5, f"always-wise across 1000 models ({comparisons} selection rules)")
-
-
-def grid_minimum(model, step=1e-4):
-    """Exhaustive simplex grid search for 2 or 3 judges (independent oracle)."""
-    n = model.n_judges
-    q = model.judge_cov + np.outer(model.judge_means, model.judge_means)
-    b = -2.0 * (model.criterion_mean * model.judge_means + model.cross_cov)
-    c = model.criterion_mean**2 + model.criterion_var
-    counts = int(round(1.0 / step))
-    if n == 2:
-        t = np.linspace(0.0, 1.0, counts + 1)
-        w = np.column_stack([t, 1.0 - t])
-        return float((((w @ q) * w).sum(axis=1) + w @ b + c).min())
-    assert n == 3
-    best = math.inf
-    direction = np.array([0.0, 1.0, -1.0])
-    h = float(direction @ q @ direction)
-    for i in range(counts + 1):
-        a = i * step
-        s = 1.0 - a
-        m = int(round(s / step))
-        t = np.linspace(0.0, s, m + 1) if m > 0 else np.array([0.0])
-        base = np.array([a, 0.0, s])
-        f0 = float(base @ q @ base + b @ base + c)
-        g = float(direction @ (2.0 * (q @ base) + b))
-        best = min(best, float((f0 + t * (g + t * h)).min()))
-    return best
 
 
 def test_criterion_6_qp_oracle():

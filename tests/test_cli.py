@@ -1,23 +1,18 @@
 """CSV ingestion, model files, command dispatch, and exit codes."""
 
+import contextlib
 import csv
 import io
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdwise import cli
-from crowdwise.cli import (
-    AnalysisRequest,
-    ingest_csv,
-    load_model,
-    main,
-    read_candidates,
-    request_from_args,
-    run,
-    save_model,
-)
+from crowdwise.cli import ingest_csv, load_model, main, read_candidates, save_model
 from crowdwise.errors import (
     DuplicateJudgeLabel,
     MissingCriterionColumn,
@@ -532,6 +527,21 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 4 * 6 * 4
 
+    def test_non_converging_cell_keeps_the_grid(self, tmp_path, capsys):
+        # One judge certifies at iteration 0; three cannot within one step.
+        grid = tmp_path / "grid.txt"
+        grid.write_text("bias_scale = 0, 1\ncorrelation = 0.2\nn_judges = 1, 3\n")
+        argv = ["sweep", "--sweep-grid", str(grid), "--max-iterations", "1"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 4
+        assert {row[3] for row in rows} <= {"ok", "no_convergence"}
+        failed = [row for row in rows if row[3] == "no_convergence"]
+        assert failed
+        assert all(row[4:] == [""] * 5 for row in failed)
+
     @pytest.mark.parametrize(
         "grid",
         [
@@ -706,16 +716,83 @@ class TestExitCodes:
         assert err == f"error: {path}: not valid UTF-8 (byte 0xff)\n"
 
 
-class TestRunApi:
-    def test_request_object_direct(self, data_csv, capsys):
-        request = AnalysisRequest(command="analyze", data_path=data_csv)
-        assert run(request) == 0
-        assert "wisdom gap" in capsys.readouterr().out
+# Any float a model file can spell: nan, +-inf, subnormals and the extremes.
+ANY_FLOAT = st.one_of(
+    st.floats(), st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 1e-320, -0.0])
+)
 
-    def test_unknown_command_rejected(self, capsys):
-        request = AnalysisRequest(command="explode", data_path="x")
-        assert run(request) == 1
-        capsys.readouterr()
+
+def two_judge_model(means, cov, criterion_mean, criterion_var, cross) -> str:
+    def numbers(values):
+        return ", ".join(repr(float(v)) for v in values)
+
+    return (
+        "judge_labels = a, b\n"
+        f"judge_means = {numbers(means)}\n"
+        f"judge_cov = {numbers(cov)}\n"
+        f"criterion_mean = {float(criterion_mean)!r}\n"
+        f"criterion_var = {float(criterion_var)!r}\n"
+        f"cross_cov = {numbers(cross)}\n"
+    )
+
+
+@st.composite
+def any_float_models(draw):
+    values = draw(st.lists(ANY_FLOAT, min_size=10, max_size=10))
+    return two_judge_model(values[:2], values[2:6], values[6], values[7], values[8:])
+
+
+@st.composite
+def diagonal_crowds(draw):
+    """Structurally valid crowds, second moments at one scale, so the solver runs."""
+    scale = float(f"1e{draw(st.integers(-320, 308))}")
+    var = [scale * draw(st.floats(0.5, 2.0)) for _ in range(2)]
+    criterion_var = scale * draw(st.floats(0.0, 2.0))
+    # |cross_i| <= sqrt(var_i * criterion_var) / 2 keeps the joint matrix PSD.
+    cross = [
+        draw(st.floats(-0.5, 0.5)) * math.sqrt(v) * math.sqrt(criterion_var)
+        for v in var
+    ]
+    means = [math.sqrt(scale) * draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+    return two_judge_model(
+        means[:2], [var[0], 0.0, 0.0, var[1]], means[2], criterion_var, cross
+    )
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "model.txt"
+
+
+@pytest.mark.filterwarnings("ignore")
+class TestFailureContract:
+    """Any model file either gives a report or exits 2 or 3 with one line."""
+
+    def check(self, path, text):
+        path.write_text(text)
+        # Above a scale of about 1e20 the solver cannot reach its absolute
+        # tolerance; a lower cap reaches the same NoConvergence exit sooner.
+        for command in (["analyze"], ["optimize", "--max-iterations", "1000"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(command + ["--model", str(path), "--format", "machine"])
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 2, 3)
+            assert "Traceback" not in out + err
+            if code:
+                assert out == ""
+                assert err.startswith("error: ")
+                assert err.endswith("\n") and err.count("\n") == 1
+
+    @given(text=any_float_models())
+    @settings(max_examples=200, deadline=None)
+    def test_any_float_in_model_file(self, model_path, text):
+        self.check(model_path, text)
+
+    @given(text=diagonal_crowds())
+    @settings(max_examples=200, deadline=None)
+    def test_valid_crowds_at_every_scale(self, model_path, text):
+        self.check(model_path, text)
 
 
 REQUEST_CASES = [
@@ -729,8 +806,8 @@ REQUEST_CASES = [
     (
         ["optimize", "--data", "d.csv", "--selection", "skill", "--format", "human",
          "--tolerance", "1e-8", "--max-iterations", "7"],
-        dict(command="optimize", data_path="d.csv", selection_scheme="skill",
-             tolerance=1e-8, max_iterations=7),
+        dict(command="optimize", data_path="d.csv", weight_scheme="optimal",
+             selection_scheme="skill", tolerance=1e-8, max_iterations=7),
     ),
     (
         ["candidate", "--model", "m.txt", "--candidates", "c.csv", "--selection",
@@ -757,9 +834,22 @@ REQUEST_CASES = [
 ]
 
 
+# The default of every option, for the options a command has but argv omits.
+DEFAULTS = dict(
+    data_path=None, model_path=None, weight_scheme="uniform",
+    selection_scheme="uniform", output_format="human", trials=100_000, seed=0,
+    generator="gaussian", candidates_path=None, show_uniform_gain=False,
+    sweep_grid_path=None, tolerance=1e-10, max_iterations=100_000,
+)
+
+
 class TestRequestFromArgs:
     @pytest.mark.parametrize(
         "argv, fields", REQUEST_CASES, ids=[" ".join(a) for a, _ in REQUEST_CASES]
     )
     def test_argv_maps_to_request(self, argv, fields):
-        assert request_from_args(argv) == AnalysisRequest(**fields)
+        namespace = vars(cli._build_parser().parse_args(argv))
+        command, _ = namespace.pop("handler")
+        assert command is getattr(cli, f"_cmd_{argv[0]}")
+        omitted = namespace.keys() - fields.keys()
+        assert namespace == {key: DEFAULTS[key] for key in omitted} | fields

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_model, model_corpus, random_simplex_points
+from conftest import affine_model, grid_minimum, model_corpus, random_simplex_points
 from crowdwise.errors import (
     NoConvergence,
     ShapeMismatch,
@@ -237,45 +237,6 @@ class TestProjectToSimplex:
         assert np.square(out - v).sum() <= best + 1e-9
 
 
-def grid_search_minimum(model, step=1e-4):
-    """Exhaustive simplex grid search for n in {1, 2, 3}, independent oracle.
-
-    Walks lines of constant first weight; along each line the objective is a
-    quadratic in the second weight, evaluated directly from moments.
-    """
-    n = model.n_judges
-    if n == 1:
-        return raw_objective(model, np.array([1.0]))
-    counts = int(round(1.0 / step))
-    q = model.judge_cov + np.outer(model.judge_means, model.judge_means)
-    b = -2.0 * (model.criterion_mean * model.judge_means + model.cross_cov)
-    c = model.criterion_mean**2 + model.criterion_var
-
-    def f_raw(w):
-        return float(w @ q @ w + b @ w + c)
-
-    best = math.inf
-    if n == 2:
-        t = np.linspace(0.0, 1.0, counts + 1)
-        w = np.column_stack([t, 1.0 - t])
-        vals = ((w @ q) * w).sum(axis=1) + w @ b + c
-        return float(vals.min())
-    assert n == 3
-    for i in range(counts + 1):
-        a = i * step
-        s = 1.0 - a
-        m = int(round(s / step))
-        t = np.linspace(0.0, s, m + 1) if m > 0 else np.array([0.0])
-        base = np.array([a, 0.0, s])
-        direction = np.array([0.0, 1.0, -1.0])
-        f0 = f_raw(base)
-        g = float(direction @ (2.0 * (q @ base) + b))
-        h = float(direction @ q @ direction)
-        vals = f0 + t * (g + t * h)
-        best = min(best, float(vals.min()))
-    return best
-
-
 class TestOptimalWeights:
     def test_two_judges_closed_form(self):
         # Minimum-variance split of independent variances 1 and 4.
@@ -337,7 +298,7 @@ class TestOptimalWeights:
         models = model_corpus(24, base_seed=3, sizes=(2, 3))
         for model in models:
             solution = optimal_weights(model)
-            grid_min = grid_search_minimum(model)
+            grid_min = grid_minimum(model)
             assert solution.objective <= grid_min + 1e-9
             assert abs(solution.objective - grid_min) <= 1e-6
 
