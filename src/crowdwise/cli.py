@@ -260,7 +260,7 @@ def _read_text(path: str) -> str:
 def _parse_numbers(text: str, path: str, key: str) -> np.ndarray:
     """Comma-separated finite numbers; an empty text is an empty list."""
     try:
-        values = np.array([float(p) for p in text.split(",")] if text else [])
+        values = np.fromiter(map(float, text.split(",")) if text else (), dtype=float)
     except ValueError:
         raise ParseError(f"{path}: field {key!r} is not a list of numbers") from None
     if not np.isfinite(values).all():

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .model import CrowdModel, _nonfinite_violation, _readonly, validate_model
 from .schemes import SELECTION_RULES, optimal_weights, skill_scores, uniform_weights
-from .wisdom import WisdomReport, crowd_mse, evaluate
+from .wisdom import WeightVector, WisdomReport, crowd_mse, evaluate
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def rank_candidates(
             for i, label in enumerate(labels)
         )
         return CandidateRanking(evaluations=(), failures=failures)
-    start = base.weights.padded()
+    start = WeightVector(np.append(base.weights.weights, 0.0))
 
     def assess(candidate: CandidateMember, label: str) -> CandidateEvaluation:
         extended = extend_model(model, candidate, label)

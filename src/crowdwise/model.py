@@ -142,7 +142,8 @@ def _symmetry_violation(cov: np.ndarray) -> float:
 
 def _min_eigenvalue_ok(m: np.ndarray) -> tuple[bool, float]:
     """Whether ``m`` is PSD within tolerance, and its smallest eigenvalue."""
-    eigs = np.linalg.eigvalsh((m + m.T) / 2.0)
+    # Halving before adding cannot overflow, and is exact above the subnormals.
+    eigs = np.linalg.eigvalsh(m / 2.0 + m.T / 2.0)
     smallest = float(eigs[0])
     largest = float(eigs[-1])
     return smallest >= -PSD_RTOL * max(largest, 0.0), smallest
@@ -199,32 +200,13 @@ def validate_model(model: CrowdModel) -> list[str]:
     return violations
 
 
-def _clamp_psd_rounding(m: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalues in [-PSD_RTOL * max, 0); leave real negatives alone.
-
-    Sample moment matrices are PSD by construction, so any tiny negative
-    eigenvalue is floating-point rounding.  Genuinely negative eigenvalues are
-    preserved so that validation still fails loudly, as are non-finite entries.
-    """
-    sym = (m + m.T) / 2.0
-    if not np.all(np.isfinite(sym)):
-        return sym
-    eigs, vecs = np.linalg.eigh(sym)
-    largest = max(float(eigs[-1]), 0.0)
-    rounding = (eigs < 0.0) & (eigs >= -PSD_RTOL * largest)
-    if not rounding.any():
-        return sym
-    eigs = eigs.copy()
-    eigs[rounding] = 0.0
-    return (vecs * eigs) @ vecs.T
-
-
 def estimate_model(sample: JudgmentSample) -> CrowdModel:
     """Estimate a CrowdModel from raw data with unbiased sample moments.
 
-    Means are arithmetic means over trials; all (co)variances use the
-    unbiased denominator T-1.  The joint sample covariance is eigenvalue
-    clamped against rounding, so the result always passes ``validate_model``.
+    Means are arithmetic means over trials, but a constant column takes its
+    own value as its mean, so its (co)variances are exactly zero.  All
+    (co)variances use the unbiased denominator T-1 and are not clamped:
+    ``validate_model`` forgives their rounding.
 
     Raises:
         SampleTooSmall: fewer than two trials.
@@ -236,9 +218,10 @@ def estimate_model(sample: JudgmentSample) -> CrowdModel:
             f"need at least 2 trials for sample covariances, got {t}"
         )
     stacked = np.column_stack([sample.judgments, sample.criterion])
-    means = stacked.mean(axis=0)
+    constant = (stacked == stacked[0]).all(axis=0)
+    means = np.where(constant, stacked[0], stacked.mean(axis=0))
     centered = stacked - means
-    joint = _clamp_psd_rounding(centered.T @ centered / (t - 1))
+    joint = centered.T @ centered / (t - 1)
     model = CrowdModel(
         judge_means=means[:n],
         judge_cov=joint[:n, :n],

@@ -119,15 +119,14 @@ def _clipped_skill_simplex(model: CrowdModel, floor_at_zero: bool) -> np.ndarray
         v = np.maximum(s, 0.0)
     else:
         v = s - min(float(s.min()), 0.0)
-    total = v.sum()
-    if total <= 0.0:
+    if v.sum() <= 0.0:
         warnings.warn(
             "all clipped skills are zero; falling back to uniform",
             SkillDegenerateWarning,
             stacklevel=3,
         )
         return np.full(len(v), 1.0 / len(v))
-    return v / total
+    return v
 
 
 def skill_weights(model: CrowdModel, floor_at_zero: bool = True) -> WeightVector:
@@ -160,7 +159,7 @@ def inverse_mse_weights(model: CrowdModel) -> WeightVector:
         v = exact.astype(float)
     else:
         v = 1.0 / mse
-    return WeightVector(v / v.sum())
+    return WeightVector(v)
 
 
 def best_member_selection(model: CrowdModel) -> BestMemberChoice:
@@ -253,10 +252,7 @@ def _face_polish(
         return None
     candidate = np.zeros_like(w)
     candidate[active] = np.maximum(w_face, 0.0)
-    total = candidate.sum()
-    if total <= 0.0:
-        return None
-    return candidate / total
+    return candidate
 
 
 def optimal_weights(
@@ -271,10 +267,11 @@ def optimal_weights(
     with a periodic exact solve on the current active face to sharpen the
     last digits.  Descent never raises the objective from any feasible start,
     so a start near the optimum, such as a smaller crowd's optimum padded
-    with zero weights, can certify in few iterations or none.  Any candidate
-    is accepted only once its own first-order certificate is within
-    ``tolerance``, so the result is guaranteed wise against every selection
-    distribution up to that slack.
+    with zero weights, can certify in few iterations or none, and then comes
+    back bit for bit.  Any candidate is accepted only once its own
+    first-order certificate is within ``tolerance``, so the result is
+    guaranteed wise against every selection distribution up to that slack;
+    ``kkt_residual`` is that certificate, taken at the stored weights.
 
     Raises:
         ValidationFailed: some moment of the model is nan or inf.
@@ -295,21 +292,15 @@ def optimal_weights(
     lipschitz = float(curvatures[-1])
     nonunique = float(curvatures[0]) < 1e-10
 
-    def build(
-        w: np.ndarray, iterations: int, residual: float | None = None
-    ) -> QPSolution:
-        # A start that certifies is returned as given: wrapping its weights
-        # again would normalize them a second time and move their last bits.
-        wv = start if start is not None and w is start.weights else WeightVector(w)
-        if residual is None:
-            residual = _certificate_residual(
-                wv.weights, objective_gradient(model, wv.weights)
-            )
+    def build(w: np.ndarray, iterations: int) -> QPSolution:
+        wv = WeightVector(w)
         return QPSolution(
             weights=wv,
             objective=crowd_mse(model, wv).total,
             iterations=iterations,
-            kkt_residual=residual,
+            kkt_residual=_certificate_residual(
+                wv.weights, objective_gradient(model, wv.weights)
+            ),
             possibly_nonunique=nonunique,
         )
 
@@ -326,14 +317,14 @@ def optimal_weights(
         grad = objective_gradient(model, w)
         residual = _certificate_residual(w, grad)
         if residual <= tolerance:
-            return build(w, iteration, residual)
+            return build(w, iteration)
         if iteration % 50 == 0 and iteration > 0:
             candidate = _face_polish(q2, b, w)
             if candidate is not None:
                 cand_grad = objective_gradient(model, candidate)
                 cand_residual = _certificate_residual(candidate, cand_grad)
                 if cand_residual <= tolerance:
-                    return build(candidate, iteration, cand_residual)
+                    return build(candidate, iteration)
         if iteration == max_iterations:
             break
         w = _project(w - step * grad)

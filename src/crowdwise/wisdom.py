@@ -37,7 +37,12 @@ TIE_ROUNDING = 4.0
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative aggregation weights summing to one (normalized on construction)."""
+    """Nonnegative aggregation weights summing to one (normalized on construction).
+
+    Entries are divided by their ``math.fsum`` only when it is more than
+    ``sys.float_info.epsilon`` from 1.0; divided entries never sum farther off,
+    so wrapping the weights of a ``WeightVector`` again keeps their bits.
+    """
 
     weights: np.ndarray
 
@@ -54,22 +59,12 @@ class WeightVector:
         total = math.fsum(v)
         if total <= 0.0:
             raise ValidationFailed([f"{kind} entries sum to zero"])
-        if total != 1.0:
+        if abs(total - 1.0) > sys.float_info.epsilon:
             v = v / total
         object.__setattr__(self, "weights", _readonly(v))
 
     def __len__(self) -> int:
         return self.weights.shape[0]
-
-    def padded(self) -> "WeightVector":
-        """These weights followed by one zero weight, bit for bit.
-
-        Appending a zero keeps every entry valid and the sum unchanged, so the
-        result is not normalized again, which could move its last bits.
-        """
-        out = object.__new__(type(self))
-        object.__setattr__(out, "weights", _readonly(np.append(self.weights, 0.0)))
-        return out
 
     @classmethod
     def point_mass(cls, index: int, n: int) -> "WeightVector":

@@ -262,6 +262,31 @@ class TestModelFiles:
         with pytest.raises(ParseError):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", "1.5", "1_0, 2", "\u0661, 2", " 1.5 ,+1", "-0, 0", "5e-324, 1e308", "1e-5,-2.5E3"],
+    )
+    def test_numbers_equal_the_float_list(self, text):
+        # Byte equality also checks the sign bit of -0.
+        parsed = cli._parse_numbers(text, "m.txt", "judge_means")
+        reference = np.array([float(p) for p in text.split(",")] if text else [])
+        assert parsed.dtype == reference.dtype == np.float64
+        assert parsed.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x", "m.txt: field 'judge_cov' is not a list of numbers"),
+            ("1,,2", "m.txt: field 'judge_cov' is not a list of numbers"),
+            ("1, nan", "m.txt: non-finite values in judge_cov"),
+            ("inf", "m.txt: non-finite values in judge_cov"),
+        ],
+    )
+    def test_bad_numbers_keep_their_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            cli._parse_numbers(text, "m.txt", "judge_cov")
+        assert str(exc.value) == message
+
     def test_wrong_cov_size_rejected(self, tmp_path):
         path = tmp_path / "shape.txt"
         path.write_text(
@@ -602,6 +627,16 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert "error" in err
         assert out.strip() == ""  # reports never land on stdout for failures
+
+    def test_skill_of_constant_judge_is_two(self, tmp_path, capsys):
+        # The constant judge's sample variance is exactly zero.
+        path = tmp_path / "constant.csv"
+        path.write_text("a,b,criterion\n0.1,1,2\n0.1,3,3\n0.1,2,7\n")
+        argv = ["analyze", "--data", str(path), "--weights", "skill", "--format", "machine"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: skill undefined for zero-variance judges at indices [0]\n"
 
     def test_skill_scheme_on_fixed_criterion_is_two(self, tmp_path, capsys):
         model = fixed_criterion_model([0.0, 0.0], np.eye(2), 0.0)

@@ -1,6 +1,7 @@
 """Model construction, validation, and estimation from raw judgments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,18 @@ class TestValidateModel:
             "non-finite values in judge_means, judge_cov"
         ]
 
+    def test_largest_finite_variances_validate_without_overflow(self):
+        model = CrowdModel(
+            judge_means=[0.0, 0.0],
+            judge_cov=[[1e308, 0.0], [0.0, 1.5e308]],
+            criterion_mean=0.0,
+            criterion_var=1.0,
+            cross_cov=[0.0, 0.0],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_model(model) == []
+
     def test_non_finite_moments_rejected_by_constructors(self):
         with pytest.raises(ValidationFailed, match="non-finite"):
             fixed_criterion_model([0.0, np.nan], np.eye(2), 0.0)
@@ -134,6 +147,64 @@ class TestEstimateModel:
         assert model.judge_cov[0, 0] == 0.0
         assert model.criterion_var == 0.0
         assert model.cross_cov[0] == 0.0
+
+    def test_constant_column_centres_to_exact_zeros(self):
+        # Three 0.1s average to 0.10000000000000002, so centring on the plain
+        # mean would leave a variance of 2.9e-34.
+        sample = JudgmentSample(
+            judgments=[[0.1, 1.0], [0.1, 3.0], [0.1, 2.0]],
+            criterion=[2.0, 3.0, 7.0],
+        )
+        model = estimate_model(sample)
+        assert model.judge_means[0] == 0.1
+        np.testing.assert_array_equal(model.judge_cov[0], [0.0, 0.0])
+        np.testing.assert_array_equal(model.judge_cov[:, 0], [0.0, 0.0])
+        assert model.cross_cov[0] == 0.0
+
+    def test_non_constant_means_are_plain_means(self):
+        rng = np.random.default_rng(5)
+        judgments = rng.normal(size=(9, 3))
+        criterion = rng.normal(size=9)
+        model = estimate_model(JudgmentSample(judgments=judgments, criterion=criterion))
+        assert model.judge_means.tobytes() == judgments.mean(axis=0).tobytes()
+        assert model.criterion_mean == criterion.mean()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        extra=st.integers(0, 5),
+        kinds=st.lists(st.sampled_from(["fresh", "duplicate", "constant"]), min_size=6,
+                       max_size=6),
+        criterion_kind=st.sampled_from(["judge", "mean", "fresh", "constant"]),
+        exponent=st.integers(-100, 100),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rank_deficient_sample_validates_with_symmetric_cov(
+        self, seed, n, extra, kinds, criterion_kind, exponent
+    ):
+        # T <= N + 1 trials: the joint sample covariance is singular, and its
+        # rounding-sized negative eigenvalues must pass validation unclamped.
+        rng = np.random.default_rng(seed)
+        t = 2 + extra % n
+        scale = 10.0 ** exponent
+        columns = []
+        for kind in kinds[:n]:
+            if kind == "duplicate" and columns:
+                columns.append(columns[int(rng.integers(len(columns)))])
+            elif kind == "constant":
+                columns.append(np.full(t, rng.normal() * scale))
+            else:
+                columns.append(rng.normal(size=t) * scale)
+        judgments = np.column_stack(columns)
+        criterion = {
+            "judge": lambda: judgments[:, int(rng.integers(n))],
+            "mean": lambda: judgments.mean(axis=1),
+            "fresh": lambda: rng.normal(size=t) * scale,
+            "constant": lambda: np.full(t, rng.normal() * scale),
+        }[criterion_kind]()
+        model = estimate_model(JudgmentSample(judgments=judgments, criterion=criterion))
+        assert validate_model(model) == []
+        assert np.array_equal(model.judge_cov, model.judge_cov.T)
 
     def test_monte_carlo_moments_recovered(self):
         # Two independent standard-normal judges; the criterion is judge 1,

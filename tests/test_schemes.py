@@ -403,10 +403,27 @@ class TestWarmStart:
             assert explicit.weights.weights.tobytes() == default.weights.weights.tobytes()
             assert explicit.iterations == default.iterations
 
+    def test_residual_certifies_the_stored_weights(self):
+        # Converged, warm-started, face-polished and capped solves alike.
+        rng = np.random.default_rng(67)
+        for model in model_corpus(30, base_seed=59, sizes=(3, 5, 8, 13)):
+            solutions = [optimal_weights(model)]
+            for w0 in random_simplex_points(rng, model.n_judges, 2):
+                solutions.append(optimal_weights(model, start=WeightVector(w0)))
+            try:
+                solutions.append(optimal_weights(model, tolerance=0.0, max_iterations=3))
+            except NoConvergence as err:
+                solutions.append(err.best)
+            for sol in solutions:
+                w = sol.weights.weights
+                assert sol.kkt_residual == _certificate_residual(
+                    w, objective_gradient(model, w)
+                )
+
     def test_certified_start_returned_bit_for_bit(self):
         # A start that already certifies takes no step and is not renormalized.
         for model in model_corpus(20, base_seed=53, sizes=(3, 5, 8)):
             cold = optimal_weights(model)
             warm = optimal_weights(model, start=cold.weights)
             assert warm.iterations == 0
-            assert warm.weights is cold.weights
+            assert warm.weights.weights.tobytes() == cold.weights.weights.tobytes()

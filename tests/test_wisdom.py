@@ -46,6 +46,19 @@ class TestSimplexTypes:
         with pytest.raises(ValidationFailed):
             SelectionDistribution([0.0, 0.0])
 
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda v: math.fsum(v) > 0.0)
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_normalization_is_idempotent(self, values):
+        once = WeightVector(values).weights
+        assert WeightVector(once).weights.tobytes() == once.tobytes()
+        assert abs(math.fsum(once) - 1.0) <= sys.float_info.epsilon
+
     def test_sum_within_tolerance(self):
         for values in ([0.3, 0.3, 0.4], [1.0], [5.0, 3.0]):
             assert abs(sum(WeightVector(values).weights) - 1.0) <= 1e-12
