@@ -35,6 +35,7 @@ import csv
 import itertools
 import math
 import os
+import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -247,6 +248,11 @@ def read_candidates(
 # ---------------------------------------------------------------------------
 
 
+# Two commas with nothing but whitespace between them: a blank field, once
+# the text has a comma added at each end.
+_BLANK_FIELD = re.compile(r",\s*,")
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -257,12 +263,46 @@ def _read_text(path: str) -> str:
         raise _not_utf8(path, err) from None
 
 
+def _c_parse(text: str) -> np.ndarray | None:
+    """numpy's C parse of comma-separated numbers, or None where it may
+    differ from ``float()``.
+
+    Its grammar is not ``float()``'s: it stops quietly at text it cannot
+    read, reads ``nan(...)`` with any text in the parentheses, and reads a
+    field of nothing but whitespace as -1.0 (the error value of the C
+    routine under it).  So its result stands only when it holds one finite
+    number per field and, where some number is -1.0, no field is blank.
+    """
+    with warnings.catch_warnings():
+        # numpy before 2.0 warns and returns what it read instead of raising.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(text, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if values.shape[0] != text.count(",") + 1 or not np.isfinite(values).all():
+        return None
+    if (values == -1.0).any() and _BLANK_FIELD.search(f",{text},"):
+        return None
+    return values
+
+
 def _parse_numbers(text: str, path: str, key: str) -> np.ndarray:
-    """Comma-separated finite numbers; an empty text is an empty list."""
-    try:
-        values = np.fromiter(map(float, text.split(",")) if text else (), dtype=float)
-    except ValueError:
-        raise ParseError(f"{path}: field {key!r} is not a list of numbers") from None
+    """Comma-separated finite numbers; an empty text is an empty list.
+
+    The C parse reads the common case; ``float()`` reads whatever it leaves,
+    and decides what is a number and words the error.
+    """
+    values = _c_parse(text)
+    if values is None:
+        try:
+            values = np.fromiter(
+                map(float, text.split(",")) if text else (), dtype=float
+            )
+        except ValueError:
+            raise ParseError(
+                f"{path}: field {key!r} is not a list of numbers"
+            ) from None
     if not np.isfinite(values).all():
         raise ParseError(f"{path}: non-finite values in {key}")
     return values

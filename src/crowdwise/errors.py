@@ -71,10 +71,11 @@ class JointNotPSD(CrowdwiseError):
 
 
 class NoConvergence(CrowdwiseError):
-    """Weight optimization hit its iteration cap.
+    """Weight optimization hit its iteration cap, or stopped early at a
+    point that no step lowers, where every later iteration would repeat.
 
     ``best`` holds the last iterate, which descent makes the best one, as a
-    QPSolution certified at its own weights.
+    QPSolution certified at its own weights; its ``iterations`` is the cap.
     """
 
     exit_code = 3

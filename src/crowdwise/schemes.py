@@ -6,10 +6,16 @@ The optimal aggregate solves
     over      w >= 0,  sum w = 1
 
 a convex quadratic program (the Hessian 2(Sigma + mu mu') is PSD).  It is
-solved by projected gradient descent with exact Euclidean projection onto the
-simplex and fixed step 1/L, L the largest eigenvalue of the Hessian.  With
-that step no iteration raises the objective (the sufficient-decrease lemma
-of projected gradient methods), so the last iterate is the best one.
+solved by projected search with exact Euclidean projection onto the simplex,
+after Bertsekas (1982) and the GPCG method of Moré and Toraldo (1991).  Each
+iteration makes one of two moves.  A gradient step tries first the length
+that minimizes f along the negative gradient and halves it until the Armijo
+rule holds; no Lipschitz constant is needed.  Once two steps in a row have
+kept the set of judges carrying weight (the support), or gradient steps
+stall, a face step searches toward the exact minimizer on the current face
+instead.  Every accepted move lowers the objective, so the last iterate is
+the best one; when neither move lowers it the iterate is a fixed point, and
+the solver stops there.
 Convergence is certified by the first-order residual over the simplex: with
 tau = min_i df/dw_i, the residual is the largest excess df/dw_i - tau over
 judges carrying weight.  A residual of r guarantees the objective is within
@@ -39,6 +45,15 @@ from .wisdom import SelectionDistribution, WeightVector, crowd_mse, per_judge_ms
 
 # Weights above this threshold count as active when certifying optimality.
 ACTIVE_WEIGHT = 1e-12
+# A step must lower the objective by this fraction of its first-order
+# decrease (the Armijo rule); a search tries at most MAX_HALVINGS lengths,
+# halving each time, to find one.
+ARMIJO = 1e-4
+MAX_HALVINGS = 60
+# Gradient steps have stalled, and the solver turns to the face, once the
+# latest lowers the objective by at most this fraction of the largest fall
+# since the last face move (the progress test of Moré and Toraldo's GPCG).
+STALL = 0.1
 
 
 @dataclass(frozen=True)
@@ -230,29 +245,88 @@ def _certificate_residual(w: np.ndarray, grad: np.ndarray) -> float:
     return max(float((grad[active] - tau).max()), weighted_excess)
 
 
-def _face_polish(
-    q2: np.ndarray, b: np.ndarray, w: np.ndarray
-) -> np.ndarray | None:
-    """Solve the equality-constrained problem on the current active face.
+def _decrease(q2: np.ndarray, grad: np.ndarray, d: np.ndarray) -> float:
+    """f(w + d) - f(w) for the quadratic objective with gradient ``grad`` at w.
 
-    Returns a feasible candidate supported on the face, or None if the face
-    solution leaves the simplex.  Singular systems take the least-squares
-    solution, which spreads weight evenly over duplicated judges.
+    Taken from the step itself, so it keeps its digits when f is large.
+    """
+    return float(grad @ d) + 0.5 * float(d @ (q2 @ d))
+
+
+def _projected_search(
+    q2: np.ndarray, grad: np.ndarray, w: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """The first of P(w + d), P(w + d/2), P(w + d/4), ... that passes Armijo.
+
+    Armijo: f falls by at least ARMIJO times the first-order decrease
+    -grad'(x - w).  Returns the point and how far f fell there, or None if
+    none of the first MAX_HALVINGS passes: steps that short only reach the
+    rounding floor.
+    """
+    for _ in range(MAX_HALVINGS):
+        x = _project(w + d)
+        step = x - w
+        slope = float(grad @ step)
+        change = _decrease(q2, grad, step)
+        if slope < 0.0 and change <= ARMIJO * slope:
+            return x, -change
+        d = 0.5 * d
+    return None
+
+
+def _face_step(
+    q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """Projected search toward the minimizer of f on the affine hull of w's face.
+
+    Weights that would turn negative on the way stay at zero.  Singular
+    systems take the least-squares solution, which spreads weight evenly
+    over duplicated judges.  The curvature rows are scaled by the power of
+    16 that brings their largest entry into [1, 16).  That is exact, the
+    same weights solve the scaled system, and its sum-to-one row no longer
+    vanishes beside curvatures far from one; unit-scale crowds, whose
+    curvatures already lie in that range, are solved unscaled.  None when
+    the solution is not downhill from w.
     """
     active = np.nonzero(w > ACTIVE_WEIGHT)[0]
     k = active.shape[0]
+    q_face = q2[np.ix_(active, active)]
+    exponent = -4 * ((math.frexp(float(np.abs(q_face).max()))[1] - 1) // 4)
     kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = q2[np.ix_(active, active)]
+    kkt[:k, :k] = np.ldexp(q_face, exponent)
     kkt[:k, k] = 1.0
     kkt[k, :k] = 1.0
-    rhs = np.concatenate([-b[active], [1.0]])
+    rhs = np.concatenate([np.ldexp(-b[active], exponent), [1.0]])
+    if not (np.isfinite(kkt).all() and np.isfinite(rhs).all()):
+        return None  # curvatures past the float range; LAPACK may not return
     sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    w_face = sol[:k]
-    if w_face.min() < -1e-12 or not np.all(np.isfinite(w_face)):
+    d = -w
+    d[active] += sol[:k]
+    if not (np.isfinite(d).all() and float(grad @ d) < 0.0):
         return None
-    candidate = np.zeros_like(w)
-    candidate[active] = np.maximum(w_face, 0.0)
-    return candidate
+    return _projected_search(q2, grad, w, d)
+
+
+def _gradient_step(
+    q2: np.ndarray, w: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """Projected search along -grad.
+
+    The first trial length minimizes f along -grad, g'g / g'Qg, evaluated on
+    grad scaled by a power of two so that neither product overflows; the
+    scaling is exact, so the length is the unscaled one wherever that is
+    finite.  Where f has no curvature along grad it falls linearly, and the
+    first trial is the length that empties the judge with the largest
+    partial.
+    """
+    exponent = -math.frexp(float(np.abs(grad).max()))[1]
+    g = np.ldexp(grad, exponent)
+    curvature = float(g @ (q2 @ g))
+    if curvature > 0.0:
+        t = float(g @ g) / curvature
+    else:
+        t = math.ldexp(2.0 / (float(np.ptp(g)) or 2.0), exponent)
+    return _projected_search(q2, grad, w, -t * grad)
 
 
 def optimal_weights(
@@ -263,12 +337,16 @@ def optimal_weights(
 ) -> QPSolution:
     """Minimize the crowd squared error over the simplex.
 
-    Projected gradient descent from ``start`` (uniform weights when None),
-    with a periodic exact solve on the current active face to sharpen the
-    last digits.  Descent never raises the objective from any feasible start,
-    so a start near the optimum, such as a smaller crowd's optimum padded
-    with zero weights, can certify in few iterations or none, and then comes
-    back bit for bit.  Any candidate is accepted only once its own
+    Each iteration from ``start`` (uniform weights when None) makes one move.
+    Once two steps in a row have kept the support, or the latest gradient
+    step lowered f by at most STALL times the largest fall since the last
+    face move, it searches toward the exact minimizer on the current face;
+    weights that would turn negative on the way stay at zero.  Otherwise, or
+    if that would not lower the objective, it takes a projected gradient step
+    under the Armijo rule.  No move raises the objective, from any feasible
+    start, so a start near the optimum, such as a smaller crowd's optimum
+    padded with zero weights, can certify in few iterations or none, and
+    then comes back bit for bit.  The iterate is accepted only once its own
     first-order certificate is within ``tolerance``, so the result is
     guaranteed wise against every selection distribution up to that slack;
     ``kkt_residual`` is that certificate, taken at the stored weights.
@@ -276,8 +354,10 @@ def optimal_weights(
     Raises:
         ValidationFailed: some moment of the model is nan or inf.
         ShapeMismatch: ``start`` does not have one weight per judge.
-        NoConvergence: iteration cap reached; carries the last iterate, which
-            descent makes the best one, certified at its stored weights.
+        NoConvergence: iteration cap reached, or neither move lowers the
+            objective any more, so every later iteration would repeat the
+            last one.  Carries the last iterate, which is the best one,
+            certified at its stored weights, with ``iterations`` the cap.
     """
     nonfinite = _nonfinite_violation(model)
     if nonfinite:
@@ -288,9 +368,7 @@ def optimal_weights(
     mu = model.judge_means
     q2 = 2.0 * (model.judge_cov + np.outer(mu, mu))
     b = -2.0 * (model.criterion_mean * mu + model.cross_cov)
-    curvatures = np.linalg.eigvalsh(q2)
-    lipschitz = float(curvatures[-1])
-    nonunique = float(curvatures[0]) < 1e-10
+    nonunique = float(np.linalg.eigvalsh(q2)[0]) < 1e-10
 
     def build(w: np.ndarray, iterations: int) -> QPSolution:
         wv = WeightVector(w)
@@ -305,27 +383,39 @@ def optimal_weights(
         )
 
     w = np.full(n, 1.0 / n) if start is None else start.weights
-    if lipschitz <= 0.0:
-        # Zero curvature: the objective is affine, so a vertex minimizes it.
-        grad = objective_gradient(model, w)
-        w = np.zeros(n)
-        w[int(np.argmin(grad))] = 1.0
-        return build(w, 0)
-
-    step = 1.0 / lipschitz
+    # ``kept``: steps in a row that kept the support.  ``best_fall`` and
+    # ``last_fall``: the largest and the latest fall in f over the gradient
+    # steps since the last face move; a failed gradient step falls by zero.
+    # ``face_failed`` and ``gradient_failed``: that move was tried from this
+    # very w and did not lower f.
+    support, kept = None, 0
+    best_fall, last_fall = 0.0, math.inf
+    face_failed = gradient_failed = False
     for iteration in range(max_iterations + 1):
         grad = objective_gradient(model, w)
-        residual = _certificate_residual(w, grad)
-        if residual <= tolerance:
+        if _certificate_residual(w, grad) <= tolerance:
             return build(w, iteration)
-        if iteration % 50 == 0 and iteration > 0:
-            candidate = _face_polish(q2, b, w)
-            if candidate is not None:
-                cand_grad = objective_gradient(model, candidate)
-                cand_residual = _certificate_residual(candidate, cand_grad)
-                if cand_residual <= tolerance:
-                    return build(candidate, iteration)
         if iteration == max_iterations:
             break
-        w = _project(w - step * grad)
+        active = w > ACTIVE_WEIGHT
+        kept = kept + 1 if np.array_equal(active, support) else 0
+        support = active
+        if (kept >= 2 or last_fall <= STALL * best_fall) and not face_failed:
+            kept, best_fall, last_fall = 0, 0.0, math.inf
+            moved = _face_step(q2, b, w, grad)
+            if moved is not None:
+                w, gradient_failed = moved[0], False
+                continue
+            face_failed = True
+        moved = None if gradient_failed else _gradient_step(q2, w, grad)
+        if moved is not None:
+            w, last_fall = moved
+            best_fall = max(best_fall, last_fall)
+            face_failed = False
+        elif face_failed:
+            # Neither move lowers f from w, so every later iteration would
+            # repeat this one.
+            break
+        else:
+            gradient_failed, last_fall = True, 0.0
     raise NoConvergence(build(w, max_iterations))

@@ -56,7 +56,12 @@ class WeightVector:
                 [f"{kind} entries must be nonnegative and finite, got {v.tolist()}"]
             )
         v = np.maximum(v, 0.0)
-        total = math.fsum(v)
+        try:
+            total = math.fsum(v)
+        except OverflowError:
+            raise ValidationFailed(
+                [f"{kind} entries sum past the largest float"]
+            ) from None
         if total <= 0.0:
             raise ValidationFailed([f"{kind} entries sum to zero"])
         if abs(total - 1.0) > sys.float_info.epsilon:

@@ -21,9 +21,12 @@ def model_corpus(
     base_seed: int = 0,
     sizes: tuple[int, ...] = _SIZES,
     criterion_vars: tuple[float, ...] = _CRITERION_VARS,
+    correlation_ranges: tuple[tuple[float, float], ...] = _CORR_RANGES,
 ) -> list[CrowdModel]:
     """``count`` validated models cycling sizes, biases, correlations, criteria."""
-    combos = list(itertools.product(sizes, _BIAS_SCALES, _CORR_RANGES, criterion_vars))
+    combos = list(
+        itertools.product(sizes, _BIAS_SCALES, correlation_ranges, criterion_vars)
+    )
     models = []
     for k in range(count):
         n, bias, corr, cv = combos[k % len(combos)]

@@ -287,6 +287,47 @@ class TestModelFiles:
             cli._parse_numbers(text, "m.txt", "judge_cov")
         assert str(exc.value) == message
 
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_rendered_floats_keep_their_bits(self, values):
+        text = cli._format_value(values)
+        parsed = cli._parse_numbers(text, "m.txt", "judge_cov")
+        assert parsed.tobytes() == np.array(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0", "\u0661", "1,,2", "1,2,", "0x1p3", "1 2", "1d0", "x", "1x", "-nan",
+         " ", "\t", "1, ", "1, ,2", "-1, ", "-1, -1", "nan(x)", "1e400", "Infinity",
+         ".5, 1.", "1,\u0661"],
+    )
+    def test_edge_text_parses_as_float_does(self, text):
+        # float() on every field is the reference grammar and error.
+        try:
+            reference = np.array([float(p) for p in text.split(",")])
+        except ValueError:
+            expected = "m.txt: field 'judge_cov' is not a list of numbers"
+        else:
+            if np.isfinite(reference).all():
+                parsed = cli._parse_numbers(text, "m.txt", "judge_cov")
+                assert parsed.tobytes() == reference.tobytes()
+                return
+            expected = "m.txt: non-finite values in judge_cov"
+        with pytest.raises(ParseError) as exc:
+            cli._parse_numbers(text, "m.txt", "judge_cov")
+        assert str(exc.value) == expected
+
+    def test_partial_read_with_a_warning_is_read_again(self, monkeypatch):
+        # Before numpy 2.0, fromstring warned and returned the numbers it read
+        # before unreadable text, instead of raising.
+        def partial(text, sep):
+            warnings.warn("string could not be read to its end", DeprecationWarning)
+            return np.array([1.0])
+
+        monkeypatch.setattr(np, "fromstring", partial)
+        with pytest.raises(ParseError, match="is not a list of numbers"):
+            cli._parse_numbers("1x", "m.txt", "judge_cov")
+        assert cli._parse_numbers("2.5", "m.txt", "judge_cov").tolist() == [2.5]
+
     def test_wrong_cov_size_rejected(self, tmp_path):
         path = tmp_path / "shape.txt"
         path.write_text(
@@ -671,6 +712,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {path}: non-finite values in {flag[2:]}\n"
+
+    def test_weights_summing_past_the_largest_float_are_two(self, data_csv, tmp_path, capsys):
+        path = tmp_path / "weights.txt"
+        path.write_text("1e308, 1e308\n")
+        assert main(["analyze", "--data", data_csv, "--weights", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: model validation failed: "
+            "WeightVector entries sum past the largest float\n"
+        )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_internal_error_is_three_without_traceback(self, tmp_path, capsys):

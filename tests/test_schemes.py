@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import affine_model, grid_minimum, model_corpus, random_simplex_points
+from crowdwise import schemes
 from crowdwise.errors import (
     NoConvergence,
     ShapeMismatch,
@@ -283,8 +284,9 @@ class TestOptimalWeights:
         assert best.objective == crowd_mse(model, best.weights).total
 
     def test_capped_objective_never_rises(self):
-        # Projected gradient with step 1/L descends monotonically, so the last
-        # iterate at each cap is the best one seen so far.
+        # Every accepted move lowers the objective (the Armijo rule on each
+        # projected search), so the last iterate at each cap is the best one
+        # seen so far.
         for model in model_corpus(12, base_seed=6, sizes=(5, 8)):
             previous = math.inf
             for cap in range(40):
@@ -293,6 +295,47 @@ class TestOptimalWeights:
                 objective = exc.value.best.objective
                 assert objective <= previous + 1e-13 * abs(previous)
                 previous = objective
+
+    def test_cold_solves_certify_within_200_iterations(self):
+        # Each combination of size, bias, correlation range and criterion
+        # variance once; the corpus's fourth range, (-0.5, -0.1), has no PSD
+        # matrix past 11 judges.
+        corpus = model_corpus(
+            216,
+            base_seed=71,
+            sizes=(2, 5, 13, 34, 89, 100),
+            correlation_ranges=((-0.3, 0.8), (-0.9, 0.2), (0.0, 0.0)),
+        )
+        for model in corpus:
+            assert optimal_weights(model).iterations <= 200
+
+    @pytest.mark.parametrize("exponent", range(20, 301, 20))
+    def test_huge_scales_certify_or_stop_at_a_fixed_point(self, exponent, monkeypatch):
+        # Correlated judges with nonzero means: second moments at scale s,
+        # means at sqrt(s).  The absolute tolerance is out of reach at most of
+        # these scales; the solver must see that in a few steps, not run to
+        # the cap.
+        s = 10.0**exponent
+        r = math.sqrt(s)
+        model = CrowdModel(
+            judge_means=[0.3 * r, -0.2 * r],
+            judge_cov=[[s, 0.6 * s], [0.6 * s, 2.0 * s]],
+            criterion_mean=0.1 * r,
+            criterion_var=1.5 * s,
+            cross_cov=[0.5 * s, 0.4 * s],
+        )
+        projections = []
+        project = schemes._project
+        monkeypatch.setattr(
+            schemes, "_project", lambda v: projections.append(1) or project(v)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                optimal_weights(model)
+            except NoConvergence as err:
+                assert err.best.iterations == 100_000
+        assert len(projections) <= 10 * schemes.MAX_HALVINGS
 
     def test_matches_grid_oracle_small_models(self):
         models = model_corpus(24, base_seed=3, sizes=(2, 3))
