@@ -127,9 +127,8 @@ def extend_model(
     if violations:
         if _nonfinite_violation(extended):
             raise ValidationFailed(violations)
-        smallest = float(np.linalg.eigvalsh(extended.joint_covariance())[0])
         raise JointNotPSD(
-            smallest,
+            extended.joint_spectrum[0],
             f"candidate {label!r} is inconsistent with the crowd: "
             + "; ".join(violations),
         )

@@ -13,6 +13,7 @@ downstream use by listing every violated invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,11 @@ from .errors import SampleTooSmall, ShapeMismatch, ValidationFailed
 # Eigenvalues below -PSD_RTOL times the largest eigenvalue are hard failures;
 # anything between that and zero is rounding noise.
 PSD_RTOL = 1e-9
+# A computed eigenvalue of a symmetric matrix of order m and 2-norm a lies
+# within EIGEN_ROUNDING * m * a of the exact one: the symmetric eigensolver is
+# backward stable (Golub & Van Loan, Matrix Computations, section 8.3).  The
+# factor is generous; it also covers the rounding of forming the matrix.
+EIGEN_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -99,6 +105,20 @@ class CrowdModel:
         joint[n, n] = self.criterion_var
         return joint
 
+    @cached_property
+    def joint_spectrum(self) -> tuple[float, float]:
+        """Smallest and largest eigenvalue of the symmetrised joint covariance.
+
+        Computed once per model; the arrays are read-only, so it cannot go
+        stale.  By Cauchy interlacing the smallest is a lower bound on the
+        smallest eigenvalue of ``judge_cov``, a principal submatrix.
+        """
+        return _extreme_eigenvalues(self.joint_covariance())
+
+    def computed_joint_spectrum(self) -> tuple[float, float] | None:
+        """``joint_spectrum`` if something already computed it, else None."""
+        return vars(self).get("joint_spectrum")
+
 
 @dataclass(frozen=True)
 class JudgmentSample:
@@ -140,13 +160,25 @@ def _symmetry_violation(cov: np.ndarray) -> float:
     return float(np.abs(cov - cov.T).max() / scale)
 
 
-def _min_eigenvalue_ok(m: np.ndarray) -> tuple[bool, float]:
-    """Whether ``m`` is PSD within tolerance, and its smallest eigenvalue."""
+def _extreme_eigenvalues(m: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the symmetric part of ``m``."""
     # Halving before adding cannot overflow, and is exact above the subnormals.
     eigs = np.linalg.eigvalsh(m / 2.0 + m.T / 2.0)
-    smallest = float(eigs[0])
-    largest = float(eigs[-1])
-    return smallest >= -PSD_RTOL * max(largest, 0.0), smallest
+    return float(eigs[0]), float(eigs[-1])
+
+
+def _psd_within_tolerance(spectrum: tuple[float, float]) -> bool:
+    smallest, largest = spectrum
+    return smallest >= -PSD_RTOL * max(largest, 0.0)
+
+
+def _cholesky_factors(m: np.ndarray) -> bool:
+    """Whether Cholesky factors the symmetric part of ``m``."""
+    try:
+        np.linalg.cholesky(m / 2.0 + m.T / 2.0)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _nonfinite_violation(model: CrowdModel) -> list[str]:
@@ -165,6 +197,12 @@ def validate_model(model: CrowdModel) -> list[str]:
     (judges, criterion) covariance positive semidefinite.  The last check
     subsumes the zero-variance-criterion case: with criterion_var = 0, any
     nonzero cross_cov breaks joint PSD, so it is reported once, there.
+
+    One spectrum, the model's cached ``joint_spectrum``, settles both PSD
+    checks in the common case: when the joint matrix's smallest eigenvalue
+    clears zero by more than the rounding of both eigensolves, interlacing
+    certifies judge_cov too.  Only otherwise is judge_cov's own spectrum
+    computed, to word a failure; the joint check then reads the cached one.
     """
     nonfinite = _nonfinite_violation(model)
     if nonfinite:
@@ -178,25 +216,34 @@ def validate_model(model: CrowdModel) -> list[str]:
         violations.append(
             f"judge_cov is asymmetric (relative violation {asym:.3e})"
         )
-    cov_ok, smallest = _min_eigenvalue_ok(model.judge_cov)
+    var_ok = model.criterion_var >= 0.0
+    # Cholesky, a third of the cost of a spectrum, only orders the checks: a
+    # joint matrix it cannot factor may hold a judge_cov that fails, which
+    # its own spectrum then finds without first paying for the joint one.
+    if var_ok and _cholesky_factors(model.joint_covariance()):
+        # Interlacing puts judge_cov's exact spectrum no lower than the joint
+        # one.  Past the rounding of both eigensolves (judge_cov's norm is at
+        # most the joint's), its computed spectrum is nonnegative too.
+        smallest, largest = model.joint_spectrum
+        if smallest >= 2.0 * EIGEN_ROUNDING * (model.n_judges + 1) * largest:
+            return violations
+    cov_spectrum = _extreme_eigenvalues(model.judge_cov)
+    cov_ok = _psd_within_tolerance(cov_spectrum)
     if not cov_ok:
         violations.append(
             f"judge_cov is not positive semidefinite "
-            f"(smallest eigenvalue {smallest:.6g})"
+            f"(smallest eigenvalue {cov_spectrum[0]:.6g})"
         )
-    var_ok = model.criterion_var >= 0.0
     if not var_ok:
         violations.append(f"criterion_var is negative ({model.criterion_var:.6g})")
     # The joint check subsumes the judge and criterion checks, so only run it
     # once those pass; otherwise a single defect would be reported twice.
-    if cov_ok and var_ok:
-        joint_ok, smallest = _min_eigenvalue_ok(model.joint_covariance())
-        if not joint_ok:
-            violations.append(
-                "joint covariance of judges and criterion is not positive "
-                f"semidefinite (smallest eigenvalue {smallest:.6g}); cross_cov "
-                "is inconsistent with any joint distribution"
-            )
+    if cov_ok and var_ok and not _psd_within_tolerance(model.joint_spectrum):
+        violations.append(
+            "joint covariance of judges and criterion is not positive "
+            f"semidefinite (smallest eigenvalue {model.joint_spectrum[0]:.6g}); "
+            "cross_cov is inconsistent with any joint distribution"
+        )
     return violations
 
 

@@ -13,9 +13,12 @@ that minimizes f along the negative gradient and halves it until the Armijo
 rule holds; no Lipschitz constant is needed.  Once two steps in a row have
 kept the set of judges carrying weight (the support), or gradient steps
 stall, a face step searches toward the exact minimizer on the current face
-instead.  Every accepted move lowers the objective, so the last iterate is
-the best one; when neither move lowers it the iterate is a fixed point, and
-the solver stops there.
+instead.  That minimizer comes from a Cholesky factor of the face's Hessian
+and the Schur complement of its sum-to-one row; a singular face, such as one
+holding duplicated judges, takes the minimum-norm least-squares solution.
+Every accepted move lowers the objective, so the last iterate is the best
+one; when neither move lowers it the iterate is a fixed point, and the
+solver stops there.
 Convergence is certified by the first-order residual over the simplex: with
 tau = min_i df/dw_i, the residual is the largest excess df/dw_i - tau over
 judges carrying weight.  A residual of r guarantees the objective is within
@@ -40,7 +43,7 @@ from .errors import (
     ZeroCriterionVariance,
     ZeroJudges,
 )
-from .model import CrowdModel, _nonfinite_violation, _readonly
+from .model import EIGEN_ROUNDING, CrowdModel, _nonfinite_violation, _readonly
 from .wisdom import SelectionDistribution, WeightVector, crowd_mse, per_judge_mse
 
 # Weights above this threshold count as active when certifying optimality.
@@ -54,6 +57,8 @@ MAX_HALVINGS = 60
 # latest lowers the objective by at most this fraction of the largest fall
 # since the last face move (the progress test of Moré and Toraldo's GPCG).
 STALL = 0.1
+# Rows per block of the face solve's triangular substitutions.
+_SOLVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -260,12 +265,14 @@ def _projected_search(
 
     Armijo: f falls by at least ARMIJO times the first-order decrease
     -grad'(x - w).  Returns the point and how far f fell there, or None if
-    none of the first MAX_HALVINGS passes: steps that short only reach the
-    rounding floor.
+    none of the first MAX_HALVINGS passes, or a trial projects back onto w
+    itself: steps that short only reach the rounding floor.
     """
     for _ in range(MAX_HALVINGS):
         x = _project(w + d)
         step = x - w
+        if not step.any():
+            return None  # shorter trials stay at w, up to rounding
         slope = float(grad @ step)
         change = _decrease(q2, grad, step)
         if slope < 0.0 and change <= ARMIJO * slope:
@@ -274,34 +281,106 @@ def _projected_search(
     return None
 
 
-def _face_step(
-    q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, float] | None:
-    """Projected search toward the minimizer of f on the affine hull of w's face.
+def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``lower @ x = rhs`` for a lower-triangular, nonsingular ``lower``.
 
-    Weights that would turn negative on the way stay at zero.  Singular
-    systems take the least-squares solution, which spreads weight evenly
-    over duplicated judges.  The curvature rows are scaled by the power of
-    16 that brings their largest entry into [1, 16).  That is exact, the
-    same weights solve the scaled system, and its sum-to-one row no longer
-    vanishes beside curvatures far from one; unit-scale crowds, whose
-    curvatures already lie in that range, are solved unscaled.  None when
-    the solution is not downhill from w.
+    Forward substitution by blocks of _SOLVE_BLOCK rows: each block takes a
+    matrix product with the rows already solved and a small dense solve.
     """
-    active = np.nonzero(w > ACTIVE_WEIGHT)[0]
-    k = active.shape[0]
-    q_face = q2[np.ix_(active, active)]
+    x = np.empty_like(rhs)
+    for i in range(0, rhs.shape[0], _SOLVE_BLOCK):
+        j = i + _SOLVE_BLOCK
+        x[i:j] = np.linalg.solve(lower[i:j, i:j], rhs[i:j] - lower[i:j, :i] @ x[:i])
+    return x
+
+
+def _definite_factor(q_face: np.ndarray) -> np.ndarray | None:
+    """The Cholesky factor of a face Hessian, or None for a singular face.
+
+    A face holding duplicated judges is singular.  Cholesky then either
+    fails or finishes with a pivot at rounding level, which would put the
+    weight of a duplicated pair on one judge of it.  A squared pivot counts
+    as that at or below lstsq's own rank cutoff, (k + 1) eps times the
+    largest eigenvalue, taken here at its upper bound, the trace.
+    """
+    try:
+        lower = np.linalg.cholesky(q_face)
+    except np.linalg.LinAlgError:
+        return None
+    k = q_face.shape[0]
+    cutoff = (k + 1) * np.finfo(float).eps * float(np.trace(q_face))
+    return lower if float(np.diagonal(lower).min()) ** 2 > cutoff else None
+
+
+def _newton_face_step(lower: np.ndarray, g_face: np.ndarray, total: float) -> np.ndarray:
+    """The d minimizing g'd + d'Hd/2 subject to sum d = total, with H = LL'.
+
+    One forward solve gives z = L^-1 1 and y = -L^-1 g, the Schur complement
+    z'z = 1'H^-1 1 gives the multiplier (z'y - total) / z'z of the sum row,
+    and one backward solve gives d.  Solving for the step from the gradient,
+    rather than for the face minimizer itself, keeps its digits when it is
+    small beside the weights.
+    """
+    k = g_face.shape[0]
+    z, y = _lower_solve(lower, np.column_stack([np.ones(k), -g_face])).T
+    multiplier = (float(z @ y) - total) / float(z @ z)
+    # L' is lower triangular with its rows and columns reversed.
+    upper_reversed = lower.T[::-1, ::-1]
+    return _lower_solve(upper_reversed, (y - multiplier * z)[::-1])[::-1]
+
+
+def _least_squares_face(q_face: np.ndarray, b_face: np.ndarray) -> np.ndarray | None:
+    """The minimum-norm minimizer of x'Hx/2 + b'x subject to sum x = 1.
+
+    The least-squares solution of the KKT system spreads weight evenly over
+    duplicated judges.  The curvature rows are scaled by the power of 16
+    that brings their largest entry into [1, 16).  That is exact, the same
+    weights solve the scaled system, and its sum-to-one row no longer falls
+    below the SVD's rank cutoff beside curvatures far from one; unit-scale
+    crowds, whose curvatures already lie in that range, are solved unscaled.
+    None when the scaled system leaves the float range, where LAPACK may not
+    return.
+    """
+    k = b_face.shape[0]
     exponent = -4 * ((math.frexp(float(np.abs(q_face).max()))[1] - 1) // 4)
     kkt = np.zeros((k + 1, k + 1))
     kkt[:k, :k] = np.ldexp(q_face, exponent)
     kkt[:k, k] = 1.0
     kkt[k, :k] = 1.0
-    rhs = np.concatenate([np.ldexp(-b[active], exponent), [1.0]])
+    rhs = np.concatenate([np.ldexp(-b_face, exponent), [1.0]])
     if not (np.isfinite(kkt).all() and np.isfinite(rhs).all()):
+        return None
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+
+
+def _face_step(
+    q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """Projected search toward the minimizer of f on the affine hull of w's face.
+
+    Weights that would turn negative on the way stay at zero, and judges
+    off the face go to zero.  On a face whose Hessian has a Cholesky factor
+    the step is the constrained Newton step from w (``_newton_face_step``);
+    a singular face takes the least-squares minimizer instead
+    (``_least_squares_face``).  A poor factor of a nearly singular face only
+    costs iterations: the search accepts no step that fails Armijo.  None
+    when there is no finite step or it is not downhill from w.
+    """
+    on_face = w > ACTIVE_WEIGHT
+    active = np.nonzero(on_face)[0]
+    q_face = q2[np.ix_(active, active)]
+    if not (np.isfinite(q_face).all() and np.isfinite(grad).all()):
         return None  # curvatures past the float range; LAPACK may not return
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    d = -w
-    d[active] += sol[:k]
+    d = np.where(on_face, 0.0, -w)
+    lower = _definite_factor(q_face)
+    if lower is not None:
+        g_face = (grad + q2 @ d)[active] if d.any() else grad[active]
+        d[active] = _newton_face_step(lower, g_face, -float(d.sum()))
+    else:
+        x = _least_squares_face(q_face, b[active])
+        if x is None:
+            return None
+        d[active] = x - w[active]
     if not (np.isfinite(d).all() and float(grad @ d) < 0.0):
         return None
     return _projected_search(q2, grad, w, d)
@@ -327,6 +406,27 @@ def _gradient_step(
     else:
         t = math.ldexp(2.0 / (float(np.ptp(g)) or 2.0), exponent)
     return _projected_search(q2, grad, w, -t * grad)
+
+
+def _possibly_nonunique(model: CrowdModel, q2: np.ndarray) -> bool:
+    """Whether the smallest computed eigenvalue of ``q2`` falls below 1e-10.
+
+    Q = 2(Sigma + mu mu') and mu mu' is PSD, so by interlacing the exact
+    lambda_min(Q) is at least twice the smallest eigenvalue of the model's
+    joint covariance.  When that bound, less the rounding of both
+    eigensolves, clears 1e-10, the answer is no without factoring Q.  Only a
+    joint spectrum ``validate_model`` already computed is used: computing it
+    here would cost a second eigensolve wherever the bound falls short.
+    """
+    spectrum = model.computed_joint_spectrum()
+    if spectrum is not None:
+        smallest, largest = spectrum
+        mu = model.judge_means
+        norm_bound = 2.0 * largest + float(mu @ mu)  # ||joint|| + ||Q|| / 2
+        rounding = EIGEN_ROUNDING * (model.n_judges + 1) * norm_bound
+        if smallest - rounding >= 0.5e-10:
+            return False
+    return float(np.linalg.eigvalsh(q2)[0]) < 1e-10
 
 
 def optimal_weights(
@@ -368,7 +468,7 @@ def optimal_weights(
     mu = model.judge_means
     q2 = 2.0 * (model.judge_cov + np.outer(mu, mu))
     b = -2.0 * (model.criterion_mean * mu + model.cross_cov)
-    nonunique = float(np.linalg.eigvalsh(q2)[0]) < 1e-10
+    nonunique = _possibly_nonunique(model, q2)
 
     def build(w: np.ndarray, iterations: int) -> QPSolution:
         wv = WeightVector(w)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 
 from crowdwise.model import CrowdModel
 from crowdwise.montecarlo import random_model
@@ -40,6 +41,31 @@ def model_corpus(
             )
         )
     return models
+
+
+def matrix_with_spectrum(eigenvalues, seed: int) -> np.ndarray:
+    """A symmetric matrix with these eigenvalues (up to rounding) in a random
+    orthonormal basis."""
+    rng = np.random.default_rng(seed)
+    size = len(eigenvalues)
+    basis, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    m = (basis * np.asarray(eigenvalues, dtype=float)) @ basis.T
+    return (m + m.T) / 2.0
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of ``np.linalg.eigvalsh`` and ``np.linalg.lstsq`` calls."""
+    counts = {"eigvalsh": 0, "lstsq": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 def affine_model(model: CrowdModel, a: float, b: float) -> CrowdModel:

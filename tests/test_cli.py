@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import matrix_with_spectrum
 from crowdwise import cli
 from crowdwise.cli import ingest_csv, load_model, main, read_candidates, save_model
 from crowdwise.errors import (
@@ -21,8 +22,9 @@ from crowdwise.errors import (
     SampleTooSmall,
     ValidationFailed,
 )
-from crowdwise.model import estimate_model, fixed_criterion_model
-from crowdwise.schemes import uniform_selection, uniform_weights
+from crowdwise.model import CrowdModel, estimate_model, fixed_criterion_model
+from crowdwise.montecarlo import random_model
+from crowdwise.schemes import optimal_weights, uniform_selection, uniform_weights
 from crowdwise.wisdom import evaluate
 
 BASIC_CSV = "a,b,criterion\n1,2,2\n3,4,3\n"
@@ -340,6 +342,46 @@ class TestModelFiles:
         )
         with pytest.raises(ParseError):
             load_model(str(path))
+
+
+def counted_model(kind: str) -> CrowdModel:
+    """N=50 models for counting eigensolves; all but two are invalid."""
+    model = random_model(50, seed=29, criterion_var=0.0 if kind == "fixed" else 1.0)
+    cov, var, cross = model.judge_cov, model.criterion_var, model.cross_cov
+    if kind == "indefinite":
+        cov = matrix_with_spectrum([-1.0] + [1.0] * 49, seed=29)
+    elif kind == "negative variance":
+        var = -1.0
+    elif kind == "inconsistent":
+        cross = 10.0 * np.sqrt(np.diag(cov))
+    return CrowdModel(model.judge_means, cov, model.criterion_mean, var, cross)
+
+
+class TestEigensolveCount:
+    def test_well_conditioned_load_and_optimize_factor_once(self, tmp_path, linalg_calls):
+        path = str(tmp_path / "m.txt")
+        save_model(counted_model("well-conditioned"), path)
+        solution = optimal_weights(load_model(path))
+        assert solution.kkt_residual <= 1e-10
+        assert linalg_calls == {"eigvalsh": 1, "lstsq": 0}
+
+    @pytest.mark.parametrize(
+        "kind, separate_spectra",
+        [("fixed", 3), ("indefinite", 1), ("negative variance", 1), ("inconsistent", 2)],
+    )
+    def test_no_more_eigensolves_than_separate_spectra(
+        self, kind, separate_spectra, tmp_path, linalg_calls
+    ):
+        # ``separate_spectra``: the count when judge_cov, the joint matrix and
+        # Q each had their own eigensolve (Q's only once the model loads).
+        path = str(tmp_path / "m.txt")
+        save_model(counted_model(kind), path)
+        if kind == "fixed":
+            optimal_weights(load_model(path))
+        else:
+            with pytest.raises(ValidationFailed):
+                load_model(path)
+        assert linalg_calls["eigvalsh"] <= separate_spectra
 
 
 class TestAnalyzeCommand:

@@ -95,6 +95,40 @@ class TestExtendModel:
         assert exc.value.eigenvalue == pytest.approx(-1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
+        "variance, scale, cov_with_criterion",
+        [(1.0, 3.0, 0.0), (-1.0, 0.0, 0.0), (1.0, 0.0, 10.0), (1e-12, 1e-3, 0.0)],
+    )
+    def test_failure_carries_the_joint_matrix_s_smallest_eigenvalue(
+        self, variance, scale, cov_with_criterion
+    ):
+        # judge_cov fails, criterion-free; judge_cov fails on the diagonal;
+        # only the joint matrix fails; judge_cov fails at rounding scale.
+        base = random_model(4, seed=37, criterion_var=1.0)
+        candidate = CandidateMember(
+            mean=0.5,
+            variance=variance,
+            cov_with_members=scale * np.sqrt(np.diag(base.judge_cov)),
+            cov_with_criterion=cov_with_criterion,
+        )
+        with pytest.raises(JointNotPSD) as exc:
+            extend_model(base, candidate, label="x")
+        cov = np.zeros((5, 5))
+        cov[:4, :4] = base.judge_cov
+        cov[:4, 4] = cov[4, :4] = candidate.cov_with_members
+        cov[4, 4] = variance
+        extended = CrowdModel(
+            judge_means=np.append(base.judge_means, 0.5),
+            judge_cov=cov,
+            criterion_mean=base.criterion_mean,
+            criterion_var=base.criterion_var,
+            cross_cov=np.append(base.cross_cov, cov_with_criterion),
+        )
+        assert exc.value.eigenvalue == float(np.linalg.eigvalsh(extended.joint_covariance())[0])
+        assert str(exc.value) == "candidate 'x' is inconsistent with the crowd: " + "; ".join(
+            validate_model(extended)
+        )
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("judge_means", [np.nan, 1.0]),
@@ -354,7 +388,7 @@ class TestRankingReusesTheBaseSolve:
         assert len(solves) == 2 * k + 1
 
     def test_redundant_candidate_certifies_at_the_start(self, solves):
-        full = random_model(6, seed=91, bias_scale=0.5, criterion_var=1.0)
+        full = random_model(6, seed=90, bias_scale=0.5, criterion_var=1.0)
         base = candidate_from_model(full)[0]
         w_base = optimal_weights(base).weights.weights
         # Normalizing these weights again would move their last bits.

@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_model, model_corpus
+from conftest import affine_model, matrix_with_spectrum, model_corpus
+from crowdwise import model as model_module
 from crowdwise.errors import SampleTooSmall, ShapeMismatch, ValidationFailed
 from crowdwise.model import (
+    PSD_RTOL,
     CrowdModel,
     JudgmentSample,
+    _nonfinite_violation,
+    _symmetry_violation,
     estimate_model,
     fixed_criterion_model,
     validate_model,
@@ -302,3 +306,181 @@ class TestFixedCriterionModel:
     def test_corpus_models_validate(self):
         for model in model_corpus(40):
             assert validate_model(model) == []
+
+
+def separate_spectra_violations(model: CrowdModel) -> list[str]:
+    """The violations as one eigensolve each of judge_cov and of the joint
+    matrix words them: the reference for the one-spectrum checks."""
+    nonfinite = _nonfinite_violation(model)
+    if nonfinite:
+        return nonfinite
+    violations = []
+    asym = _symmetry_violation(model.judge_cov)
+    if asym > PSD_RTOL:
+        violations.append(f"judge_cov is asymmetric (relative violation {asym:.3e})")
+
+    def smallest_if_not_psd(m):
+        eigs = np.linalg.eigvalsh(m / 2.0 + m.T / 2.0)
+        return None if eigs[0] >= -PSD_RTOL * max(eigs[-1], 0.0) else float(eigs[0])
+
+    cov_smallest = smallest_if_not_psd(model.judge_cov)
+    if cov_smallest is not None:
+        violations.append(
+            "judge_cov is not positive semidefinite "
+            f"(smallest eigenvalue {cov_smallest:.6g})"
+        )
+    if model.criterion_var < 0.0:
+        violations.append(f"criterion_var is negative ({model.criterion_var:.6g})")
+    if cov_smallest is None and model.criterion_var >= 0.0:
+        joint_smallest = smallest_if_not_psd(model.joint_covariance())
+        if joint_smallest is not None:
+            violations.append(
+                "joint covariance of judges and criterion is not positive "
+                f"semidefinite (smallest eigenvalue {joint_smallest:.6g}); "
+                "cross_cov is inconsistent with any joint distribution"
+            )
+    return violations
+
+
+def joint_model(joint: np.ndarray, seed: int) -> CrowdModel:
+    """The model whose joint covariance is ``joint``, criterion last."""
+    n = joint.shape[0] - 1
+    rng = np.random.default_rng(seed)
+    return CrowdModel(
+        judge_means=rng.normal(size=n),
+        judge_cov=joint[:n, :n],
+        criterion_mean=float(rng.normal()),
+        criterion_var=float(joint[n, n]),
+        cross_cov=joint[:n, n],
+    )
+
+
+def rank_deficient_estimates(count: int) -> list[CrowdModel]:
+    """Sample moments from at most N + 1 trials, with duplicated and constant
+    columns, as ``estimate_model`` computes them (before it validates)."""
+    models = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "validate_model", lambda model: models.append(model) or [])
+        for seed in range(count):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 9))
+            t = int(rng.integers(2, n + 2))
+            scale = 10.0 ** int(rng.integers(-50, 51))
+            columns = [rng.normal(size=t) * scale]
+            for _ in range(n):
+                kind = rng.integers(3)
+                if kind == 0:
+                    columns.append(columns[int(rng.integers(len(columns)))])
+                elif kind == 1:
+                    columns.append(np.full(t, rng.normal() * scale))
+                else:
+                    columns.append(rng.normal(size=t) * scale)
+            estimate_model(JudgmentSample(np.column_stack(columns[1:]), columns[0]))
+    return models
+
+
+def validation_fixtures() -> list[CrowdModel]:
+    corpus = model_corpus(200, base_seed=17)
+    models = list(corpus)
+    models += rank_deficient_estimates(60)
+    for model in corpus[:40]:
+        # A fixed criterion, where the joint matrix is singular, and the same
+        # with cross covariances it cannot have.
+        for cross in (0.0, 0.1, 0.2):
+            models.append(
+                CrowdModel(
+                    judge_means=model.judge_means,
+                    judge_cov=model.judge_cov,
+                    criterion_mean=0.5,
+                    criterion_var=0.0,
+                    cross_cov=np.full(model.n_judges, cross),
+                )
+            )
+        for var in (-0.5, -1e-300):
+            models.append(
+                CrowdModel(
+                    judge_means=model.judge_means,
+                    judge_cov=model.judge_cov,
+                    criterion_mean=model.criterion_mean,
+                    criterion_var=var,
+                    cross_cov=model.cross_cov,
+                )
+            )
+        if model.n_judges >= 2:
+            for asym in (0.5 * PSD_RTOL, 2.0 * PSD_RTOL):
+                cov = model.judge_cov.copy()
+                cov[0, 1] += asym * np.abs(cov).max()
+                models.append(
+                    CrowdModel(
+                        judge_means=model.judge_means,
+                        judge_cov=cov,
+                        criterion_mean=model.criterion_mean,
+                        criterion_var=model.criterion_var,
+                        cross_cov=model.cross_cov,
+                    )
+                )
+    for seed in range(6):
+        largest = 10.0 ** (3 * seed - 6)
+        # judge_cov just inside and just outside -PSD_RTOL * largest, with an
+        # independent criterion; then the joint matrix the same way.
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            floor = -PSD_RTOL * factor * largest
+            cov = matrix_with_spectrum([floor, 0.3 * largest, largest, largest / 7], seed)
+            models.append(
+                CrowdModel(
+                    judge_means=np.zeros(4),
+                    judge_cov=cov,
+                    criterion_mean=0.0,
+                    criterion_var=largest,
+                    cross_cov=np.zeros(4),
+                )
+            )
+            spectrum = [floor, 0.3 * largest, largest, largest / 7, largest / 3]
+            models.append(joint_model(matrix_with_spectrum(spectrum, seed), seed))
+        # The joint matrix's smallest eigenvalue around zero, on both sides of
+        # the margin that lets it certify judge_cov alone.
+        for relative in (-1e-12, -1e-15, 0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-9, 1e-3):
+            spectrum = [relative * largest, largest, largest / 2, largest / 5]
+            models.append(joint_model(matrix_with_spectrum(spectrum, 10 + seed), seed))
+        models.append(joint_model(matrix_with_spectrum([-0.5, 1.0, 2.0], seed), seed))
+    for seed in range(30):
+        # A judge_cov of scale 1e-20 just outside its tolerance, beside a unit
+        # criterion: the joint eigensolve's rounding dwarfs judge_cov's
+        # spectrum and may leave the joint's smallest eigenvalue positive.
+        joint = np.zeros((5, 5))
+        joint[:4, :4] = matrix_with_spectrum([-PSD_RTOL * 1.001e-20, 1e-20, 5e-21, 3e-21], seed)
+        joint[:4, 4] = joint[4, :4] = np.random.default_rng(seed).normal(size=4) * 1e-11
+        joint[4, 4] = 1.0
+        models.append(joint_model(joint, seed))
+    nan_cov = np.eye(3)
+    nan_cov[1, 2] = np.nan
+    models.append(
+        CrowdModel(
+            judge_means=np.zeros(3),
+            judge_cov=nan_cov,
+            criterion_mean=0.0,
+            criterion_var=1.0,
+            cross_cov=np.zeros(3),
+        )
+    )
+    return models
+
+
+class TestOneSpectrum:
+    def test_violations_equal_separate_spectra(self, linalg_calls):
+        fixtures = validation_fixtures()
+        joint_alone = 0
+        for model in fixtures:
+            expected = separate_spectra_violations(model)
+            before = linalg_calls["eigvalsh"]
+            assert validate_model(model) == expected
+            one_call = linalg_calls["eigvalsh"] == before + 1
+            joint_alone += one_call and model.computed_joint_spectrum() is not None
+        # Both paths ran: the joint spectrum alone, and the separate checks.
+        assert 0 < joint_alone < len(fixtures)
+
+    def test_joint_spectrum_is_computed_once(self, linalg_calls):
+        model = model_corpus(1, base_seed=3, sizes=(5,), criterion_vars=(1.0,))[0]
+        assert validate_model(model) == []
+        assert validate_model(model) == []
+        assert linalg_calls["eigvalsh"] == 1

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_model, grid_minimum, model_corpus, random_simplex_points
+from conftest import (
+    affine_model,
+    grid_minimum,
+    matrix_with_spectrum,
+    model_corpus,
+    random_simplex_points,
+)
 from crowdwise import schemes
 from crowdwise.errors import (
     NoConvergence,
@@ -19,7 +25,7 @@ from crowdwise.errors import (
     ZeroCriterionVariance,
     ZeroJudges,
 )
-from crowdwise.model import CrowdModel, fixed_criterion_model
+from crowdwise.model import CrowdModel, fixed_criterion_model, validate_model
 from crowdwise.schemes import (
     _certificate_residual,
     best_member_selection,
@@ -45,6 +51,34 @@ def raw_objective(model, w):
         + w @ model.judge_cov @ w
         - 2.0 * (model.cross_cov @ w)
         + model.criterion_var
+    )
+
+
+def face_system(model):
+    """The solver's Hessian q2 and linear term b."""
+    mu = model.judge_means
+    q2 = 2.0 * (model.judge_cov + np.outer(mu, mu))
+    b = -2.0 * (model.criterion_mean * mu + model.cross_cov)
+    return q2, b
+
+
+def with_twin(model, judge, perturb=None, size=0.0):
+    """The model with ``judge`` appended again as its last judge.  ``perturb``
+    "row" scales the copy's covariances by 1 + size, "variance" only its
+    variance."""
+    order = list(range(model.n_judges)) + [judge]
+    cov = model.judge_cov[np.ix_(order, order)].copy()
+    if perturb == "row":
+        cov[-1, :] *= 1.0 + size
+        cov[:, -1] *= 1.0 + size
+    elif perturb == "variance":
+        cov[-1, -1] *= 1.0 + size
+    return CrowdModel(
+        judge_means=model.judge_means[order],
+        judge_cov=cov,
+        criterion_mean=model.criterion_mean,
+        criterion_var=model.criterion_var,
+        cross_cov=model.cross_cov[order],
     )
 
 
@@ -274,7 +308,7 @@ class TestOptimalWeights:
 
     @pytest.mark.parametrize("cap", [0, 1, 7, 60])
     def test_capped_iterate_carries_its_own_certificate(self, cap):
-        model = model_corpus(1, base_seed=5, sizes=(8,))[0]
+        model = model_corpus(1, base_seed=4, sizes=(8,))[0]
         with pytest.raises(NoConvergence) as exc:
             optimal_weights(model, tolerance=1e-300, max_iterations=cap)
         best = exc.value.best
@@ -421,6 +455,105 @@ class TestOptimalWeights:
         )
         with pytest.raises(ValidationFailed, match="non-finite values in judge_cov"):
             optimal_weights(model)
+
+
+    def test_possibly_nonunique_is_q_s_smallest_eigenvalue_below_1e_10(self, linalg_calls):
+        models = model_corpus(60, base_seed=97)
+        for seed, relative in enumerate((-1e-3, -1e-7, 0.0, 1e-7, 1e-5, 1e-3, 1.0)):
+            # Zero means and an independent criterion: Q = 2 judge_cov, whose
+            # smallest eigenvalue sits at 1e-10 (1 + relative).
+            cov = matrix_with_spectrum([5e-11 * (1.0 + relative), 1.0, 0.5, 2.0], seed)
+            models.append(CrowdModel(np.zeros(4), cov, 0.0, 1.0, np.zeros(4)))
+        for seed in range(10):
+            # The same within the rounding of 30-judge eigensolves.
+            for relative in (1e-6, 1e-5):
+                spectrum = [5e-11 * (1.0 + relative)] + list(np.linspace(0.5, 2.0, 29))
+                cov = matrix_with_spectrum(spectrum, seed)
+                models.append(CrowdModel(np.zeros(30), cov, 0.0, 1.0, np.zeros(30)))
+        shortcuts = 0
+        for model in models:
+            q2, _ = face_system(model)
+            expected = bool(np.linalg.eigvalsh(q2)[0] < 1e-10)
+            fresh = CrowdModel(
+                model.judge_means,
+                model.judge_cov,
+                model.criterion_mean,
+                model.criterion_var,
+                model.cross_cov,
+            )
+            before = linalg_calls["eigvalsh"]
+            # An unvalidated model pays for Q's spectrum alone.
+            assert optimal_weights(fresh).possibly_nonunique == expected
+            assert linalg_calls["eigvalsh"] == before + 1
+            assert validate_model(model) == []
+            before = linalg_calls["eigvalsh"]
+            assert optimal_weights(model).possibly_nonunique == expected
+            shortcuts += linalg_calls["eigvalsh"] == before
+        # Both ran: the joint spectrum's bound, and Q's own spectrum.
+        assert 0 < shortcuts < len(models)
+
+    def test_search_stops_when_a_trial_projects_back_onto_w(self, monkeypatch):
+        projections = []
+        project = schemes._project
+        monkeypatch.setattr(schemes, "_project", lambda v: projections.append(v) or project(v))
+        # From a vertex, a direction out of the simplex projects back onto it.
+        w = np.array([1.0, 0.0, 0.0])
+        grad = np.array([-1.0, 1.0, 1.0])
+        assert schemes._projected_search(np.eye(3), grad, w, -grad) is None
+        assert len(projections) == 1
+
+
+class TestFaceSolve:
+    def test_cholesky_step_equals_least_squares_on_definite_faces(self):
+        rng = np.random.default_rng(73)
+        corpus = model_corpus(
+            40,
+            base_seed=79,
+            sizes=(2, 5, 13, 34),
+            correlation_ranges=((-0.3, 0.8), (0.0, 0.0)),
+        )
+        for model in corpus:
+            q2, b = face_system(model)
+            n = model.n_judges
+            for _ in range(3):
+                k = int(rng.integers(1, n + 1))
+                active = np.sort(rng.choice(n, size=k, replace=False))
+                q_face = q2[np.ix_(active, active)]
+                lower = schemes._definite_factor(q_face)
+                assert lower is not None
+                w = np.zeros(n)
+                w[active] = rng.dirichlet(np.ones(k))
+                grad = q2 @ w + b
+                x = w[active] + schemes._newton_face_step(lower, grad[active], 0.0)
+                kkt = np.block([[q_face, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+                rhs = np.append(-b[active], 1.0)
+                reference = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+                scale = np.abs(reference).max()
+                np.testing.assert_allclose(x, reference, rtol=0.0, atol=1e-12 * scale)
+
+    def test_exact_duplicates_take_the_least_squares_fallback(self, linalg_calls):
+        for model in model_corpus(20, base_seed=83, sizes=(3, 5, 8)):
+            judge = int(np.argmax(optimal_weights(model).weights.weights))
+            twin = with_twin(model, judge)
+            q2, _ = face_system(twin)
+            assert schemes._definite_factor(q2) is None
+            w = optimal_weights(twin).weights.weights
+            assert abs(w[judge] - w[-1]) <= 1e-12
+        assert linalg_calls["lstsq"] > 0
+
+    @pytest.mark.parametrize("perturb", ["row", "variance"])
+    def test_near_duplicates_certify_and_split_evenly(self, perturb):
+        corpus = model_corpus(
+            60,
+            base_seed=89,
+            sizes=(3, 5, 8, 13),
+            correlation_ranges=((-0.3, 0.8), (-0.9, 0.2), (0.0, 0.0)),
+        )
+        for model in corpus:
+            judge = int(np.argmax(optimal_weights(model).weights.weights))
+            # Raises NoConvergence unless it certifies.
+            w = optimal_weights(with_twin(model, judge, perturb, 1e-15)).weights.weights
+            assert abs(w[judge] - w[-1]) <= 1e-9
 
 
 class TestWarmStart:
