@@ -13,7 +13,7 @@ Usage:
 import argparse
 import sys
 
-from crowdwise.montecarlo import SimulationSpec, random_model, simulate
+from crowdwise.montecarlo import GENERATORS, SimulationSpec, random_model, simulate
 from crowdwise.schemes import optimal_weights, uniform_selection, uniform_weights
 from crowdwise.wisdom import evaluate
 
@@ -23,9 +23,7 @@ def run(argv=None) -> int:
     parser.add_argument("--models", type=int, default=8)
     parser.add_argument("--trials", type=int, default=200_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--generator", default="gaussian", choices=("gaussian", "uniform")
-    )
+    parser.add_argument("--generator", default="gaussian", choices=tuple(GENERATORS))
     args = parser.parse_args(argv)
 
     print(

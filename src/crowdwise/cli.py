@@ -50,7 +50,7 @@ from .errors import (
     ZeroCriterionVariance, ZeroJudges,
 )
 from .model import CrowdModel, JudgmentSample, estimate_model, validate_model
-from .montecarlo import SimulationSpec, random_model, simulate
+from .montecarlo import GENERATORS, SimulationSpec, random_model, simulate
 from .schemes import (
     SELECTION_RULES, inverse_mse_weights, optimal_weights, skill_scores,
     skill_weights, uniform_selection, uniform_weights,
@@ -856,7 +856,7 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(handler=(_cmd_simulate, _human_simulate))
     p.add_argument("--trials", type=_at_least_one, default=100_000)
-    p.add_argument("--generator", default="gaussian", choices=("gaussian", "uniform"))
+    p.add_argument("--generator", default="gaussian", choices=tuple(GENERATORS))
 
     p = sub.add_parser(
         "sweep", help="wisdom gap over a parameter grid", parents=[seeded, solver]

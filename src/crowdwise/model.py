@@ -220,7 +220,9 @@ def validate_model(model: CrowdModel) -> list[str]:
     # Cholesky, a third of the cost of a spectrum, only orders the checks: a
     # joint matrix it cannot factor may hold a judge_cov that fails, which
     # its own spectrum then finds without first paying for the joint one.
-    if var_ok and _cholesky_factors(model.joint_covariance()):
+    # A fixed criterion leaves the joint matrix a last pivot of -|l|^2 <= 0,
+    # which Cholesky never factors, so it is not tried.
+    if model.criterion_var > 0.0 and _cholesky_factors(model.joint_covariance()):
         # Interlacing puts judge_cov's exact spectrum no lower than the joint
         # one.  Past the rounding of both eigensolves (judge_cov's norm is at
         # most the joint's), its computed spectrum is nonnegative too.

@@ -6,14 +6,14 @@ errors with their Monte Carlo standard errors.  The analysis itself is
 distribution-free, so the concrete sampling distribution is a verification
 device, not a modeling claim: Gaussian by default, with a moment-matched
 uniform-source alternative to demonstrate that the analytic values do not
-depend on shape.
+depend on shape.  ``GENERATORS`` names both.
 
 Sampling is factorized through a symmetric eigendecomposition with negative
 eigenvalues clamped at zero, so singular covariances (perfect hedges,
 duplicated judges) sample fine.  Trials are partitioned into fixed-size
-chunks with seeds derived from (seed, chunk index) and merged by compensated
-summation in chunk order, so a given seed yields a bit-identical result
-regardless of execution interleaving.
+chunks with seeds derived from (seed, chunk index); each chunk's sums of both
+errors and their squares are merged by compensated summation in chunk order,
+so a given seed yields a bit-identical result regardless of interleaving.
 
 ``random_model`` generates validated models for property suites: random
 factor-built covariances rescaled so pairwise judge correlations land in a
@@ -30,11 +30,15 @@ import numpy as np
 
 from .errors import InfeasibleCorrelationRange, ShapeMismatch
 from .model import CrowdModel
-from .wisdom import SelectionDistribution, WeightVector
+from .wisdom import SelectionDistribution, WeightVector, _check_length
 
 CHUNK_TRIALS = 1 << 16
 
-_GENERATORS = ("gaussian", "uniform")
+# Each generator's draw of zero-mean, unit-variance values in a given shape.
+GENERATORS = {
+    "gaussian": lambda rng, shape: rng.standard_normal(shape),
+    "uniform": lambda rng, shape: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), shape),
+}
 
 
 @dataclass(frozen=True)
@@ -49,10 +53,10 @@ class SimulationSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ShapeMismatch(f"trials must be >= 1, got {self.trials}")
-        if self.distribution not in _GENERATORS:
+        if self.distribution not in GENERATORS:
             raise ShapeMismatch(
                 f"unknown generator {self.distribution!r}; "
-                f"choose one of {_GENERATORS}"
+                f"choose one of {tuple(GENERATORS)}"
             )
 
 
@@ -70,16 +74,6 @@ class SimulationResult:
     trials: int
     seed: int
     degenerate_se: bool = False
-
-
-def _unit_variance_draws(
-    rng: np.random.Generator, shape: tuple[int, int], distribution: str
-) -> np.ndarray:
-    if distribution == "gaussian":
-        return rng.standard_normal(shape)
-    # Uniform on [-sqrt(3), sqrt(3)]: zero mean, unit variance.
-    root3 = math.sqrt(3.0)
-    return rng.uniform(-root3, root3, size=shape)
 
 
 def _moment_factor(joint_cov: np.ndarray) -> np.ndarray:
@@ -105,66 +99,46 @@ def simulate(
     """
     model = spec.model
     n = model.n_judges
-    if len(w) != n:
-        raise ShapeMismatch(f"weight vector has length {len(w)} for {n} judges")
-    if len(p) != n:
-        raise ShapeMismatch(
-            f"selection distribution has length {len(p)} for {n} judges"
-        )
+    _check_length(n, len(w), "weight vector")
+    _check_length(n, len(p), "selection distribution")
     factor = _moment_factor(model.joint_covariance())
     mean = np.concatenate([model.judge_means, [model.criterion_mean]])
     weights = w.weights
     probs = p.probs
+    draw = GENERATORS[spec.distribution]
 
-    crowd_sums: list[float] = []
-    crowd_sq_sums: list[float] = []
-    indiv_sums: list[float] = []
-    indiv_sq_sums: list[float] = []
-    remaining = spec.trials
-    chunk_index = 0
-    while remaining > 0:
-        m = min(remaining, CHUNK_TRIALS)
-        rng = _chunk_rng(spec.seed, chunk_index)
-        z = _unit_variance_draws(rng, (m, n + 1), spec.distribution)
+    t = spec.trials
+    chunk_sums: list[list[float]] = []
+    for start in range(0, t, CHUNK_TRIALS):
+        m = min(t - start, CHUNK_TRIALS)
+        rng = _chunk_rng(spec.seed, start // CHUNK_TRIALS)
+        # Holding z to the next chunk keeps malloc from trimming and refaulting.
+        z = draw(rng, (m, n + 1))
         draws = z @ factor.T + mean
         judgments = draws[:, :n]
         criterion = draws[:, n]
         crowd_err = (judgments @ weights - criterion) ** 2
         chosen = rng.choice(n, size=m, p=probs)
         indiv_err = (judgments[np.arange(m), chosen] - criterion) ** 2
-        crowd_sums.append(math.fsum(crowd_err))
-        crowd_sq_sums.append(math.fsum(crowd_err * crowd_err))
-        indiv_sums.append(math.fsum(indiv_err))
-        indiv_sq_sums.append(math.fsum(indiv_err * indiv_err))
-        remaining -= m
-        chunk_index += 1
+        errors = (crowd_err, crowd_err * crowd_err, indiv_err, indiv_err * indiv_err)
+        chunk_sums.append([math.fsum(e) for e in errors])
+    crowd_total, crowd_sq, indiv_total, indiv_sq = map(math.fsum, zip(*chunk_sums))
+    crowd_mean = crowd_total / t
+    indiv_mean = indiv_total / t
 
-    t = spec.trials
-    crowd_mean = math.fsum(crowd_sums) / t
-    indiv_mean = math.fsum(indiv_sums) / t
-    if t < 2:
-        return SimulationResult(
-            empirical_crowd_mse=crowd_mean,
-            empirical_individual_mse=indiv_mean,
-            standard_errors=(0.0, 0.0),
-            trials=t,
-            seed=spec.seed,
-            degenerate_se=True,
-        )
-
-    def se(total: float, total_sq: float, mean_val: float) -> float:
+    def se(total_sq: float, mean_val: float) -> float:
+        if t < 2:
+            return 0.0
         var = (total_sq - t * mean_val * mean_val) / (t - 1)
         return math.sqrt(max(var, 0.0) / t)
 
     return SimulationResult(
         empirical_crowd_mse=crowd_mean,
         empirical_individual_mse=indiv_mean,
-        standard_errors=(
-            se(math.fsum(crowd_sums), math.fsum(crowd_sq_sums), crowd_mean),
-            se(math.fsum(indiv_sums), math.fsum(indiv_sq_sums), indiv_mean),
-        ),
+        standard_errors=(se(crowd_sq, crowd_mean), se(indiv_sq, indiv_mean)),
         trials=t,
         seed=spec.seed,
+        degenerate_se=t < 2,
     )
 
 
@@ -222,14 +196,10 @@ def random_model(
     target = min(max((max(lo, floor) + hi) / 2.0, floor), 1.0)
     base = np.full((n_judges, n_judges), target)
     np.fill_diagonal(base, 1.0)
-    alpha = 1.0
-    if n_judges >= 2:
-        off = ~np.eye(n_judges, dtype=bool)
-        for r in corr[off]:
-            if r > hi:
-                alpha = min(alpha, (hi - target) / (r - target))
-            elif r < lo:
-                alpha = min(alpha, (target - lo) / (target - r))
+    off = corr[~np.eye(n_judges, dtype=bool)]
+    above, below = off[off > hi], off[off < lo]
+    ratios = (hi - target) / (above - target), (target - lo) / (target - below)
+    alpha = float(np.concatenate([[1.0], *ratios]).min())
     blended = alpha * corr + (1.0 - alpha) * base
     np.fill_diagonal(blended, 1.0)
     sd = rng.uniform(0.5, 2.0, size=n_judges)

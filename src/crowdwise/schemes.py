@@ -485,12 +485,10 @@ def optimal_weights(
     w = np.full(n, 1.0 / n) if start is None else start.weights
     # ``kept``: steps in a row that kept the support.  ``best_fall`` and
     # ``last_fall``: the largest and the latest fall in f over the gradient
-    # steps since the last face move; a failed gradient step falls by zero.
-    # ``face_failed`` and ``gradient_failed``: that move was tried from this
-    # very w and did not lower f.
+    # steps since the last face move.  A failed gradient step falls by zero,
+    # so the next iteration tries the face from the same w.
     support, kept = None, 0
     best_fall, last_fall = 0.0, math.inf
-    face_failed = gradient_failed = False
     for iteration in range(max_iterations + 1):
         grad = objective_gradient(model, w)
         if _certificate_residual(w, grad) <= tolerance:
@@ -500,22 +498,21 @@ def optimal_weights(
         active = w > ACTIVE_WEIGHT
         kept = kept + 1 if np.array_equal(active, support) else 0
         support = active
-        if (kept >= 2 or last_fall <= STALL * best_fall) and not face_failed:
+        face_tried = kept >= 2 or last_fall <= STALL * best_fall
+        if face_tried:
             kept, best_fall, last_fall = 0, 0.0, math.inf
             moved = _face_step(q2, b, w, grad)
             if moved is not None:
-                w, gradient_failed = moved[0], False
+                w = moved[0]
                 continue
-            face_failed = True
-        moved = None if gradient_failed else _gradient_step(q2, w, grad)
+        moved = _gradient_step(q2, w, grad)
         if moved is not None:
             w, last_fall = moved
             best_fall = max(best_fall, last_fall)
-            face_failed = False
-        elif face_failed:
+        elif face_tried:
             # Neither move lowers f from w, so every later iteration would
             # repeat this one.
             break
         else:
-            gradient_failed, last_fall = True, 0.0
+            last_fall = 0.0
     raise NoConvergence(build(w, max_iterations))

@@ -28,6 +28,14 @@ from crowdwise.schemes import optimal_weights, uniform_selection, uniform_weight
 from crowdwise.wisdom import evaluate
 
 BASIC_CSV = "a,b,criterion\n1,2,2\n3,4,3\n"
+VALID_MODEL = (
+    "judge_labels = a, b\n"
+    "judge_means = 0.0, 0.0\n"
+    "judge_cov = 1.0, 0.0, 0.0, 1.0\n"
+    "criterion_mean = 0.0\n"
+    "criterion_var = 1.0\n"
+    "cross_cov = 0.0, 0.0\n"
+)
 
 
 @pytest.fixture
@@ -463,6 +471,22 @@ class TestAnalyzeCommand:
             "  b                0.5          0.5          0.75           1\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, note",
+        [
+            (["analyze"], "  note: undefined: criterion variance is zero"),
+            (["optimize"], "  note: minimizer may not be unique (singular curvature)"),
+            (["simulate", "--trials", "1"], "  note: single trial, standard errors reported as zero"),
+        ],
+        ids=["skill_note", "possibly_nonunique", "degenerate_se"],
+    )
+    def test_human_notes(self, argv, note, tmp_path, capsys):
+        # A fixed criterion and two identical judges: no skill, singular Q.
+        path = tmp_path / "twins.txt"
+        save_model(fixed_criterion_model([0.0, 0.0], np.ones((2, 2)), 0.0), str(path))
+        assert main(argv + ["--model", str(path)]) == 0
+        assert note in capsys.readouterr().out.splitlines()
+
     def test_file_path_equals_in_memory_path(self, data_csv, tmp_path, capsys):
         # ingest -> estimate -> save -> load -> analyze vs direct evaluation
         sample = ingest_csv(data_csv)
@@ -765,6 +789,108 @@ class TestExitCodes:
             "error: model validation failed: "
             "WeightVector entries sum past the largest float\n"
         )
+
+    @pytest.mark.parametrize(
+        "files, argv, code, err",
+        [
+            pytest.param(
+                {"x.csv": ""}, "analyze --data {d}/x.csv", 2, "error: {d}/x.csv is empty",
+                id="empty csv",
+            ),
+            pytest.param(
+                {"x.csv": "criterion,a,criterion\n1,2,3\n4,5,6\n"},
+                "analyze --data {d}/x.csv",
+                2,
+                "error: {d}/x.csv has multiple 'criterion' columns",
+                id="two criterion columns",
+            ),
+            pytest.param(
+                {"x.csv": "criterion\n1\n2\n"},
+                "analyze --data {d}/x.csv",
+                2,
+                "error: {d}/x.csv has no judge columns besides 'criterion'",
+                id="no judge columns",
+            ),
+            pytest.param(
+                {"m.txt": VALID_MODEL + "criterion_var = 2.0\n"},
+                "analyze --model {d}/m.txt",
+                2,
+                "error: {d}/m.txt line 7: duplicate key 'criterion_var'",
+                id="duplicate model key",
+            ),
+            pytest.param(
+                {"m.txt": VALID_MODEL.replace("a, b", "a, , b")},
+                "analyze --model {d}/m.txt",
+                2,
+                "error: {d}/m.txt: empty judge label",
+                id="empty judge label",
+            ),
+            pytest.param(
+                {"m.txt": VALID_MODEL.replace("judge_means = 0.0,", "judge_means =")},
+                "analyze --model {d}/m.txt",
+                2,
+                "error: {d}/m.txt: 1 judge_means for 2 labels",
+                id="judge_means count",
+            ),
+            pytest.param(
+                {"m.txt": VALID_MODEL.replace("cross_cov = 0.0,", "cross_cov = 0.0, 0.0,")},
+                "analyze --model {d}/m.txt",
+                2,
+                "error: {d}/m.txt: 3 cross_cov entries for 2 labels",
+                id="cross_cov count",
+            ),
+            pytest.param(
+                {"m.txt": VALID_MODEL.replace("criterion_mean = 0.0", "criterion_mean = x")},
+                "analyze --model {d}/m.txt",
+                2,
+                "error: {d}/m.txt: criterion_mean and criterion_var must be numbers",
+                id="non-numeric criterion_mean",
+            ),
+            pytest.param(
+                {"m.txt": None},
+                "analyze --model {d}/m.txt",
+                2,
+                "error: cannot read {d}/m.txt: [Errno 21] Is a directory: '{d}/m.txt'",
+                id="directory as model",
+            ),
+            pytest.param(
+                {"x.csv": BASIC_CSV, "w.txt": "0.2 0.3 0.5\n"},
+                "analyze --data {d}/x.csv --weights {d}/w.txt",
+                2,
+                "error: {d}/w.txt: weights file has 3 entries for 2 judges",
+                id="weights count",
+            ),
+            pytest.param(
+                {"g.txt": "n_judges = 2.5\n"},
+                "sweep --sweep-grid {d}/g.txt",
+                2,
+                "error: {d}/g.txt: n_judges must be positive integers",
+                id="fractional grid size",
+            ),
+            pytest.param(
+                {"x.csv": BASIC_CSV, "c.csv": "label,mean,variance,cov_with_criterion,a,b\n"},
+                "candidate --data {d}/x.csv --candidates {d}/c.csv",
+                2,
+                "error: {d}/c.csv lists no candidates",
+                id="no candidates",
+            ),
+            pytest.param(
+                {"x.csv": BASIC_CSV},
+                "simulate --data {d}/x.csv --trials x",
+                1,
+                "usage error: argument --trials: must be an integer >= 1, got 'x'",
+                id="non-numeric trials",
+            ),
+        ],
+    )
+    def test_input_errors_are_one_line(self, files, argv, code, err, tmp_path, capsys):
+        for name, text in files.items():
+            if text is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(text)
+        assert main(argv.replace("{d}", str(tmp_path)).split()) == code
+        assert capsys.readouterr() == ("", err.replace("{d}", str(tmp_path)) + "\n")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_internal_error_is_three_without_traceback(self, tmp_path, capsys):

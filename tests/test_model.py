@@ -307,6 +307,20 @@ class TestFixedCriterionModel:
         for model in model_corpus(40):
             assert validate_model(model) == []
 
+    def test_joint_matrix_is_not_factored(self, monkeypatch):
+        # Its last pivot is -|l|^2 <= 0, so Cholesky could never factor it.
+        model = fixed_criterion_model([0.5, 1.0, 0.0], np.diag([1.0, 2.0, 3.0]), 0.0)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(m):
+            calls.append(m.shape)
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        assert validate_model(model) == []
+        assert calls == []
+
 
 def separate_spectra_violations(model: CrowdModel) -> list[str]:
     """The violations as one eigensolve each of judge_cov and of the joint

@@ -26,6 +26,7 @@ from crowdwise.errors import (
     ZeroJudges,
 )
 from crowdwise.model import CrowdModel, fixed_criterion_model, validate_model
+from crowdwise.montecarlo import random_model
 from crowdwise.schemes import (
     _certificate_residual,
     best_member_selection,
@@ -540,6 +541,20 @@ class TestFaceSolve:
             w = optimal_weights(twin).weights.weights
             assert abs(w[judge] - w[-1]) <= 1e-12
         assert linalg_calls["lstsq"] > 0
+
+    def test_duplicates_solve_alike_at_every_scale(self):
+        # Scaling by s multiplies f and its certificate by s^2; the
+        # least-squares face solve must not let s move the answer.
+        for seed in range(40):
+            twin = with_twin(random_model(2 + seed % 5, seed=seed), 0)
+            unit = optimal_weights(twin)
+            for exponent in range(-30, 31, 10):
+                s = 10.0**exponent
+                scaled = optimal_weights(affine_model(twin, s, 0.0), tolerance=1e-10 * s * s)
+                assert scaled.iterations == unit.iterations
+                np.testing.assert_allclose(
+                    scaled.weights.weights, unit.weights.weights, rtol=0.0, atol=1e-12
+                )
 
     @pytest.mark.parametrize("perturb", ["row", "variance"])
     def test_near_duplicates_certify_and_split_evenly(self, perturb):
