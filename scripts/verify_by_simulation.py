@@ -2,9 +2,10 @@
 """Spot-check the analytic error formulas against seeded simulation.
 
 Generates a handful of random crowds, computes crowd and individual MSE
-analytically under uniform and optimal weights, simulates the same
-quantities, and prints both with the Monte Carlo standard error.  Large
-deviations (beyond 4 standard errors) are flagged loudly.
+and the wisdom gap between them analytically under uniform and optimal
+weights, simulates the same quantities, and prints both with the Monte Carlo
+standard error.  Large deviations (beyond 4 standard errors) are flagged
+loudly.
 
 Usage:
     python scripts/verify_by_simulation.py [--models 8] [--trials 200000]
@@ -55,6 +56,9 @@ def run(argv=None) -> int:
                  result.empirical_crowd_mse, result.standard_errors[0]),
                 ("individual MSE", analytic.individual_mse,
                  result.empirical_individual_mse, result.standard_errors[1]),
+                ("wisdom gap", analytic.wisdom_gap,
+                 result.empirical_individual_mse - result.empirical_crowd_mse,
+                 result.wisdom_gap_se),
             )
             for quantity, expected, observed, se in rows:
                 ok = abs(observed - expected) <= 4.0 * max(se, 1e-12)

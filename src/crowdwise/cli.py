@@ -558,7 +558,7 @@ def _human_simulate(values: dict, args: argparse.Namespace) -> list[str]:
         f"  {'individual MSE':<18} {v['empirical_individual_mse']:<16} "
         f"{v['analytic_individual_mse']:<16} {v['individual_mse_se']}",
         f"  {'wisdom gap':<18} {v['empirical_wisdom_gap']:<16} "
-        f"{v['analytic_wisdom_gap']:<16}",
+        f"{v['analytic_wisdom_gap']:<16} {v['wisdom_gap_se']}",
     ]
     if values["degenerate_se"]:
         lines.append("  note: single trial, standard errors reported as zero")
@@ -688,6 +688,7 @@ def _cmd_simulate(args: argparse.Namespace) -> list[tuple[str, object]]:
         ("empirical_individual_mse", result.empirical_individual_mse),
         ("crowd_mse_se", result.standard_errors[0]),
         ("individual_mse_se", result.standard_errors[1]),
+        ("wisdom_gap_se", result.wisdom_gap_se),
         ("degenerate_se", result.degenerate_se),
         ("analytic_crowd_mse", analytic.crowd_mse),
         ("analytic_individual_mse", analytic.individual_mse),

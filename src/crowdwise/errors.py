@@ -71,21 +71,25 @@ class JointNotPSD(CrowdwiseError):
 
 
 class NoConvergence(CrowdwiseError):
-    """Weight optimization hit its iteration cap, or stopped early at a
-    point that no step lowers, where every later iteration would repeat.
+    """Weight optimization hit its iteration cap, or, when ``stalled``,
+    stopped early at a point that no step lowers, where every later
+    iteration would repeat.
 
     ``best`` holds the last iterate, which descent makes the best one, as a
-    QPSolution certified at its own weights; its ``iterations`` is the cap.
+    QPSolution certified at its own weights; its ``iterations`` is the cap,
+    or the iteration at which the solver stopped.
     """
 
     exit_code = 3
 
-    def __init__(self, best):
+    def __init__(self, best, stalled: bool = False):
         self.best = best
-        super().__init__(
-            f"optimizer did not converge within {best.iterations} iterations "
-            f"(residual {best.kkt_residual:.3e})"
+        cause = (
+            f"stopped at iteration {best.iterations}: no step lowers the objective"
+            if stalled
+            else f"did not converge within {best.iterations} iterations"
         )
+        super().__init__(f"optimizer {cause} (residual {best.kkt_residual:.3e})")
 
 
 class InfeasibleCorrelationRange(CrowdwiseError):

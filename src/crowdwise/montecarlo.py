@@ -10,10 +10,14 @@ depend on shape.  ``GENERATORS`` names both.
 
 Sampling is factorized through a symmetric eigendecomposition with negative
 eigenvalues clamped at zero, so singular covariances (perfect hedges,
-duplicated judges) sample fine.  Trials are partitioned into fixed-size
-chunks with seeds derived from (seed, chunk index); each chunk's sums of both
-errors and their squares are merged by compensated summation in chunk order,
-so a given seed yields a bit-identical result regardless of interleaving.
+duplicated judges) sample fine.  The individual error of a trial is its
+conditional expectation over the selection distribution given the draw, not
+the error of one sampled judge.  Trials are partitioned into fixed-size
+chunks with seeds derived from (seed, chunk index); within a chunk the draws
+come first, and ``np.sum`` takes the chunk's sums of both errors and their
+gap, and of their squared deviations from the chunk's mean.  The per-chunk
+partials are merged by ``math.fsum`` in chunk order, so a given seed yields
+a bit-identical result.
 
 ``random_model`` generates validated models for property suites: random
 factor-built covariances rescaled so pairwise judge correlations land in a
@@ -64,13 +68,16 @@ class SimulationSpec:
 class SimulationResult:
     """Empirical means of both squared errors, with standard errors.
 
-    ``degenerate_se`` flags a single-trial run, where the spread of one
-    observation is reported as zero rather than undefined.
+    ``wisdom_gap_se`` is the standard error of the per-trial difference
+    between the individual and the crowd error, whose mean is the empirical
+    wisdom gap.  ``degenerate_se`` flags a single-trial run, where the
+    spread of one observation is reported as zero rather than undefined.
     """
 
     empirical_crowd_mse: float
     empirical_individual_mse: float
     standard_errors: tuple[float, float]
+    wisdom_gap_se: float
     trials: int
     seed: int
     degenerate_se: bool = False
@@ -91,51 +98,66 @@ def simulate(
 ) -> SimulationResult:
     """Estimate both expected squared errors by simulation.
 
-    Each trial draws one joint (judges, criterion) realization; the crowd
-    error uses the weighted aggregate and the individual error uses a judge
-    index drawn from ``p`` against the same judgments (common random numbers,
-    which tightens the estimated gap).  Within a chunk the judgment draws
-    come first, then the judge indices.
+    Each trial draws one joint (judges, criterion) realization, mapped in
+    one product onto the judges' errors against the criterion.  The crowd
+    error is the weighted aggregate's, since the weights sum to one.  The
+    individual error is its conditional expectation given the draw: the
+    judges' squared errors averaged under ``p``, with no judge index drawn
+    (Rao-Blackwellisation, which can only shrink its variance).  Both come
+    from the same draw, so the per-trial gap between them has its own,
+    tighter standard error.  Within a chunk the draws come first; ``np.sum``
+    takes the chunk's sums and ``math.fsum`` merges them in chunk order.
     """
     model = spec.model
     n = model.n_judges
     _check_length(n, len(w), "weight vector")
     _check_length(n, len(p), "selection distribution")
     factor = _moment_factor(model.joint_covariance())
-    mean = np.concatenate([model.judge_means, [model.criterion_mean]])
+    error_map = (factor[:n] - factor[n]).T
+    bias = model.judge_means - model.criterion_mean
     weights = w.weights
     probs = p.probs
     draw = GENERATORS[spec.distribution]
 
     t = spec.trials
-    chunk_sums: list[list[float]] = []
+    # Per chunk: its size, and for the crowd error, the individual error and
+    # their gap, each sum and sum of squares about the chunk's own mean.
+    chunks: list[tuple[int, list[float], list[float]]] = []
     for start in range(0, t, CHUNK_TRIALS):
         m = min(t - start, CHUNK_TRIALS)
         rng = _chunk_rng(spec.seed, start // CHUNK_TRIALS)
-        # Holding z to the next chunk keeps malloc from trimming and refaulting.
-        z = draw(rng, (m, n + 1))
-        draws = z @ factor.T + mean
-        judgments = draws[:, :n]
-        criterion = draws[:, n]
-        crowd_err = (judgments @ weights - criterion) ** 2
-        chosen = rng.choice(n, size=m, p=probs)
-        indiv_err = (judgments[np.arange(m), chosen] - criterion) ** 2
-        errors = (crowd_err, crowd_err * crowd_err, indiv_err, indiv_err * indiv_err)
-        chunk_sums.append([math.fsum(e) for e in errors])
-    crowd_total, crowd_sq, indiv_total, indiv_sq = map(math.fsum, zip(*chunk_sums))
-    crowd_mean = crowd_total / t
-    indiv_mean = indiv_total / t
+        errors = draw(rng, (m, n + 1)) @ error_map
+        errors += bias
+        crowd_err = (errors @ weights) ** 2
+        errors *= errors
+        indiv_err = errors @ probs
+        per_trial = (crowd_err, indiv_err, indiv_err - crowd_err)
+        sums = [float(np.sum(e)) for e in per_trial]
+        squares = [float(np.sum((e - s / m) ** 2)) for e, s in zip(per_trial, sums)]
+        chunks.append((m, sums, squares))
 
-    def se(total_sq: float, mean_val: float) -> float:
+    def mean_and_se(k: int) -> tuple[float, float]:
+        """Mean of per-trial quantity k, and its standard error.
+
+        Chunks are pooled by Chan, Golub and LeVeque's update, so no raw sum
+        of squares cancels against the squared mean.
+        """
+        mean = math.fsum(totals[k] for _, totals, _ in chunks) / t
         if t < 2:
-            return 0.0
-        var = (total_sq - t * mean_val * mean_val) / (t - 1)
-        return math.sqrt(max(var, 0.0) / t)
+            return mean, 0.0
+        spread = math.fsum(centred[k] for _, _, centred in chunks) + math.fsum(
+            size * (totals[k] / size - mean) ** 2 for size, totals, _ in chunks
+        )
+        return mean, math.sqrt(spread / (t - 1) / t)
 
+    (crowd_mean, crowd_se), (indiv_mean, indiv_se), (_, gap_se) = map(
+        mean_and_se, range(3)
+    )
     return SimulationResult(
         empirical_crowd_mse=crowd_mean,
         empirical_individual_mse=indiv_mean,
-        standard_errors=(se(crowd_sq, crowd_mean), se(indiv_sq, indiv_mean)),
+        standard_errors=(crowd_se, indiv_se),
+        wisdom_gap_se=gap_se,
         trials=t,
         seed=spec.seed,
         degenerate_se=t < 2,

@@ -457,7 +457,8 @@ def optimal_weights(
         NoConvergence: iteration cap reached, or neither move lowers the
             objective any more, so every later iteration would repeat the
             last one.  Carries the last iterate, which is the best one,
-            certified at its stored weights, with ``iterations`` the cap.
+            certified at its stored weights, with ``iterations`` the cap or
+            the iteration at which it stopped.
     """
     nonfinite = _nonfinite_violation(model)
     if nonfinite:
@@ -512,7 +513,7 @@ def optimal_weights(
         elif face_tried:
             # Neither move lowers f from w, so every later iteration would
             # repeat this one.
-            break
+            raise NoConvergence(build(w, iteration), stalled=True)
         else:
             last_fall = 0.0
     raise NoConvergence(build(w, max_iterations))

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from crowdwise import schemes
 from crowdwise.model import CrowdModel
 from crowdwise.montecarlo import random_model
 
@@ -66,6 +67,20 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+@pytest.fixture
+def gradient_calls(monkeypatch):
+    """Calls of ``schemes.objective_gradient``: one per solver iteration, and
+    one to certify the returned iterate."""
+    calls = []
+    original = schemes.objective_gradient
+    monkeypatch.setattr(
+        schemes,
+        "objective_gradient",
+        lambda model, w: calls.append(1) or original(model, w),
+    )
+    return calls
 
 
 def affine_model(model: CrowdModel, a: float, b: float) -> CrowdModel:

@@ -939,7 +939,33 @@ class TestExitCodes:
         path = tmp_path / "model.txt"
         save_model(model, str(path))
         assert main(["optimize", "--model", str(path), "--max-iterations", "1"]) == 3
-        capsys.readouterr()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: optimizer did not converge within 1 iterations "
+            "(residual 1.038e+00)\n"
+        )
+
+    def test_fixed_point_says_where_it_stopped(self, tmp_path, capsys, gradient_calls):
+        # At scale 1e100 no step lowers the objective after a few moves; the
+        # solver stops there and reports that iteration, not the cap.
+        path = tmp_path / "huge.txt"
+        path.write_text(
+            "judge_labels = a, b\n"
+            "judge_means = 1e100, 2e100\n"
+            "judge_cov = 1e100, 0.0, 0.0, 1e100\n"
+            "criterion_mean = 1.5e100\n"
+            "criterion_var = 1e100\n"
+            "cross_cov = 0.0, 5e99\n"
+        )
+        assert main(["optimize", "--model", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: optimizer stopped at iteration 3: no step lowers the "
+            "objective (residual 1.000e+100)\n"
+        )
+        assert len(gradient_calls) == 3 + 2
 
     @pytest.mark.parametrize(
         "flag", ["--data", "--model", "--candidates", "--weights", "--sweep-grid"]

@@ -54,6 +54,7 @@ class TestSimulate:
         spec = SimulationSpec(perfect_predictor_model(), trials=1, seed=4)
         result = simulate(spec, WeightVector([1.0]), SelectionDistribution([1.0]))
         assert result.standard_errors == (0.0, 0.0)
+        assert result.wisdom_gap_se == 0.0
         assert result.degenerate_se
 
     def test_fixed_seed_is_bit_identical(self):
@@ -65,6 +66,60 @@ class TestSimulate:
         assert first.empirical_crowd_mse == second.empirical_crowd_mse
         assert first.empirical_individual_mse == second.empirical_individual_mse
         assert first.standard_errors == second.standard_errors
+        assert first.wisdom_gap_se == second.wisdom_gap_se
+
+    def test_point_mass_on_one_judge_has_no_gap(self):
+        # With w = p = e_j the crowd is judge j, and averaging over p picks
+        # the same judge's error from the same draw.
+        model = random_model(4, seed=12)
+        w = WeightVector([0.0, 0.0, 1.0, 0.0])
+        spec = SimulationSpec(model, trials=70_000, seed=3)
+        result = simulate(spec, w, SelectionDistribution(w.weights))
+        assert result.empirical_crowd_mse == result.empirical_individual_mse
+        assert result.standard_errors[0] == result.standard_errors[1]
+        assert result.wisdom_gap_se == 0.0
+
+    def test_gap_spread_is_not_cancelled_away(self):
+        # Perfectly correlated judges one unit apart: the per-trial gap is
+        # constant up to the factor's rounding (about 1e-9 here).  A raw sum
+        # of squares minus the squared mean cancels that spread to zero,
+        # while the mean gap still misses the closed form by about 1e-10.
+        model = CrowdModel(
+            judge_means=[2.0, 3.0],
+            judge_cov=[[2.0, 2.0], [2.0, 2.0]],
+            criterion_mean=2.5,
+            criterion_var=0.5,
+            cross_cov=[1.0, 1.0],
+        )
+        w, p = uniform_weights(2), uniform_selection(2)
+        analytic = evaluate(model, w, p)
+        for seed in range(8):
+            result = simulate(SimulationSpec(model, trials=1_000, seed=seed), w, p)
+            gap = result.empirical_individual_mse - result.empirical_crowd_mse
+            assert abs(gap - analytic.wisdom_gap) <= 4.0 * result.wisdom_gap_se
+
+    def test_standard_errors_are_calibrated(self):
+        # Across seeds, each estimate's miss of its closed form, in units of
+        # its own standard error, should spread like a standard normal.
+        z = {"crowd": [], "individual": [], "gap": []}
+        for k, n in enumerate((2, 3, 5)):
+            model = random_model(n, seed=400 + k)
+            w = optimal_weights(model).weights if k % 2 else uniform_weights(n)
+            p = SelectionDistribution(np.arange(1.0, n + 1.0))
+            analytic = evaluate(model, w, p)
+            for seed in range(40):
+                spec = SimulationSpec(model, trials=1 << 12, seed=seed)
+                result = simulate(spec, w, p)
+                crowd = result.empirical_crowd_mse
+                indiv = result.empirical_individual_mse
+                se_crowd, se_indiv = result.standard_errors
+                z["crowd"].append((crowd - analytic.crowd_mse) / se_crowd)
+                z["individual"].append((indiv - analytic.individual_mse) / se_indiv)
+                z["gap"].append(
+                    (indiv - crowd - analytic.wisdom_gap) / result.wisdom_gap_se
+                )
+        for quantity, scores in z.items():
+            assert 0.75 <= np.std(scores, ddof=1) <= 1.25, quantity
 
     def test_different_seeds_differ(self):
         model = random_model(3, seed=55)
@@ -129,6 +184,10 @@ class TestSimulate:
                 assert abs(
                     result.empirical_individual_mse - analytic.individual_mse
                 ) <= 4.0 * max(se_indiv, 1e-12)
+                gap = result.empirical_individual_mse - result.empirical_crowd_mse
+                assert abs(gap - analytic.wisdom_gap) <= 4.0 * max(
+                    result.wisdom_gap_se, 1e-12
+                )
 
 
 class TestRandomModel:
