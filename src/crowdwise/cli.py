@@ -778,14 +778,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _at_least(low: int, convert=int):
+    kind = "an integer" if convert is int else "a finite number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {kind} >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -822,8 +827,8 @@ def _build_parser() -> _Parser:
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0)
     solver = _Parser(add_help=False)
-    solver.add_argument("--tolerance", type=float, default=1e-10)
-    solver.add_argument("--max-iterations", type=int, default=100_000)
+    solver.add_argument("--tolerance", type=_at_least(0, float), default=1e-10)
+    solver.add_argument("--max-iterations", type=_at_least(0), default=100_000)
 
     parser = _Parser(prog="crowdwise", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -856,7 +861,7 @@ def _build_parser() -> _Parser:
         parents=[source, weights, seeded],
     )
     p.set_defaults(handler=(_cmd_simulate, _human_simulate))
-    p.add_argument("--trials", type=_at_least_one, default=100_000)
+    p.add_argument("--trials", type=_at_least(1), default=100_000)
     p.add_argument("--generator", default="gaussian", choices=tuple(GENERATORS))
 
     p = sub.add_parser(

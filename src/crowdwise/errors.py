@@ -76,8 +76,8 @@ class NoConvergence(CrowdwiseError):
     iteration would repeat.
 
     ``best`` holds the last iterate, which descent makes the best one, as a
-    QPSolution certified at its own weights; its ``iterations`` is the cap,
-    or the iteration at which the solver stopped.
+    QPSolution certified and tested for uniqueness at its own weights; its
+    ``iterations`` is the cap, or the iteration at which the solver stopped.
     """
 
     exit_code = 3

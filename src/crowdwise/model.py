@@ -109,15 +109,11 @@ class CrowdModel:
     def joint_spectrum(self) -> tuple[float, float]:
         """Smallest and largest eigenvalue of the symmetrised joint covariance.
 
-        Computed once per model; the arrays are read-only, so it cannot go
-        stale.  By Cauchy interlacing the smallest is a lower bound on the
-        smallest eigenvalue of ``judge_cov``, a principal submatrix.
+        Computed once per model, for ``validate_model`` and the ``JointNotPSD``
+        of ``extend_model``; the arrays are read-only, so it cannot go stale.
+        By Cauchy interlacing the smallest bounds ``judge_cov``'s from below.
         """
         return _extreme_eigenvalues(self.joint_covariance())
-
-    def computed_joint_spectrum(self) -> tuple[float, float] | None:
-        """``joint_spectrum`` if something already computed it, else None."""
-        return vars(self).get("joint_spectrum")
 
 
 @dataclass(frozen=True)

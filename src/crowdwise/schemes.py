@@ -23,7 +23,8 @@ Convergence is certified by the first-order residual over the simplex: with
 tau = min_i df/dw_i, the residual is the largest excess df/dw_i - tau over
 judges carrying weight.  A residual of r guarantees the objective is within
 r of the true minimum, so a converged solution beats every single judge and
-hence every selection distribution.
+hence every selection distribution.  It is the only minimizer unless a
+sum-zero direction on the optimal face has no curvature.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     ZeroCriterionVariance,
     ZeroJudges,
 )
-from .model import EIGEN_ROUNDING, CrowdModel, _nonfinite_violation, _readonly
+from .model import CrowdModel, _nonfinite_violation, _readonly
 from .wisdom import SelectionDistribution, WeightVector, crowd_mse, per_judge_mse
 
 # Weights above this threshold count as active when certifying optimality.
@@ -75,10 +76,10 @@ class SkillProfile:
 class QPSolution:
     """Optimal weights with a convergence certificate.
 
-    ``kkt_residual`` bounds the objective suboptimality.  When the Hessian is
-    singular the minimizer may be a face of the simplex rather than a point;
-    ``possibly_nonunique`` flags that case (one valid argmin is still
-    returned).
+    ``kkt_residual`` bounds the objective suboptimality.  When a sum-zero
+    direction on the optimal face, such as two identical judges that both
+    carry weight, has no curvature, ``possibly_nonunique`` flags that the
+    minimizer may not be a point (one valid argmin is still returned).
     """
 
     weights: WeightVector
@@ -408,25 +409,23 @@ def _gradient_step(
     return _projected_search(q2, grad, w, -t * grad)
 
 
-def _possibly_nonunique(model: CrowdModel, q2: np.ndarray) -> bool:
-    """Whether the smallest computed eigenvalue of ``q2`` falls below 1e-10.
+def _nonunique_on_face(
+    q2: np.ndarray, w: np.ndarray, grad: np.ndarray, tolerance: float
+) -> bool:
+    """Whether a second minimizer may lie beside ``w``.
 
-    Q = 2(Sigma + mu mu') and mu mu' is PSD, so by interlacing the exact
-    lambda_min(Q) is at least twice the smallest eigenvalue of the model's
-    joint covariance.  When that bound, less the rounding of both
-    eigensolves, clears 1e-10, the answer is no without factoring Q.  Only a
-    joint spectrum ``validate_model`` already computed is used: computing it
-    here would cost a second eigensolve wherever the bound falls short.
+    It would differ by a nonzero, sum-zero d with Qd = 0 on the optimal face
+    (Mangasarian, Oper. Res. Lett. 7, 1988): the judges carrying weight or
+    with excess grad_i - min(grad) within ``tolerance``.  H = Q[face, face]
+    is PSD, so H + c 11', c = trace(H) / k, is singular exactly when such a
+    d exists.  One judge is unique; a non-finite H is possibly nonunique.
     """
-    spectrum = model.computed_joint_spectrum()
-    if spectrum is not None:
-        smallest, largest = spectrum
-        mu = model.judge_means
-        norm_bound = 2.0 * largest + float(mu @ mu)  # ||joint|| + ||Q|| / 2
-        rounding = EIGEN_ROUNDING * (model.n_judges + 1) * norm_bound
-        if smallest - rounding >= 0.5e-10:
-            return False
-    return float(np.linalg.eigvalsh(q2)[0]) < 1e-10
+    with np.errstate(over="ignore", invalid="ignore"):
+        face = np.nonzero((w > ACTIVE_WEIGHT) | (grad - grad.min() <= tolerance))[0]
+        h = q2[np.ix_(face, face)]
+        h = h + np.trace(h) / len(face)
+        singular = not np.isfinite(h).all() or _definite_factor(h) is None
+    return len(face) > 1 and singular
 
 
 def optimal_weights(
@@ -449,7 +448,8 @@ def optimal_weights(
     then comes back bit for bit.  The iterate is accepted only once its own
     first-order certificate is within ``tolerance``, so the result is
     guaranteed wise against every selection distribution up to that slack;
-    ``kkt_residual`` is that certificate, taken at the stored weights.
+    ``kkt_residual`` is that certificate, taken at the stored weights, where
+    ``possibly_nonunique`` tests the optimal face that ``tolerance`` picks.
 
     Raises:
         ValidationFailed: some moment of the model is nan or inf.
@@ -457,8 +457,8 @@ def optimal_weights(
         NoConvergence: iteration cap reached, or neither move lowers the
             objective any more, so every later iteration would repeat the
             last one.  Carries the last iterate, which is the best one,
-            certified at its stored weights, with ``iterations`` the cap or
-            the iteration at which it stopped.
+            certified and tested for uniqueness at its stored weights, with
+            ``iterations`` the cap or the iteration at which it stopped.
     """
     nonfinite = _nonfinite_violation(model)
     if nonfinite:
@@ -469,18 +469,16 @@ def optimal_weights(
     mu = model.judge_means
     q2 = 2.0 * (model.judge_cov + np.outer(mu, mu))
     b = -2.0 * (model.criterion_mean * mu + model.cross_cov)
-    nonunique = _possibly_nonunique(model, q2)
 
     def build(w: np.ndarray, iterations: int) -> QPSolution:
         wv = WeightVector(w)
+        grad = objective_gradient(model, wv.weights)
         return QPSolution(
             weights=wv,
             objective=crowd_mse(model, wv).total,
             iterations=iterations,
-            kkt_residual=_certificate_residual(
-                wv.weights, objective_gradient(model, wv.weights)
-            ),
-            possibly_nonunique=nonunique,
+            kkt_residual=_certificate_residual(wv.weights, grad),
+            possibly_nonunique=_nonunique_on_face(q2, wv.weights, grad, tolerance),
         )
 
     w = np.full(n, 1.0 / n) if start is None else start.weights

@@ -386,6 +386,9 @@ class TestEigensolveCount:
         save_model(counted_model(kind), path)
         if kind == "fixed":
             optimal_weights(load_model(path))
+            # The solver decides uniqueness without Q's spectrum, so only
+            # judge_cov's and the joint matrix's remain.
+            assert linalg_calls["eigvalsh"] == separate_spectra - 1
         else:
             with pytest.raises(ValidationFailed):
                 load_model(path)
@@ -880,6 +883,34 @@ class TestExitCodes:
                 1,
                 "usage error: argument --trials: must be an integer >= 1, got 'x'",
                 id="non-numeric trials",
+            ),
+            pytest.param(
+                {"m.txt": VALID_MODEL},
+                "optimize --model {d}/m.txt --max-iterations -5",
+                1,
+                "usage error: argument --max-iterations: must be an integer >= 0, got '-5'",
+                id="negative max iterations",
+            ),
+            pytest.param(
+                {"m.txt": VALID_MODEL},
+                "optimize --model {d}/m.txt --tolerance nan",
+                1,
+                "usage error: argument --tolerance: must be a finite number >= 0, got 'nan'",
+                id="nan tolerance",
+            ),
+            pytest.param(
+                {"m.txt": VALID_MODEL},
+                "optimize --model {d}/m.txt --tolerance -1",
+                1,
+                "usage error: argument --tolerance: must be a finite number >= 0, got '-1'",
+                id="negative tolerance",
+            ),
+            pytest.param(
+                {},
+                "sweep --max-iterations -1",
+                1,
+                "usage error: argument --max-iterations: must be an integer >= 0, got '-1'",
+                id="negative sweep max iterations",
             ),
         ],
     )
