@@ -825,7 +825,7 @@ def _build_parser() -> _Parser:
         help="uniform | skill | inverse-mse | optimal | FILE",
     )
     seeded = _Parser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--seed", type=_at_least(0), default=0)
     solver = _Parser(add_help=False)
     solver.add_argument("--tolerance", type=_at_least(0, float), default=1e-10)
     solver.add_argument("--max-iterations", type=_at_least(0), default=100_000)

@@ -13,11 +13,14 @@ eigenvalues clamped at zero, so singular covariances (perfect hedges,
 duplicated judges) sample fine.  The individual error of a trial is its
 conditional expectation over the selection distribution given the draw, not
 the error of one sampled judge.  Trials are partitioned into fixed-size
-chunks with seeds derived from (seed, chunk index); within a chunk the draws
-come first, and ``np.sum`` takes the chunk's sums of both errors and their
-gap, and of their squared deviations from the chunk's mean.  The per-chunk
-partials are merged by ``math.fsum`` in chunk order, so a given seed yields
-a bit-identical result.
+chunks with seeds derived from (seed, chunk index), and the chunks run on a
+pool of one thread per core; numpy's draws, ufuncs and BLAS calls release
+the GIL.  A chunk draws its trials in row blocks from its own generator,
+which continues one stream, and writes each trial's crowd and individual
+error into chunk-length vectors; ``np.sum`` then takes the chunk's sums of
+both errors and their gap, and of their squared deviations from the chunk's
+mean.  The per-chunk partials are merged by ``math.fsum`` in chunk order, so
+a given seed yields a bit-identical result on any number of cores.
 
 ``random_model`` generates validated models for property suites: random
 factor-built covariances rescaled so pairwise judge correlations land in a
@@ -28,6 +31,7 @@ regression onto the judges.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,10 @@ from .model import CrowdModel
 from .wisdom import SelectionDistribution, WeightVector, _check_length
 
 CHUNK_TRIALS = 1 << 16
+# Multiply-adds in one block's product of draws by the error map.  OpenBLAS
+# runs a product this small on the calling thread, and its operands stay in
+# cache, so BLAS's own workers do not compete with the chunk pool's.
+BLOCK_MADDS = 1 << 18
 
 # Each generator's draw of zero-mean, unit-variance values in a given shape.
 GENERATORS = {
@@ -105,9 +113,20 @@ def simulate(
     judges' squared errors averaged under ``p``, with no judge index drawn
     (Rao-Blackwellisation, which can only shrink its variance).  Both come
     from the same draw, so the per-trial gap between them has its own,
-    tighter standard error.  Within a chunk the draws come first; ``np.sum``
-    takes the chunk's sums and ``math.fsum`` merges them in chunk order.
+    tighter standard error.
+
+    Chunks run on a thread pool with ``os.cpu_count()`` workers.  Each takes
+    its trials in blocks of at most ``BLOCK_MADDS`` multiply-adds, with rows
+    in multiples of 64 so that every trial gets the bits of one whole-chunk
+    product.  A crowd with N >= 64 fits no 64-row block and runs whole
+    chunks on one worker.  What a chunk returns depends only on the seed and
+    its index, and ``math.fsum`` merges the chunks in chunk order, so the
+    result does not depend on the core count.  The first failed chunk's
+    exception, or an interrupt, cancels every chunk not yet started.
     """
+    # Imported here: loading it costs every other command about 10 ms.
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
     model = spec.model
     n = model.n_judges
     _check_length(n, len(w), "weight vector")
@@ -120,21 +139,38 @@ def simulate(
     draw = GENERATORS[spec.distribution]
 
     t = spec.trials
-    # Per chunk: its size, and for the crowd error, the individual error and
-    # their gap, each sum and sum of squares about the chunk's own mean.
-    chunks: list[tuple[int, list[float], list[float]]] = []
-    for start in range(0, t, CHUNK_TRIALS):
-        m = min(t - start, CHUNK_TRIALS)
-        rng = _chunk_rng(spec.seed, start // CHUNK_TRIALS)
-        errors = draw(rng, (m, n + 1)) @ error_map
-        errors += bias
-        crowd_err = (errors @ weights) ** 2
-        errors *= errors
-        indiv_err = errors @ probs
+    rows = BLOCK_MADDS // ((n + 1) * n) // 64 * 64
+    workers = (os.cpu_count() or 1) if rows else 1
+    rows = rows or CHUNK_TRIALS
+
+    def chunk_sums(index: int) -> tuple[int, list[float], list[float]]:
+        """A chunk's size, and for the crowd error, the individual error and
+        their gap, each sum and sum of squares about the chunk's own mean."""
+        m = min(t - index * CHUNK_TRIALS, CHUNK_TRIALS)
+        rng = _chunk_rng(spec.seed, index)
+        crowd_err, indiv_err = np.empty(m), np.empty(m)
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            errors = draw(rng, (hi - lo, n + 1)) @ error_map
+            errors += bias
+            crowd_err[lo:hi] = errors @ weights
+            errors *= errors
+            indiv_err[lo:hi] = errors @ probs
+        crowd_err *= crowd_err
         per_trial = (crowd_err, indiv_err, indiv_err - crowd_err)
         sums = [float(np.sum(e)) for e in per_trial]
         squares = [float(np.sum((e - s / m) ** 2)) for e, s in zip(per_trial, sums)]
-        chunks.append((m, sums, squares))
+        return m, sums, squares
+
+    n_chunks = -(-t // CHUNK_TRIALS)
+    pool = ThreadPoolExecutor(min(workers, n_chunks))
+    try:
+        futures = [pool.submit(chunk_sums, i) for i in range(n_chunks)]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        # A failed chunk or an interrupt cancels every chunk not yet started.
+        pool.shutdown(cancel_futures=True)
+    chunks = [future.result() for future in futures]
 
     def mean_and_se(k: int) -> tuple[float, float]:
         """Mean of per-trial quantity k, and its standard error.

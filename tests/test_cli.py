@@ -912,6 +912,20 @@ class TestExitCodes:
                 "usage error: argument --max-iterations: must be an integer >= 0, got '-1'",
                 id="negative sweep max iterations",
             ),
+            pytest.param(
+                {"x.csv": BASIC_CSV},
+                "simulate --data {d}/x.csv --seed -1",
+                1,
+                "usage error: argument --seed: must be an integer >= 0, got '-1'",
+                id="negative simulate seed",
+            ),
+            pytest.param(
+                {},
+                "sweep --seed -1",
+                1,
+                "usage error: argument --seed: must be an integer >= 0, got '-1'",
+                id="negative sweep seed",
+            ),
         ],
     )
     def test_input_errors_are_one_line(self, files, argv, code, err, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Simulation oracle: seeded reproducibility and agreement with analytics."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +12,14 @@ from hypothesis import strategies as st
 from conftest import model_corpus
 from crowdwise.errors import InfeasibleCorrelationRange, ShapeMismatch
 from crowdwise.model import CrowdModel, fixed_criterion_model, validate_model
+from crowdwise import montecarlo
 from crowdwise.montecarlo import (
+    CHUNK_TRIALS,
+    GENERATORS,
+    SimulationResult,
     SimulationSpec,
+    _chunk_rng,
+    _moment_factor,
     random_model,
     simulate,
 )
@@ -188,6 +196,90 @@ class TestSimulate:
                 assert abs(gap - analytic.wisdom_gap) <= 4.0 * max(
                     result.wisdom_gap_se, 1e-12
                 )
+
+
+def serial_reference(spec, w, p):
+    """The chunked algorithm with neither blocks nor threads: each chunk is
+    one product of all its draws, and the chunks run one after another."""
+    model = spec.model
+    n = model.n_judges
+    factor = _moment_factor(model.joint_covariance())
+    error_map = (factor[:n] - factor[n]).T
+    bias = model.judge_means - model.criterion_mean
+    t = spec.trials
+    chunks = []
+    for start in range(0, t, CHUNK_TRIALS):
+        m = min(t - start, CHUNK_TRIALS)
+        rng = _chunk_rng(spec.seed, start // CHUNK_TRIALS)
+        errors = GENERATORS[spec.distribution](rng, (m, n + 1)) @ error_map
+        errors += bias
+        crowd_err = (errors @ w.weights) ** 2
+        errors *= errors
+        indiv_err = errors @ p.probs
+        per_trial = (crowd_err, indiv_err, indiv_err - crowd_err)
+        sums = [float(np.sum(e)) for e in per_trial]
+        squares = [float(np.sum((e - s / m) ** 2)) for e, s in zip(per_trial, sums)]
+        chunks.append((m, sums, squares))
+    stats = []
+    for k in range(3):
+        mean = math.fsum(totals[k] for _, totals, _ in chunks) / t
+        spread = math.fsum(centred[k] for _, _, centred in chunks) + math.fsum(
+            size * (totals[k] / size - mean) ** 2 for size, totals, _ in chunks
+        )
+        stats.append((mean, math.sqrt(spread / (t - 1) / t) if t > 1 else 0.0))
+    (crowd_mean, crowd_se), (indiv_mean, indiv_se), (_, gap_se) = stats
+    return SimulationResult(
+        crowd_mean, indiv_mean, (crowd_se, indiv_se), gap_se, t, spec.seed, t < 2
+    )
+
+
+class TestChunkPool:
+    @pytest.mark.parametrize("distribution", sorted(GENERATORS))
+    def test_block_draws_continue_one_stream(self, distribution):
+        draw = GENERATORS[distribution]
+        whole = draw(_chunk_rng(5, 2), (1000, 21))
+        rng = _chunk_rng(5, 2)
+        blocks = [draw(rng, (rows, 21)) for rows in (576, 64, 360)]
+        assert np.array_equal(whole, np.concatenate(blocks))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 50, 63, 120])
+    def test_bits_match_serial_whole_chunks(self, n):
+        # Blocks of 64-row multiples and any number of workers must give
+        # every bit of the serial, whole-chunk algorithm.
+        model = random_model(n, seed=700 + n)
+        rng = np.random.default_rng(n)
+        w = WeightVector(rng.dirichlet(np.ones(n)))
+        p = SelectionDistribution(rng.dirichlet(np.ones(n)))
+        for trials in (1, 2, 999, 65535, 65536, 65537, 3 * 65536 + 5):
+            for distribution in sorted(GENERATORS):
+                spec = SimulationSpec(model, trials, seed=trials % 97, distribution=distribution)
+                assert simulate(spec, w, p) == serial_reference(spec, w, p), (
+                    trials, distribution
+                )
+
+    def test_failing_chunk_raises_and_cancels_the_rest(self, monkeypatch):
+        # Chunk 1 of 40 fails at once while the others take a while: its
+        # error reaches the caller, and chunks not yet started never start.
+        started = []
+
+        def chunk_rng(seed, index):
+            started.append(index)
+            return index
+
+        def draw(index, shape):
+            if index == 1:
+                raise RuntimeError("chunk 1 failed")
+            time.sleep(0.02)
+            return np.zeros(shape)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(montecarlo, "_chunk_rng", chunk_rng)
+        monkeypatch.setitem(GENERATORS, "failing", draw)
+        spec = SimulationSpec(perfect_predictor_model(), 40 * CHUNK_TRIALS, 0, "failing")
+        with pytest.raises(RuntimeError, match="chunk 1 failed"):
+            simulate(spec, WeightVector([1.0]), SelectionDistribution([1.0]))
+        assert 1 in started
+        assert len(started) < 20
 
 
 class TestRandomModel:
