@@ -14,13 +14,14 @@ duplicated judges) sample fine.  The individual error of a trial is its
 conditional expectation over the selection distribution given the draw, not
 the error of one sampled judge.  Trials are partitioned into fixed-size
 chunks with seeds derived from (seed, chunk index), and the chunks run on a
-pool of one thread per core; numpy's draws, ufuncs and BLAS calls release
-the GIL.  A chunk draws its trials in row blocks from its own generator,
-which continues one stream, and writes each trial's crowd and individual
-error into chunk-length vectors; ``np.sum`` then takes the chunk's sums of
-both errors and their gap, and of their squared deviations from the chunk's
-mean.  The per-chunk partials are merged by ``math.fsum`` in chunk order, so
-a given seed yields a bit-identical result on any number of cores.
+pool of one thread per core (one thread for 64 judges or more); numpy's
+draws, ufuncs and BLAS calls release the GIL.  A chunk draws its trials in
+row blocks from its own generator, which continues one stream, and writes
+each trial's crowd and individual error into chunk-length vectors;
+``np.sum`` then takes the chunk's sums of both errors and their gap, and of
+their squared deviations from the chunk's mean.  The per-chunk partials
+are merged by ``math.fsum`` in chunk order, so a given seed yields a
+bit-identical result on any number of cores.
 
 ``random_model`` generates validated models for property suites: random
 factor-built covariances rescaled so pairwise judge correlations land in a

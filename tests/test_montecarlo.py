@@ -252,7 +252,7 @@ class TestChunkPool:
         p = SelectionDistribution(rng.dirichlet(np.ones(n)))
         for trials in (1, 2, 999, 65535, 65536, 65537, 3 * 65536 + 5):
             for distribution in sorted(GENERATORS):
-                spec = SimulationSpec(model, trials, seed=trials % 97, distribution=distribution)
+                spec = SimulationSpec(model, trials, trials % 97, distribution)
                 assert simulate(spec, w, p) == serial_reference(spec, w, p), (
                     trials, distribution
                 )
@@ -275,7 +275,8 @@ class TestChunkPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setattr(montecarlo, "_chunk_rng", chunk_rng)
         monkeypatch.setitem(GENERATORS, "failing", draw)
-        spec = SimulationSpec(perfect_predictor_model(), 40 * CHUNK_TRIALS, 0, "failing")
+        model = perfect_predictor_model()
+        spec = SimulationSpec(model, 40 * CHUNK_TRIALS, seed=0, distribution="failing")
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
             simulate(spec, WeightVector([1.0]), SelectionDistribution([1.0]))
         assert 1 in started
