@@ -21,13 +21,21 @@ from .errors import SampleTooSmall, ShapeMismatch, ValidationFailed
 
 # Relative tolerance for symmetry and positive semidefiniteness checks.
 # Eigenvalues below -PSD_RTOL times the largest eigenvalue are hard failures;
-# anything between that and zero is rounding noise.
+# anything between that and zero is rounding noise.  A model that the shifted
+# Cholesky certificate passes has an exact smallest eigenvalue above zero, so
+# its computed one clears -EIGEN_ROUNDING * (N+1) * largest, which is above
+# -PSD_RTOL * largest for any N below 5 * 10^5: both paths of
+# ``validate_model`` give the same verdict.
 PSD_RTOL = 1e-9
 # A computed eigenvalue of a symmetric matrix of order m and 2-norm a lies
 # within EIGEN_ROUNDING * m * a of the exact one: the symmetric eigensolver is
 # backward stable (Golub & Van Loan, Matrix Computations, section 8.3).  The
-# factor is generous; it also covers the rounding of forming the matrix.
+# factor is generous; it also covers the rounding of forming the matrix.  Only
+# models the certificate cannot pass reach an eigensolve.
 EIGEN_ROUNDING = 8.0 * np.finfo(float).eps
+# Unit roundoff and the spacing of the subnormals, for the certificate's shift.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+SUBNORMAL_SPACING = 2.0**-1074
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -109,9 +117,10 @@ class CrowdModel:
     def joint_spectrum(self) -> tuple[float, float]:
         """Smallest and largest eigenvalue of the symmetrised joint covariance.
 
-        Computed once per model, for ``validate_model`` and the ``JointNotPSD``
-        of ``extend_model``; the arrays are read-only, so it cannot go stale.
-        By Cauchy interlacing the smallest bounds ``judge_cov``'s from below.
+        Computed at most once per model, and never for a model that
+        ``validate_model`` certifies by its Cholesky factor: only for one the
+        certificate cannot pass, and for the ``JointNotPSD`` of
+        ``extend_model``.  The arrays are read-only, so it cannot go stale.
         """
         return _extreme_eigenvalues(self.joint_covariance())
 
@@ -168,10 +177,44 @@ def _psd_within_tolerance(spectrum: tuple[float, float]) -> bool:
     return smallest >= -PSD_RTOL * max(largest, 0.0)
 
 
-def _cholesky_factors(m: np.ndarray) -> bool:
-    """Whether Cholesky factors the symmetric part of ``m``."""
+def _certified_definite(m: np.ndarray) -> bool:
+    """Whether the symmetric part of ``m`` is provably positive definite.
+
+    Overwrites ``m``.  A success is a proof about the exact matrix: its
+    Cholesky factor, shifted down by a bound on the factorization's rounding,
+    runs to completion (Rump, "Verification of positive definiteness", BIT
+    46, 2006).  A failure proves nothing.
+    """
+    # The same bits as _extreme_eigenvalues' symmetric part, in place; the
+    # overlapping transpose costs numpy one copy.
+    m *= 0.5
+    m += m.T
+    order = m.shape[0]
+    diag = m.diagonal()
+    largest = diag.max()
+    if not largest > 0.0:
+        return False
+    # Let A be that symmetric matrix, d its largest diagonal entry, u the
+    # unit roundoff and g = (order+1) u / (1 - (order+1) u).  If Cholesky of
+    # B = fl(A - cI) completes, R'R = B + E with |E| <= g |R'||R|, plus at
+    # most (order + 1 + d) eta per entry from underflow (eta the subnormal
+    # spacing; Higham, Accuracy and Stability of Numerical Algorithms, Thm
+    # 10.3).  Column i of R has squared norm at most B_ii / (1 - g), so
+    # ||E||_2 <= g / (1 - g) trace(B) + order (order + 1 + d) eta.  R'R is
+    # positive definite, and A - B is diagonal with entries at least
+    # c - u d, so lambda_min(A) > c - u d - ||E||_2, and A is positive
+    # definite once c covers u d + ||E||_2.  With g / (1 - g) =
+    # (order+1) u / (1 - 2 (order+1) u) and trace(B) <= (1 + u) d sum(A_ii/d)
+    # (a sum of at most order terms, so nothing overflows), the factor 2
+    # below covers the (1 + u), the d eta part, and the rounding of computing
+    # c itself.
+    headroom = 2.0 * (order + 1) * UNIT_ROUNDOFF
+    ratio_sum = float((diag / largest).sum())
+    coefficient = headroom / (1.0 - headroom) * ratio_sum + 2.0 * UNIT_ROUNDOFF
+    shift = coefficient * largest + 2.0 * order * (order + 1) * SUBNORMAL_SPACING
+    m.flat[:: order + 1] -= shift
     try:
-        np.linalg.cholesky(m / 2.0 + m.T / 2.0)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -194,11 +237,13 @@ def validate_model(model: CrowdModel) -> list[str]:
     subsumes the zero-variance-criterion case: with criterion_var = 0, any
     nonzero cross_cov breaks joint PSD, so it is reported once, there.
 
-    One spectrum, the model's cached ``joint_spectrum``, settles both PSD
-    checks in the common case: when the joint matrix's smallest eigenvalue
-    clears zero by more than the rounding of both eigensolves, interlacing
-    certifies judge_cov too.  Only otherwise is judge_cov's own spectrum
-    computed, to word a failure; the joint check then reads the cached one.
+    A positive definite joint matrix settles both PSD checks, and one
+    Cholesky factor of it, shifted by a proven bound on its rounding,
+    certifies that with no eigensolve (see ``_certified_definite``).  Its
+    judge_cov block is then positive definite too, so the eigen path below
+    would find nothing either (see ``PSD_RTOL``).  A model the certificate
+    cannot pass, such as a singular one, takes that path: judge_cov's own
+    spectrum, then the model's cached ``joint_spectrum``.
     """
     nonfinite = _nonfinite_violation(model)
     if nonfinite:
@@ -213,18 +258,10 @@ def validate_model(model: CrowdModel) -> list[str]:
             f"judge_cov is asymmetric (relative violation {asym:.3e})"
         )
     var_ok = model.criterion_var >= 0.0
-    # Cholesky, a third of the cost of a spectrum, only orders the checks: a
-    # joint matrix it cannot factor may hold a judge_cov that fails, which
-    # its own spectrum then finds without first paying for the joint one.
     # A fixed criterion leaves the joint matrix a last pivot of -|l|^2 <= 0,
     # which Cholesky never factors, so it is not tried.
-    if model.criterion_var > 0.0 and _cholesky_factors(model.joint_covariance()):
-        # Interlacing puts judge_cov's exact spectrum no lower than the joint
-        # one.  Past the rounding of both eigensolves (judge_cov's norm is at
-        # most the joint's), its computed spectrum is nonnegative too.
-        smallest, largest = model.joint_spectrum
-        if smallest >= 2.0 * EIGEN_ROUNDING * (model.n_judges + 1) * largest:
-            return violations
+    if model.criterion_var > 0.0 and _certified_definite(model.joint_covariance()):
+        return violations
     cov_spectrum = _extreme_eigenvalues(model.judge_cov)
     cov_ok = _psd_within_tolerance(cov_spectrum)
     if not cov_ok:

@@ -371,7 +371,7 @@ class TestEigensolveCount:
         save_model(counted_model("well-conditioned"), path)
         solution = optimal_weights(load_model(path))
         assert solution.kkt_residual <= 1e-10
-        assert linalg_calls == {"eigvalsh": 1, "lstsq": 0}
+        assert linalg_calls == {"eigvalsh": 0, "lstsq": 0}
 
     @pytest.mark.parametrize(
         "kind, separate_spectra",

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from crowdwise.model import (
     PSD_RTOL,
     CrowdModel,
     JudgmentSample,
+    _certified_definite,
     _nonfinite_violation,
     _symmetry_violation,
     estimate_model,
@@ -483,18 +485,69 @@ def validation_fixtures() -> list[CrowdModel]:
 class TestOneSpectrum:
     def test_violations_equal_separate_spectra(self, linalg_calls):
         fixtures = validation_fixtures()
-        joint_alone = 0
+        certified = eigen_path = 0
         for model in fixtures:
             expected = separate_spectra_violations(model)
             before = linalg_calls["eigvalsh"]
             assert validate_model(model) == expected
-            one_call = linalg_calls["eigvalsh"] == before + 1
-            joint_alone += one_call and "joint_spectrum" in vars(model)
-        # Both paths ran: the joint spectrum alone, and the separate checks.
-        assert 0 < joint_alone < len(fixtures)
+            eigen_path += linalg_calls["eigvalsh"] > before
+            certified += linalg_calls["eigvalsh"] == before and not _nonfinite_violation(model)
+        # Both paths ran: the Cholesky certificate alone, and the eigen path.
+        assert certified > 0 and eigen_path > 0
 
     def test_joint_spectrum_is_computed_once(self, linalg_calls):
         model = model_corpus(1, base_seed=3, sizes=(5,), criterion_vars=(1.0,))[0]
         assert validate_model(model) == []
         assert validate_model(model) == []
+        assert linalg_calls["eigvalsh"] == 0
+        assert model.joint_spectrum == model.joint_spectrum
         assert linalg_calls["eigvalsh"] == 1
+
+
+def exactly_positive_definite(m: np.ndarray) -> bool:
+    """Whether every pivot of an exact rational LDL' of ``m`` is positive."""
+    a = [[Fraction(x) for x in row] for row in m.tolist()]
+    for k, pivot_row in enumerate(a):
+        if pivot_row[k] <= 0:
+            return False
+        for row in a[k + 1:]:
+            factor = row[k] / pivot_row[k]
+            for j in range(k + 1, len(a)):
+                row[j] -= factor * pivot_row[j]
+    return True
+
+
+def straddling_matrices() -> list[np.ndarray]:
+    """Exactly symmetric matrices of order 1 to 6 whose smallest eigenvalue,
+    relative to the largest, lies on either side of the certificate's shift."""
+    relatives = np.logspace(-17, -12, 11)
+    matrices = []
+    for size in range(1, 7):
+        for seed in range(3):
+            others = np.linspace(1.0, 0.1, size - 1) if size > 1 else [1.0]
+            for relative in np.concatenate([-relatives, relatives]):
+                spectrum = [relative, *others][:size]
+                matrices.append(matrix_with_spectrum(spectrum, 100 * size + seed))
+    return matrices
+
+
+class TestCholeskyCertificate:
+    def test_certified_matrices_are_exactly_definite(self):
+        decisions = []
+        for m in straddling_matrices():
+            certified = _certified_definite(m.copy())
+            if certified:
+                assert exactly_positive_definite(m / 2.0 + m.T / 2.0), m
+            decisions.append(certified)
+        assert any(decisions) and not all(decisions)
+
+    def test_decision_is_invariant_under_power_of_four_rescaling(self):
+        # Scaling by 4^j scales every rounded operation of the factorization
+        # exactly, square roots included; an odd power of two would round
+        # each square root afresh.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in straddling_matrices():
+                decision = _certified_definite(m.copy())
+                for k in range(-900, 1001, 50):
+                    assert _certified_definite(m * 2.0**k) == decision, k
