@@ -57,8 +57,7 @@ def run(argv=None) -> int:
                 ("individual MSE", analytic.individual_mse,
                  result.empirical_individual_mse, result.standard_errors[1]),
                 ("wisdom gap", analytic.wisdom_gap,
-                 result.empirical_individual_mse - result.empirical_crowd_mse,
-                 result.wisdom_gap_se),
+                 result.empirical_wisdom_gap, result.wisdom_gap_se),
             )
             for quantity, expected, observed, se in rows:
                 ok = abs(observed - expected) <= 4.0 * max(se, 1e-12)

@@ -692,8 +692,7 @@ def _cmd_simulate(args: argparse.Namespace) -> list[tuple[str, object]]:
         ("degenerate_se", result.degenerate_se),
         ("analytic_crowd_mse", analytic.crowd_mse),
         ("analytic_individual_mse", analytic.individual_mse),
-        ("empirical_wisdom_gap",
-         result.empirical_individual_mse - result.empirical_crowd_mse),
+        ("empirical_wisdom_gap", result.empirical_wisdom_gap),
         ("analytic_wisdom_gap", analytic.wisdom_gap),
     ]
 

@@ -77,14 +77,16 @@ class SimulationSpec:
 class SimulationResult:
     """Empirical means of both squared errors, with standard errors.
 
-    ``wisdom_gap_se`` is the standard error of the per-trial difference
-    between the individual and the crowd error, whose mean is the empirical
-    wisdom gap.  ``degenerate_se`` flags a single-trial run, where the
-    spread of one observation is reported as zero rather than undefined.
+    ``empirical_wisdom_gap`` is the mean of the per-trial difference between
+    the individual and the crowd error, taken on its own rather than as the
+    difference of the two rounded means; ``wisdom_gap_se`` is its standard
+    error.  ``degenerate_se`` flags a single-trial run, where the spread of
+    one observation is reported as zero rather than undefined.
     """
 
     empirical_crowd_mse: float
     empirical_individual_mse: float
+    empirical_wisdom_gap: float
     standard_errors: tuple[float, float]
     wisdom_gap_se: float
     trials: int
@@ -187,12 +189,13 @@ def simulate(
         )
         return mean, math.sqrt(spread / (t - 1) / t)
 
-    (crowd_mean, crowd_se), (indiv_mean, indiv_se), (_, gap_se) = map(
+    (crowd_mean, crowd_se), (indiv_mean, indiv_se), (gap_mean, gap_se) = map(
         mean_and_se, range(3)
     )
     return SimulationResult(
         empirical_crowd_mse=crowd_mean,
         empirical_individual_mse=indiv_mean,
+        empirical_wisdom_gap=gap_mean,
         standard_errors=(crowd_se, indiv_se),
         wisdom_gap_se=gap_se,
         trials=t,

@@ -103,7 +103,7 @@ class TestSimulate:
         analytic = evaluate(model, w, p)
         for seed in range(8):
             result = simulate(SimulationSpec(model, trials=1_000, seed=seed), w, p)
-            gap = result.empirical_individual_mse - result.empirical_crowd_mse
+            gap = result.empirical_wisdom_gap
             assert abs(gap - analytic.wisdom_gap) <= 4.0 * result.wisdom_gap_se
 
     def test_standard_errors_are_calibrated(self):
@@ -227,9 +227,9 @@ def serial_reference(spec, w, p):
             size * (totals[k] / size - mean) ** 2 for size, totals, _ in chunks
         )
         stats.append((mean, math.sqrt(spread / (t - 1) / t) if t > 1 else 0.0))
-    (crowd_mean, crowd_se), (indiv_mean, indiv_se), (_, gap_se) = stats
+    (crowd_mean, crowd_se), (indiv_mean, indiv_se), (gap_mean, gap_se) = stats
     return SimulationResult(
-        crowd_mean, indiv_mean, (crowd_se, indiv_se), gap_se, t, spec.seed, t < 2
+        crowd_mean, indiv_mean, gap_mean, (crowd_se, indiv_se), gap_se, t, spec.seed, t < 2
     )
 
 
