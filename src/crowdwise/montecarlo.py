@@ -8,9 +8,10 @@ device, not a modeling claim: Gaussian by default, with a moment-matched
 uniform-source alternative to demonstrate that the analytic values do not
 depend on shape.  ``GENERATORS`` names both.
 
-Sampling is factorized through a symmetric eigendecomposition with negative
-eigenvalues clamped at zero, so singular covariances (perfect hedges,
-duplicated judges) sample fine.  The individual error of a trial is its
+Sampling is factorized through a symmetric eigendecomposition whose
+eigenvalues within the eigensolver's rounding of zero are clamped to zero,
+so singular covariances (perfect hedges, duplicated judges) sample fine and
+sample exactly singular.  The individual error of a trial is its
 conditional expectation over the selection distribution given the draw, not
 the error of one sampled judge.  Trials are partitioned into fixed-size
 chunks with seeds derived from (seed, chunk index), and the chunks run on a
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleCorrelationRange, ShapeMismatch
-from .model import CrowdModel
+from .model import EIGEN_ROUNDING, CrowdModel
 from .wisdom import SelectionDistribution, WeightVector, _check_length
 
 CHUNK_TRIALS = 1 << 16
@@ -95,9 +96,16 @@ class SimulationResult:
 
 
 def _moment_factor(joint_cov: np.ndarray) -> np.ndarray:
-    """A matrix A with A A' equal to the joint covariance (clamped PSD)."""
+    """A matrix A with A A' equal to the joint covariance (clamped PSD).
+
+    An eigenvalue at or below ``EIGEN_ROUNDING`` times the order times the
+    largest is indistinguishable from zero after the eigensolve's rounding,
+    and is taken as zero: a singular covariance then gives draws whose
+    degenerate combinations are exact, not rounding noise.
+    """
     eigs, vecs = np.linalg.eigh((joint_cov + joint_cov.T) / 2.0)
-    return vecs * np.sqrt(np.maximum(eigs, 0.0))
+    noise = EIGEN_ROUNDING * len(eigs) * eigs[-1]
+    return vecs * np.sqrt(np.where(eigs > noise, eigs, 0.0))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
