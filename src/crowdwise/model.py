@@ -191,23 +191,25 @@ def _certified_definite(m: np.ndarray) -> bool:
     m += m.T
     order = m.shape[0]
     diag = m.diagonal()
-    largest = diag.max()
-    if not largest > 0.0:
+    if not diag.min() > 0.0:
         return False
-    # Let A be that symmetric matrix, d its largest diagonal entry, u the
-    # unit roundoff and g = (order+1) u / (1 - (order+1) u).  If Cholesky of
-    # B = fl(A - cI) completes, R'R = B + E with |E| <= g |R'||R|, plus at
-    # most (order + 1 + d) eta per entry from underflow (eta the subnormal
-    # spacing; Higham, Accuracy and Stability of Numerical Algorithms, Thm
-    # 10.3).  Column i of R has squared norm at most B_ii / (1 - g), so
-    # ||E||_2 <= g / (1 - g) trace(B) + order (order + 1 + d) eta.  R'R is
-    # positive definite, and A - B is diagonal with entries at least
-    # c - u d, so lambda_min(A) > c - u d - ||E||_2, and A is positive
-    # definite once c covers u d + ||E||_2.  With g / (1 - g) =
-    # (order+1) u / (1 - 2 (order+1) u) and trace(B) <= (1 + u) d sum(A_ii/d)
-    # (a sum of at most order terms, so nothing overflows), the factor 2
-    # below covers the (1 + u), the d eta part, and the rounding of computing
-    # c itself.
+    largest = diag.max()
+    # The shift c.  Let A be that symmetric matrix, d its largest diagonal
+    # entry, u the unit roundoff, eta the subnormal spacing, and
+    # g = (order+1) u / (1 - (order+1) u).  If Cholesky of B = fl(A - cI)
+    # completes, R'R = B + E with |E| <= g |R'||R| (Higham, Accuracy and
+    # Stability of Numerical Algorithms, Thm 10.3, for any order of the
+    # inner products), plus at most (order + 1 + d) eta per entry from
+    # underflowing products and quotients.  Column i of R has squared norm
+    # at most B_ii / (1 - g), so ||E||_2 <= g / (1 - g) trace(B)
+    # + order (order + 1 + d) eta.  R'R is positive definite, and A - B is
+    # diagonal with entries at least c - u d, so lambda_min(A) > 0 once
+    # c >= g / (1 - g) trace(B) + u d + order (order + 1 + d) eta.
+    # Here g / (1 - g) = (order+1) u / (1 - 2 (order+1) u), and
+    # trace(B) <= (1 + u) d sum(A_ii / d), a sum of terms in (0, 1] that
+    # cannot overflow.  The c below is twice g / (1 - g) d sum(A_ii / d)
+    # + u d + order (order + 1) eta; the factor 2 covers the (1 + u), the
+    # order d eta term and the rounding of computing c itself.
     headroom = 2.0 * (order + 1) * UNIT_ROUNDOFF
     ratio_sum = float((diag / largest).sum())
     coefficient = headroom / (1.0 - headroom) * ratio_sum + 2.0 * UNIT_ROUNDOFF

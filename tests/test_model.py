@@ -541,6 +541,13 @@ class TestCholeskyCertificate:
             decisions.append(certified)
         assert any(decisions) and not all(decisions)
 
+    def test_nonpositive_diagonal_is_refused_without_overflow(self):
+        # A tiny largest diagonal entry beside a huge negative one: the
+        # ratio of the two would overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _certified_definite(np.diag([-1e300, 1e-310]))
+
     def test_decision_is_invariant_under_power_of_four_rescaling(self):
         # Scaling by 4^j scales every rounded operation of the factorization
         # exactly, square roots included; an odd power of two would round
