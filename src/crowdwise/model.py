@@ -30,8 +30,9 @@ PSD_RTOL = 1e-9
 # A computed eigenvalue of a symmetric matrix of order m and 2-norm a lies
 # within EIGEN_ROUNDING * m * a of the exact one: the symmetric eigensolver is
 # backward stable (Golub & Van Loan, Matrix Computations, section 8.3).  The
-# factor is generous; it also covers the rounding of forming the matrix.  Only
-# models the certificate cannot pass reach an eigensolve.
+# factor is generous; it also covers the rounding of forming the matrix.  In
+# ``validate_model`` only models the certificate cannot pass reach an
+# eigensolve.
 EIGEN_ROUNDING = 8.0 * np.finfo(float).eps
 # Unit roundoff and the spacing of the subnormals, for the certificate's shift.
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0

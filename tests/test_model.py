@@ -518,15 +518,16 @@ def exactly_positive_definite(m: np.ndarray) -> bool:
 
 
 def straddling_matrices() -> list[np.ndarray]:
-    """Exactly symmetric matrices of order 1 to 6 whose smallest eigenvalue,
-    relative to the largest, lies on either side of the certificate's shift."""
+    """Exactly symmetric matrices of order 1 to 6 with a smallest eigenvalue
+    of +/-1e-17 to 1e-12 beside others from 0.1 to 1: on either side of the
+    certificate's shift."""
     relatives = np.logspace(-17, -12, 11)
     matrices = []
     for size in range(1, 7):
+        others = np.linspace(1.0, 0.1, size - 1)
         for seed in range(3):
-            others = np.linspace(1.0, 0.1, size - 1) if size > 1 else [1.0]
             for relative in np.concatenate([-relatives, relatives]):
-                spectrum = [relative, *others][:size]
+                spectrum = [relative, *others]
                 matrices.append(matrix_with_spectrum(spectrum, 100 * size + seed))
     return matrices
 
