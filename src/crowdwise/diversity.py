@@ -12,6 +12,12 @@ evaluates the base crowd once, then starts each extended crowd's solve at the
 base optimum padded with zero weight on the candidate.  That point is
 feasible and usually almost optimal, and it is already certified when the
 candidate is redundant (its gradient there is at least the base multiplier).
+Validity is settled from the base crowd too: one shifted Cholesky factor of
+its joint matrix, bordered by each candidate's covariances in one forward
+substitution, certifies every consistent candidate at once (a bordered
+Cholesky factor, or Schur complement; Golub & Van Loan, Matrix Computations,
+ch. 4).  Only a candidate it cannot certify pays ``extend_model``'s full
+validation, which reports every failure.
 """
 
 from __future__ import annotations
@@ -28,7 +34,13 @@ from .errors import (
     ValidationFailed,
     ZeroCriterionVariance,
 )
-from .model import CrowdModel, _nonfinite_violation, _readonly, validate_model
+from .model import (
+    CrowdModel,
+    _certified_extensions,
+    _nonfinite_violation,
+    _readonly,
+    validate_model,
+)
 from .schemes import SELECTION_RULES, optimal_weights, skill_scores, uniform_weights
 from .wisdom import WeightVector, WisdomReport, crowd_mse, evaluate
 
@@ -102,6 +114,21 @@ def extend_model(
         ValidationFailed: the crowd's moments hold nan or inf.
         JointNotPSD: the extended covariance admits no joint distribution.
     """
+    extended = _appended(model, candidate, label)
+    violations = validate_model(extended)
+    if violations:
+        if _nonfinite_violation(extended):
+            raise ValidationFailed(violations)
+        raise JointNotPSD(
+            extended.joint_spectrum[0],
+            f"candidate {label!r} is inconsistent with the crowd: "
+            + "; ".join(violations),
+        )
+    return extended
+
+
+def _appended(model: CrowdModel, candidate: CandidateMember, label: str) -> CrowdModel:
+    """The model with the candidate as judge N+1, not validated."""
     n = model.n_judges
     if candidate.cov_with_members.shape != (n,):
         raise ShapeMismatch(
@@ -113,7 +140,7 @@ def extend_model(
     cov[:n, n] = candidate.cov_with_members
     cov[n, :n] = candidate.cov_with_members
     cov[n, n] = candidate.variance
-    extended = CrowdModel(
+    return CrowdModel(
         judge_means=np.concatenate([model.judge_means, [candidate.mean]]),
         judge_cov=cov,
         criterion_mean=model.criterion_mean,
@@ -123,16 +150,22 @@ def extend_model(
         ),
         judge_labels=model.judge_labels + (label,),
     )
-    violations = validate_model(extended)
-    if violations:
-        if _nonfinite_violation(extended):
-            raise ValidationFailed(violations)
-        raise JointNotPSD(
-            extended.joint_spectrum[0],
-            f"candidate {label!r} is inconsistent with the crowd: "
-            + "; ".join(violations),
-        )
-    return extended
+
+
+def _certified(model: CrowdModel, candidates: list[CandidateMember]) -> np.ndarray:
+    """Which candidates provably extend ``model`` to a valid crowd.
+
+    All False when some candidate's covariance vector has the wrong length,
+    which only ``extend_model`` reports.
+    """
+    n = model.n_judges
+    if not candidates or any(c.cov_with_members.shape != (n,) for c in candidates):
+        return np.zeros(len(candidates), dtype=bool)
+    borders = np.column_stack(
+        [np.append(c.cov_with_members, c.cov_with_criterion) for c in candidates]
+    )
+    corners = np.array([c.variance for c in candidates])
+    return _certified_extensions(model, borders, corners)
 
 
 def evaluate_candidate(
@@ -163,7 +196,10 @@ def rank_candidates(
     The base crowd is solved and evaluated once; each extended crowd is
     solved from the base optimum with zero weight on the candidate.  The
     selection rule is derived on each model, so the before and after reports
-    answer the same question at their own crowd size.
+    answer the same question at their own crowd size.  One bordered factor
+    of the base crowd's joint matrix certifies the consistent candidates
+    (``model._certified_extensions``); the rest go through ``extend_model``,
+    whose errors are the failures reported.
 
     Ties keep input order.  A candidate that fails (inconsistent covariance,
     solver failure) is reported in ``failures`` without sinking the batch; a
@@ -193,9 +229,15 @@ def rank_candidates(
         )
         return CandidateRanking(evaluations=(), failures=failures)
     start = WeightVector(np.append(base.weights.weights, 0.0))
+    certified = _certified(model, candidates)
 
-    def assess(candidate: CandidateMember, label: str) -> CandidateEvaluation:
-        extended = extend_model(model, candidate, label)
+    def assess(
+        candidate: CandidateMember, label: str, valid: bool
+    ) -> CandidateEvaluation:
+        if valid:
+            extended = _appended(model, candidate, label)
+        else:
+            extended = extend_model(model, candidate, label)
         after_sol = optimal_weights(extended, start=start)
         after = evaluate(extended, after_sol.weights, select(extended))
         try:
@@ -215,9 +257,9 @@ def rank_candidates(
 
     evaluations: list[CandidateEvaluation] = []
     failures: list[CandidateFailure] = []
-    for i, (candidate, label) in enumerate(zip(candidates, labels)):
+    for i, (candidate, label, valid) in enumerate(zip(candidates, labels, certified)):
         try:
-            evaluations.append(assess(candidate, label))
+            evaluations.append(assess(candidate, label, valid))
         except CrowdwiseError as err:
             failures.append(CandidateFailure(index=i, label=label, error=err))
     evaluations.sort(key=lambda ev: -ev.marginal_gain)

@@ -37,6 +37,8 @@ EIGEN_ROUNDING = 8.0 * np.finfo(float).eps
 # Unit roundoff and the spacing of the subnormals, for the certificate's shift.
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 SUBNORMAL_SPACING = 2.0**-1074
+# Rows per block of ``_symmetry_violation``.
+_SYMMETRY_BLOCK = 64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -159,11 +161,24 @@ class JudgmentSample:
 
 
 def _symmetry_violation(cov: np.ndarray) -> float:
-    """Asymmetry relative to the largest absolute entry (0 for symmetric)."""
-    scale = np.abs(cov).max()
+    """Asymmetry relative to the largest absolute entry (0 for symmetric).
+
+    Equal to max|cov - cov'| / max|cov|, taken over blocks of rows so that no
+    temporary outgrows a block.  Each block compares only its entries on and
+    right of the diagonal: fl(a - b) = -fl(b - a), so the rest mirror entries
+    already compared, and nan and inf propagate as in the full formula.
+    """
+    diffs, scales = [], []
+    for i in range(0, cov.shape[0], _SYMMETRY_BLOCK):
+        j = i + _SYMMETRY_BLOCK
+        rows = cov[i:j]
+        diff = rows[:, i:] - cov[i:, i:j].T
+        diffs.append(np.abs(diff, out=diff).max())
+        scales += [rows.max(), -rows.min()]
+    scale = np.max(scales)
     if scale == 0.0:
         return 0.0
-    return float(np.abs(cov - cov.T).max() / scale)
+    return float(np.max(diffs) / scale)
 
 
 def _extreme_eigenvalues(m: np.ndarray) -> tuple[float, float]:
@@ -178,6 +193,38 @@ def _psd_within_tolerance(spectrum: tuple[float, float]) -> bool:
     return smallest >= -PSD_RTOL * max(largest, 0.0)
 
 
+def _cholesky_shift(order: int, largest: float, ratio_sum: float) -> float:
+    """The shift of the certificate's factor (derived in ``_certified_definite``).
+
+    For a symmetric matrix of this order whose largest diagonal entry is
+    ``largest`` and whose entries A_ii / largest sum to ``ratio_sum``.  The
+    computed shift never falls when an argument grows.
+    """
+    headroom = 2.0 * (order + 1) * UNIT_ROUNDOFF
+    coefficient = headroom / (1.0 - headroom) * ratio_sum + 2.0 * UNIT_ROUNDOFF
+    return coefficient * largest + 2.0 * order * (order + 1) * SUBNORMAL_SPACING
+
+
+def _shifted_factor(m: np.ndarray, shift: float) -> np.ndarray | None:
+    """The Cholesky factor of ``m - shift I``, or None; overwrites ``m``."""
+    m.flat[:: m.shape[0] + 1] -= shift
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _symmetrise(m: np.ndarray) -> np.ndarray:
+    """``m`` overwritten by its symmetric part; returns its diagonal.
+
+    The same bits as _extreme_eigenvalues' m / 2 + m' / 2; the overlapping
+    transpose costs numpy one copy.
+    """
+    m *= 0.5
+    m += m.T
+    return m.diagonal()
+
+
 def _certified_definite(m: np.ndarray) -> bool:
     """Whether the symmetric part of ``m`` is provably positive definite.
 
@@ -186,12 +233,7 @@ def _certified_definite(m: np.ndarray) -> bool:
     runs to completion (Rump, "Verification of positive definiteness", BIT
     46, 2006).  A failure proves nothing.
     """
-    # The same bits as _extreme_eigenvalues' symmetric part, in place; the
-    # overlapping transpose costs numpy one copy.
-    m *= 0.5
-    m += m.T
-    order = m.shape[0]
-    diag = m.diagonal()
+    diag = _symmetrise(m)
     if not diag.min() > 0.0:
         return False
     largest = diag.max()
@@ -211,16 +253,65 @@ def _certified_definite(m: np.ndarray) -> bool:
     # cannot overflow.  The c below is twice g / (1 - g) d sum(A_ii / d)
     # + u d + order (order + 1) eta; the factor 2 covers the (1 + u), the
     # order d eta term and the rounding of computing c itself.
-    headroom = 2.0 * (order + 1) * UNIT_ROUNDOFF
-    ratio_sum = float((diag / largest).sum())
-    coefficient = headroom / (1.0 - headroom) * ratio_sum + 2.0 * UNIT_ROUNDOFF
-    shift = coefficient * largest + 2.0 * order * (order + 1) * SUBNORMAL_SPACING
-    m.flat[:: order + 1] -= shift
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    shift = _cholesky_shift(m.shape[0], largest, float((diag / largest).sum()))
+    return _shifted_factor(m, shift) is not None
+
+
+def _certified_extensions(
+    model: CrowdModel, borders: np.ndarray, corners: np.ndarray
+) -> np.ndarray:
+    """Which of K judges, each appended alone, provably keep ``model`` valid.
+
+    Judge k has variance ``corners[k]`` and covariances ``borders[:, k]``
+    with the model's judges and then its criterion.  True means
+    ``validate_model`` of that extended model returns [].  One shifted
+    Cholesky factor of the model's joint matrix and one forward substitution
+    decide all K; a False proves nothing.  Needs criterion_var > 0 and a
+    judge_cov within PSD_RTOL of symmetric, otherwise returns all False: an
+    asymmetric judge_cov can pass that check once a large border is added.
+    """
+    certified = np.zeros(corners.shape[0], dtype=bool)
+    symmetric = _symmetry_violation(model.judge_cov) <= PSD_RTOL
+    if not (model.criterion_var > 0.0 and symmetric):
+        return certified
+    m = model.joint_covariance()
+    diag = _symmetrise(m)
+    # The symmetric part holds b / 2 + b / 2 for an entry b on both sides.
+    borders = borders * 0.5
+    borders += borders
+    corners = corners * 0.5
+    corners += corners
+    # Move the new judge last, a symmetric permutation that keeps the
+    # spectrum: its extended joint matrix is A = [[J, b], [b', v]], of order
+    # N + 2, with J the symmetric part of the model's.  The derivation in
+    # _certified_definite holds for any shift c at least twice
+    # g / (1 - g) d sum(A_ii / d) + u d + order (order + 1) eta, with d any
+    # bound on A's diagonal: every step of it uses only A_ii <= d.  The
+    # shift below takes d as the largest of J's diagonal and every v, and
+    # order in place of sum(A_ii / d), which that bounds; _cholesky_shift
+    # grows with each argument, so it is at least every extended matrix's
+    # own shift.  A Cholesky factor of fl(A - cI) may be computed as the
+    # factor L of fl(J - cI), then the last row r = L^-1 b, then the last
+    # pivot s = fl(v - c) - r'r.  The forward substitution below forms each
+    # r_i = (b_i - L[i, :i] r[:i]) / L_ii, the Cholesky recurrence for that
+    # entry with its inner product taken in some order, so Thm 10.3 covers
+    # the whole factor; a blocked solve that pivots, like np.linalg.solve,
+    # is not covered.  The factor completes when s > 0.
+    # validate_model then finds nothing: the border is exactly symmetric,
+    # so the extended judge_cov is no more asymmetric relative to its
+    # largest entry than the model's, and a positive definite joint matrix
+    # passes both PSD checks (see PSD_RTOL).
+    order = m.shape[0] + 1
+    shift = _cholesky_shift(order, max(diag.max(), corners.max()), float(order))
+    lower = _shifted_factor(m, shift)
+    if lower is None:
+        return certified
+    solved = np.empty_like(borders)
+    # An overflow leaves s at -inf or nan, which certifies nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(order - 1):
+            solved[i] = (borders[i] - lower[i, :i] @ solved[:i]) / lower[i, i]
+        return (corners - shift) - (solved * solved).sum(axis=0) > 0.0
 
 
 def _nonfinite_violation(model: CrowdModel) -> list[str]:
@@ -244,9 +335,11 @@ def validate_model(model: CrowdModel) -> list[str]:
     Cholesky factor of it, shifted by a proven bound on its rounding,
     certifies that with no eigensolve (see ``_certified_definite``).  Its
     judge_cov block is then positive definite too, so the eigen path below
-    would find nothing either (see ``PSD_RTOL``).  A model the certificate
-    cannot pass, such as a singular one, takes that path: judge_cov's own
-    spectrum, then the model's cached ``joint_spectrum``.
+    would find nothing either (see ``PSD_RTOL``).  A fixed criterion with
+    zero cross_cov is certified the same way by judge_cov's factor alone.
+    A model the certificate cannot pass, such as a singular one, takes that
+    path: judge_cov's own spectrum, then the model's cached
+    ``joint_spectrum``.
     """
     nonfinite = _nonfinite_violation(model)
     if nonfinite:
@@ -261,9 +354,19 @@ def validate_model(model: CrowdModel) -> list[str]:
             f"judge_cov is asymmetric (relative violation {asym:.3e})"
         )
     var_ok = model.criterion_var >= 0.0
-    # A fixed criterion leaves the joint matrix a last pivot of -|l|^2 <= 0,
-    # which Cholesky never factors, so it is not tried.
-    if model.criterion_var > 0.0 and _certified_definite(model.joint_covariance()):
+    if model.criterion_var > 0.0:
+        certified = _certified_definite(model.joint_covariance())
+    else:
+        # A fixed criterion leaves the joint matrix a last pivot of
+        # -|l|^2 <= 0, which Cholesky never factors.  With no cross
+        # covariance its spectrum is judge_cov's plus a zero, so a positive
+        # definite judge_cov passes every check.
+        certified = (
+            model.criterion_var == 0.0
+            and not model.cross_cov.any()
+            and _certified_definite(np.array(model.judge_cov))
+        )
+    if certified:
         return violations
     cov_spectrum = _extreme_eigenvalues(model.judge_cov)
     cov_ok = _psd_within_tolerance(cov_spectrum)

@@ -13,9 +13,14 @@ that minimizes f along the negative gradient and halves it until the Armijo
 rule holds; no Lipschitz constant is needed.  Once two steps in a row have
 kept the set of judges carrying weight (the support), or gradient steps
 stall, a face step searches toward the exact minimizer on the current face
-instead.  That minimizer comes from a Cholesky factor of the face's Hessian
-and the Schur complement of its sum-to-one row; a singular face, such as one
-holding duplicated judges, takes the minimum-norm least-squares solution.
+instead.  That face is the support plus the judge with the smallest partial,
+the one that most wants to enter, so an active-set step can grow the
+support as well as shrink it.  An accepted face step is followed by another
+one, and a solve from a given start begins with one, so a start near the
+optimum finishes in a face step or two.  The face minimizer comes from a
+Cholesky factor of the face's Hessian and the Schur complement of its
+sum-to-one row; a singular face, such as one holding duplicated judges,
+takes the minimum-norm least-squares solution.
 Every accepted move lowers the objective, so the last iterate is the best
 one; when neither move lowers it the iterate is a fixed point, and the
 solver stops there.
@@ -359,15 +364,18 @@ def _face_step(
 ) -> tuple[np.ndarray, float] | None:
     """Projected search toward the minimizer of f on the affine hull of w's face.
 
-    Weights that would turn negative on the way stay at zero, and judges
-    off the face go to zero.  On a face whose Hessian has a Cholesky factor
-    the step is the constrained Newton step from w (``_newton_face_step``);
-    a singular face takes the least-squares minimizer instead
+    The face is the judges carrying weight plus the judge with the smallest
+    partial.  Weights that would turn negative on the way stay at zero, and
+    judges off the face go to zero.  On a face whose Hessian has a Cholesky
+    factor the step is the constrained Newton step from w
+    (``_newton_face_step``); a singular face takes the least-squares
+    minimizer instead
     (``_least_squares_face``).  A poor factor of a nearly singular face only
     costs iterations: the search accepts no step that fails Armijo.  None
     when there is no finite step or it is not downhill from w.
     """
     on_face = w > ACTIVE_WEIGHT
+    on_face[np.argmin(grad)] = True
     active = np.nonzero(on_face)[0]
     q_face = q2[np.ix_(active, active)]
     if not (np.isfinite(q_face).all() and np.isfinite(grad).all()):
@@ -437,19 +445,22 @@ def optimal_weights(
     """Minimize the crowd squared error over the simplex.
 
     Each iteration from ``start`` (uniform weights when None) makes one move.
-    Once two steps in a row have kept the support, or the latest gradient
-    step lowered f by at most STALL times the largest fall since the last
-    face move, it searches toward the exact minimizer on the current face;
-    weights that would turn negative on the way stay at zero.  Otherwise, or
-    if that would not lower the objective, it takes a projected gradient step
-    under the Armijo rule.  No move raises the objective, from any feasible
-    start, so a start near the optimum, such as a smaller crowd's optimum
-    padded with zero weights, can certify in few iterations or none, and
-    then comes back bit for bit.  The iterate is accepted only once its own
-    first-order certificate is within ``tolerance``, so the result is
-    guaranteed wise against every selection distribution up to that slack;
-    ``kkt_residual`` is that certificate, taken at the stored weights, where
-    ``possibly_nonunique`` tests the optimal face that ``tolerance`` picks.
+    It searches toward the exact minimizer on the face of the judges carrying
+    weight plus the one with the smallest partial when the solve was given a
+    start and has not yet moved, when the last move was such a face step,
+    when two steps in a row have kept the support, or when the latest
+    gradient step lowered f by at most STALL times the largest fall since
+    the last face move; weights that would turn negative on the way stay at
+    zero.  Otherwise, or if that would not lower the objective, it takes a
+    projected gradient step under the Armijo rule.  No move raises the
+    objective, from any feasible start, so a start near the optimum, such as
+    a smaller crowd's optimum padded with zero weights, can certify in a face
+    step or two, or none, and then comes back bit for bit.  The iterate is
+    accepted only once its own first-order certificate is within
+    ``tolerance``, so the result is guaranteed wise against every selection
+    distribution up to that slack; ``kkt_residual`` is that certificate,
+    taken at the stored weights, where ``possibly_nonunique`` tests the
+    optimal face that ``tolerance`` picks.
 
     Raises:
         ValidationFailed: some moment of the model is nan or inf.
@@ -484,10 +495,11 @@ def optimal_weights(
     w = np.full(n, 1.0 / n) if start is None else start.weights
     # ``kept``: steps in a row that kept the support.  ``best_fall`` and
     # ``last_fall``: the largest and the latest fall in f over the gradient
-    # steps since the last face move.  A failed gradient step falls by zero,
-    # so the next iteration tries the face from the same w.
+    # steps since the last face move.  A failed gradient step, an accepted
+    # face step and a given start all set a fall of zero, so the next
+    # iteration tries the face.
     support, kept = None, 0
-    best_fall, last_fall = 0.0, math.inf
+    best_fall, last_fall = 0.0, math.inf if start is None else 0.0
     for iteration in range(max_iterations + 1):
         grad = objective_gradient(model, w)
         if _certificate_residual(w, grad) <= tolerance:
@@ -502,7 +514,7 @@ def optimal_weights(
             kept, best_fall, last_fall = 0, 0.0, math.inf
             moved = _face_step(q2, b, w, grad)
             if moved is not None:
-                w = moved[0]
+                w, last_fall = moved[0], 0.0
                 continue
         moved = _gradient_step(q2, w, grad)
         if moved is not None:

@@ -386,9 +386,9 @@ class TestEigensolveCount:
         save_model(counted_model(kind), path)
         if kind == "fixed":
             optimal_weights(load_model(path))
-            # The solver decides uniqueness without Q's spectrum, so only
-            # judge_cov's and the joint matrix's remain.
-            assert linalg_calls["eigvalsh"] == separate_spectra - 1
+            # The solver decides uniqueness without Q's spectrum, and with no
+            # cross covariance judge_cov's Cholesky factor certifies the model.
+            assert linalg_calls["eigvalsh"] == 0
         else:
             with pytest.raises(ValidationFailed):
                 load_model(path)
@@ -1007,10 +1007,10 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: optimizer stopped at iteration 3: no step lowers the "
+            "error: optimizer stopped at iteration 2: no step lowers the "
             "objective (residual 1.000e+100)\n"
         )
-        assert len(gradient_calls) == 3 + 2
+        assert len(gradient_calls) == 2 + 2
 
     @pytest.mark.parametrize(
         "flag", ["--data", "--model", "--candidates", "--weights", "--sweep-grid"]

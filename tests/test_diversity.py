@@ -1,5 +1,6 @@
 """Marginal value of candidate members: extension, evaluation, ranking."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,14 @@ from crowdwise.diversity import (
     extend_model,
     rank_candidates,
 )
-from crowdwise.errors import JointNotPSD, NoConvergence, ShapeMismatch, ValidationFailed
-from crowdwise.model import CrowdModel, fixed_criterion_model, validate_model
+from crowdwise.errors import (
+    CrowdwiseError,
+    JointNotPSD,
+    NoConvergence,
+    ShapeMismatch,
+    ValidationFailed,
+)
+from crowdwise.model import PSD_RTOL, CrowdModel, fixed_criterion_model, validate_model
 from crowdwise.montecarlo import random_model
 from crowdwise.schemes import (
     SELECTION_RULES,
@@ -449,6 +456,148 @@ class TestRankingReusesTheBaseSolve:
         assert ranking.evaluations == ()
         assert [f.index for f in ranking.failures] == [0, 1]
         assert all(isinstance(f.error, ValidationFailed) for f in ranking.failures)
+
+
+def with_judge_cov(model: CrowdModel, cov: np.ndarray) -> CrowdModel:
+    return CrowdModel(
+        judge_means=model.judge_means,
+        judge_cov=cov,
+        criterion_mean=model.criterion_mean,
+        criterion_var=model.criterion_var,
+        cross_cov=model.cross_cov,
+    )
+
+
+def ranking_cases() -> list[tuple[CrowdModel, list[CandidateMember]]]:
+    """Base crowds and candidates on both sides of the bordered certificate."""
+    cases = []
+    for seed in range(8):
+        full = random_model(7, seed=500 + seed, bias_scale=0.5, criterion_var=1.0)
+        base, split = candidate_from_model(full)
+        n = base.n_judges
+        sd = np.sqrt(np.diag(base.judge_cov))
+        joint = base.joint_covariance()
+        rng = np.random.default_rng(seed)
+        border = joint @ rng.dirichlet(np.ones(n + 1))
+        schur = float(border @ np.linalg.solve(joint, border))
+        candidates = [
+            split,
+            CandidateMember(0.1, 2.0, np.zeros(n), 0.2),
+            # Covariances beyond the judges' standard deviations, at unit
+            # scale, at rounding scale and where the substitution overflows.
+            CandidateMember(0.0, 1.0, 3.0 * sd, 0.0),
+            CandidateMember(0.0, 1e-12, 1e-3 * sd, 0.0),
+            CandidateMember(0.0, 1.0, 1e300 * sd, 0.0),
+            CandidateMember(0.0, -1.0, np.zeros(n), 0.0),
+            # A copy of judge 1, and a judge whose last pivot is near zero
+            # on either side.
+            CandidateMember(base.judge_means[0], base.judge_cov[0, 0], base.judge_cov[0],
+                            base.cross_cov[0]),
+            *(CandidateMember(0.3, schur * (1.0 + rel), border[:n], border[n])
+              for rel in (-1e-6, -1e-13, 1e-15, 1e-13, 1e-6)),
+        ]
+        cases.append((base, candidates))
+        # The same crowd with a judge_cov asymmetric within and beyond
+        # PSD_RTOL; beyond it, a large enough border would hide that.
+        for asym in (0.5 * PSD_RTOL, 2.0 * PSD_RTOL):
+            cov = base.judge_cov.copy()
+            cov[0, 1] += asym * np.abs(cov).max()
+            large = CandidateMember(0.0, 1e4, np.zeros(n), 0.0)
+            cases.append((with_judge_cov(base, cov), candidates + [large]))
+        # A fixed criterion, a singular crowd (judge 1 twice) and a candidate
+        # with a huge variance.
+        fixed = fixed_criterion_model(base.judge_means, base.judge_cov, 0.5)
+        cases.append((fixed, [dataclasses.replace(c, cov_with_criterion=0.0)
+                              for c in candidates]))
+        twin = np.append(np.arange(n), 0)
+        singular = CrowdModel(
+            judge_means=base.judge_means[twin],
+            judge_cov=base.judge_cov[np.ix_(twin, twin)],
+            criterion_mean=base.criterion_mean,
+            criterion_var=base.criterion_var,
+            cross_cov=base.cross_cov[twin],
+        )
+        cases.append((singular, [CandidateMember(c.mean, c.variance,
+                                                 c.cov_with_members[twin],
+                                                 c.cov_with_criterion)
+                                 for c in candidates]))
+        huge = CandidateMember(0.0, 1e300, np.zeros(n), 0.0)
+        cases.append((base, candidates + [huge]))
+    return cases
+
+
+class TestBorderedCertificate:
+    def test_every_candidate_gets_extend_model_s_verdict(self):
+        certified_total = candidates_total = 0
+        for base, candidates in ranking_cases():
+            labels = [f"c{i}" for i in range(len(candidates))]
+            ranking = rank_candidates(base, candidates, labels=labels)
+            failed = {f.label: f.error for f in ranking.failures}
+            evaluated = {ev.label for ev in ranking.evaluations}
+            # A judge_cov asymmetric within PSD_RTOL can leave a solve, the
+            # base's included, at a fixed point short of the tolerance.
+            try:
+                optimal_weights(base)
+            except NoConvergence:
+                base_solved = False
+            else:
+                base_solved = True
+            certified = diversity._certified(base, candidates)
+            for candidate, label, valid in zip(candidates, labels, certified):
+                try:
+                    extend_model(base, candidate, label)
+                except CrowdwiseError as err:
+                    assert not valid
+                    got = failed[label]
+                    if base_solved:
+                        assert (type(got), str(got)) == (type(err), str(err))
+                        assert getattr(got, "eigenvalue", None) == getattr(
+                            err, "eigenvalue", None
+                        )
+                else:
+                    assert label in evaluated or isinstance(failed[label], NoConvergence)
+            certified_total += int(certified.sum())
+            candidates_total += len(candidates)
+        assert 0 < certified_total < candidates_total
+
+    def test_wrong_length_candidate_is_reported_by_extend_model(self):
+        fine = CandidateMember(0.0, 1.0, [0.0], 0.0)
+        short = CandidateMember(0.0, 1.0, [0.0, 0.0], 0.0)
+        ranking = rank_candidates(one_judge_crowd(), [fine, short], labels=["fine", "short"])
+        assert [ev.label for ev in ranking.evaluations] == ["fine"]
+        assert isinstance(ranking.failures[0].error, ShapeMismatch)
+
+    def test_batch_validation_factors_once_without_eigensolve(self, monkeypatch, linalg_calls):
+        full = random_model(64, seed=3, criterion_var=1.0)
+        n = 60
+        base = CrowdModel(
+            judge_means=full.judge_means[:n],
+            judge_cov=full.judge_cov[:n, :n],
+            criterion_mean=full.criterion_mean,
+            criterion_var=full.criterion_var,
+            cross_cov=full.cross_cov[:n],
+        )
+        candidates = [
+            CandidateMember(
+                full.judge_means[k], full.judge_cov[k, k], full.judge_cov[k, :n], full.cross_cov[k]
+            )
+            for k in range(n, 64)
+        ]
+        orders = []
+        cholesky = np.linalg.cholesky
+
+        def counted(m):
+            orders.append(m.shape[0])
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        ranking = rank_candidates(base, candidates)
+        assert len(ranking.evaluations) == 4
+        assert linalg_calls["eigvalsh"] == 0
+        # One factor of the base joint matrix; the solver factors only the
+        # faces of judges carrying weight.
+        assert orders.count(n + 1) == 1
+        assert max(orders) == n + 1
 
 
 class TestCandidateMember:

@@ -17,6 +17,7 @@ from crowdwise.model import (
     CrowdModel,
     JudgmentSample,
     _certified_definite,
+    _certified_extensions,
     _nonfinite_violation,
     _symmetry_violation,
     estimate_model,
@@ -250,7 +251,12 @@ class TestEstimateModel:
         shuffled = estimate_model(
             JudgmentSample(judgments=judgments[perm], criterion=criterion[perm])
         )
-        np.testing.assert_allclose(base.judge_means, shuffled.judge_means, rtol=1e-12)
+        # A mean near zero keeps only its sum's rounding: two orders of a
+        # 12-term sum give means at most about 12 eps max|x| of the column
+        # apart.
+        for column, mean, permuted in zip(judgments.T, base.judge_means, shuffled.judge_means):
+            atol = 12 * np.finfo(float).eps * np.abs(column).max()
+            np.testing.assert_allclose(mean, permuted, rtol=1e-12, atol=atol)
         np.testing.assert_allclose(base.judge_cov, shuffled.judge_cov, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(base.cross_cov, shuffled.cross_cov, rtol=1e-9, atol=1e-12)
         assert base.criterion_var == pytest.approx(shuffled.criterion_var, rel=1e-9)
@@ -310,7 +316,8 @@ class TestFixedCriterionModel:
             assert validate_model(model) == []
 
     def test_joint_matrix_is_not_factored(self, monkeypatch):
-        # Its last pivot is -|l|^2 <= 0, so Cholesky could never factor it.
+        # Its last pivot is -|l|^2 <= 0, so Cholesky could never factor it;
+        # judge_cov alone, of order 3, is factored instead.
         model = fixed_criterion_model([0.5, 1.0, 0.0], np.diag([1.0, 2.0, 3.0]), 0.0)
         calls = []
         cholesky = np.linalg.cholesky
@@ -321,7 +328,7 @@ class TestFixedCriterionModel:
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
         assert validate_model(model) == []
-        assert calls == []
+        assert calls == [(3, 3)]
 
 
 def separate_spectra_violations(model: CrowdModel) -> list[str]:
@@ -482,6 +489,34 @@ def validation_fixtures() -> list[CrowdModel]:
     return models
 
 
+def full_symmetry_violation(cov: np.ndarray) -> float:
+    """max|cov - cov'| / max|cov| over whole matrices: the reference for
+    ``_symmetry_violation``."""
+    scale = np.abs(cov).max()
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs(cov - cov.T).max() / scale)
+
+
+class TestSymmetryViolation:
+    def test_bits_equal_the_full_formula(self):
+        rng = np.random.default_rng(23)
+        matrices = [model.judge_cov for model in validation_fixtures()]
+        for size in (1, 2, 63, 64, 65, 129, 200):
+            m = rng.normal(size=(size, size)) * 10.0 ** rng.integers(-300, 300)
+            noise = rng.normal(size=(size, size)) * 1e-10
+            matrices += [m, m + m.T, (m + m.T) * (1.0 + noise), np.zeros((size, size))]
+            asym = m + m.T
+            asym[-1, 0] = -np.inf
+            matrices.append(asym)
+        for cov in matrices:
+            with np.errstate(invalid="ignore"):
+                expected = full_symmetry_violation(cov)
+                got = _symmetry_violation(cov)
+            assert type(got) is float
+            assert got.hex() == expected.hex()
+
+
 class TestOneSpectrum:
     def test_violations_equal_separate_spectra(self, linalg_calls):
         fixtures = validation_fixtures()
@@ -532,6 +567,20 @@ def straddling_matrices() -> list[np.ndarray]:
     return matrices
 
 
+def bordered_straddling_cases(seed: int):
+    """A model with an exactly symmetric joint matrix J of order 2 to 5, and
+    borders b with corners v = b'J^-1 b + delta, delta from -1e-12 to 1e-12:
+    extended matrices [[J, b], [b', v]] of order up to 6 whose last pivot
+    lies on either side of the bordered certificate's shift."""
+    rng = np.random.default_rng(seed)
+    size = 2 + seed % 4
+    joint = matrix_with_spectrum(np.linspace(1.0, 0.1, size), seed)
+    deltas = np.concatenate([-np.logspace(-17, -12, 11), np.logspace(-17, -12, 11)])
+    borders = rng.normal(size=(size, len(deltas))) * 0.3
+    schur = (borders * np.linalg.solve(joint, borders)).sum(axis=0)
+    return joint_model(joint, seed), borders, schur + deltas
+
+
 class TestCholeskyCertificate:
     def test_certified_matrices_are_exactly_definite(self):
         decisions = []
@@ -540,6 +589,22 @@ class TestCholeskyCertificate:
             if certified:
                 assert exactly_positive_definite(m / 2.0 + m.T / 2.0), m
             decisions.append(certified)
+        assert any(decisions) and not all(decisions)
+
+    def test_bordered_certificates_are_exactly_definite(self):
+        decisions = []
+        for seed in range(12):
+            model, borders, corners = bordered_straddling_cases(seed)
+            joint = model.joint_covariance()
+            for b, v, certified in zip(
+                borders.T, corners, _certified_extensions(model, borders, corners)
+            ):
+                if certified:
+                    # The new judge last: a symmetric permutation of the
+                    # extended joint matrix, definite exactly when it is.
+                    extended = np.block([[joint, b[:, None]], [b[None, :], v]])
+                    assert exactly_positive_definite(extended), (seed, v)
+                decisions.append(bool(certified))
         assert any(decisions) and not all(decisions)
 
     def test_nonpositive_diagonal_is_refused_without_overflow(self):
