@@ -105,30 +105,22 @@ class CandidateRanking:
 
 
 def extend_model(
-    model: CrowdModel, candidate: CandidateMember, label: str = "candidate"
+    model: CrowdModel,
+    candidate: CandidateMember,
+    label: str = "candidate",
+    *,
+    certified: bool = False,
 ) -> CrowdModel:
     """Append the candidate as judge N+1.
+
+    ``certified`` says the extension is already proven valid (by
+    ``model._certified_extensions``), so ``validate_model`` is skipped.
 
     Raises:
         ShapeMismatch: covariance vector length disagrees with the crowd.
         ValidationFailed: the crowd's moments hold nan or inf.
         JointNotPSD: the extended covariance admits no joint distribution.
     """
-    extended = _appended(model, candidate, label)
-    violations = validate_model(extended)
-    if violations:
-        if _nonfinite_violation(extended):
-            raise ValidationFailed(violations)
-        raise JointNotPSD(
-            extended.joint_spectrum[0],
-            f"candidate {label!r} is inconsistent with the crowd: "
-            + "; ".join(violations),
-        )
-    return extended
-
-
-def _appended(model: CrowdModel, candidate: CandidateMember, label: str) -> CrowdModel:
-    """The model with the candidate as judge N+1, not validated."""
     n = model.n_judges
     if candidate.cov_with_members.shape != (n,):
         raise ShapeMismatch(
@@ -140,7 +132,7 @@ def _appended(model: CrowdModel, candidate: CandidateMember, label: str) -> Crow
     cov[:n, n] = candidate.cov_with_members
     cov[n, :n] = candidate.cov_with_members
     cov[n, n] = candidate.variance
-    return CrowdModel(
+    extended = CrowdModel(
         judge_means=np.concatenate([model.judge_means, [candidate.mean]]),
         judge_cov=cov,
         criterion_mean=model.criterion_mean,
@@ -150,6 +142,18 @@ def _appended(model: CrowdModel, candidate: CandidateMember, label: str) -> Crow
         ),
         judge_labels=model.judge_labels + (label,),
     )
+    if certified:
+        return extended
+    violations = validate_model(extended)
+    if violations:
+        if _nonfinite_violation(extended):
+            raise ValidationFailed(violations)
+        raise JointNotPSD(
+            extended.joint_spectrum[0],
+            f"candidate {label!r} is inconsistent with the crowd: "
+            + "; ".join(violations),
+        )
+    return extended
 
 
 def _certified(model: CrowdModel, candidates: list[CandidateMember]) -> np.ndarray:
@@ -198,8 +202,9 @@ def rank_candidates(
     selection rule is derived on each model, so the before and after reports
     answer the same question at their own crowd size.  One bordered factor
     of the base crowd's joint matrix certifies the consistent candidates
-    (``model._certified_extensions``); the rest go through ``extend_model``,
-    whose errors are the failures reported.
+    (``model._certified_extensions``), and ``extend_model`` skips their
+    validation; the rest are validated there, and its errors are the
+    failures reported.
 
     Ties keep input order.  A candidate that fails (inconsistent covariance,
     solver failure) is reported in ``failures`` without sinking the batch; a
@@ -234,10 +239,7 @@ def rank_candidates(
     def assess(
         candidate: CandidateMember, label: str, valid: bool
     ) -> CandidateEvaluation:
-        if valid:
-            extended = _appended(model, candidate, label)
-        else:
-            extended = extend_model(model, candidate, label)
+        extended = extend_model(model, candidate, label, certified=valid)
         after_sol = optimal_weights(extended, start=start)
         after = evaluate(extended, after_sol.weights, select(extended))
         try:

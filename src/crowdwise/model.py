@@ -37,8 +37,6 @@ EIGEN_ROUNDING = 8.0 * np.finfo(float).eps
 # Unit roundoff and the spacing of the subnormals, for the certificate's shift.
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 SUBNORMAL_SPACING = 2.0**-1074
-# Rows per block of ``_symmetry_violation``.
-_SYMMETRY_BLOCK = 64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -163,22 +161,16 @@ class JudgmentSample:
 def _symmetry_violation(cov: np.ndarray) -> float:
     """Asymmetry relative to the largest absolute entry (0 for symmetric).
 
-    Equal to max|cov - cov'| / max|cov|, taken over blocks of rows so that no
-    temporary outgrows a block.  Each block compares only its entries on and
-    right of the diagonal: fl(a - b) = -fl(b - a), so the rest mirror entries
-    already compared, and nan and inf propagate as in the full formula.
+    An exactly symmetric matrix, the common case, returns before the N x N
+    temporaries of cov - cov'.  Callers pass finite matrices: one holding
+    inf symmetrically would give 0 here and nan from the full formula.
     """
-    diffs, scales = [], []
-    for i in range(0, cov.shape[0], _SYMMETRY_BLOCK):
-        j = i + _SYMMETRY_BLOCK
-        rows = cov[i:j]
-        diff = rows[:, i:] - cov[i:, i:j].T
-        diffs.append(np.abs(diff, out=diff).max())
-        scales += [rows.max(), -rows.min()]
-    scale = np.max(scales)
+    if (cov == cov.T).all():
+        return 0.0
+    scale = np.abs(cov).max()
     if scale == 0.0:
         return 0.0
-    return float(np.max(diffs) / scale)
+    return float(np.abs(cov - cov.T).max() / scale)
 
 
 def _extreme_eigenvalues(m: np.ndarray) -> tuple[float, float]:
@@ -335,11 +327,9 @@ def validate_model(model: CrowdModel) -> list[str]:
     Cholesky factor of it, shifted by a proven bound on its rounding,
     certifies that with no eigensolve (see ``_certified_definite``).  Its
     judge_cov block is then positive definite too, so the eigen path below
-    would find nothing either (see ``PSD_RTOL``).  A fixed criterion with
-    zero cross_cov is certified the same way by judge_cov's factor alone.
-    A model the certificate cannot pass, such as a singular one, takes that
-    path: judge_cov's own spectrum, then the model's cached
-    ``joint_spectrum``.
+    would find nothing either (see ``PSD_RTOL``).  A model the certificate
+    cannot pass, such as a singular one, takes that path: judge_cov's own
+    spectrum, then the model's cached ``joint_spectrum``.
     """
     nonfinite = _nonfinite_violation(model)
     if nonfinite:
@@ -354,19 +344,9 @@ def validate_model(model: CrowdModel) -> list[str]:
             f"judge_cov is asymmetric (relative violation {asym:.3e})"
         )
     var_ok = model.criterion_var >= 0.0
-    if model.criterion_var > 0.0:
-        certified = _certified_definite(model.joint_covariance())
-    else:
-        # A fixed criterion leaves the joint matrix a last pivot of
-        # -|l|^2 <= 0, which Cholesky never factors.  With no cross
-        # covariance its spectrum is judge_cov's plus a zero, so a positive
-        # definite judge_cov passes every check.
-        certified = (
-            model.criterion_var == 0.0
-            and not model.cross_cov.any()
-            and _certified_definite(np.array(model.judge_cov))
-        )
-    if certified:
+    # A fixed criterion leaves the joint matrix a last pivot of -|l|^2 <= 0,
+    # which Cholesky never factors, so it is not tried.
+    if model.criterion_var > 0.0 and _certified_definite(model.joint_covariance()):
         return violations
     cov_spectrum = _extreme_eigenvalues(model.judge_cov)
     cov_ok = _psd_within_tolerance(cov_spectrum)

@@ -386,9 +386,9 @@ class TestEigensolveCount:
         save_model(counted_model(kind), path)
         if kind == "fixed":
             optimal_weights(load_model(path))
-            # The solver decides uniqueness without Q's spectrum, and with no
-            # cross covariance judge_cov's Cholesky factor certifies the model.
-            assert linalg_calls["eigvalsh"] == 0
+            # The solver decides uniqueness without Q's spectrum, so only
+            # judge_cov's and the joint matrix's remain.
+            assert linalg_calls["eigvalsh"] == separate_spectra - 1
         else:
             with pytest.raises(ValidationFailed):
                 load_model(path)
