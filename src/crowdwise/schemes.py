@@ -5,20 +5,23 @@ The optimal aggregate solves
     minimize  f(w) = (mu_x' w - mu_y)^2 + w' Sigma w - 2 w' sigma_xy + sigma_y^2
     over      w >= 0,  sum w = 1
 
-a convex quadratic program (the Hessian 2(Sigma + mu mu') is PSD).  It is
-solved by projected search with exact Euclidean projection onto the simplex,
-after Bertsekas (1982) and the GPCG method of Moré and Toraldo (1991).  Each
-iteration makes one of two moves.  A gradient step tries first the length
-that minimizes f along the negative gradient and halves it until the Armijo
-rule holds; no Lipschitz constant is needed.  Once two steps in a row have
-kept the set of judges carrying weight (the support), or gradient steps
-stall, a face step searches toward the exact minimizer on the current face
-instead.  That face is the support plus the judge with the smallest partial,
-the one that most wants to enter, so an active-set step can grow the
-support as well as shrink it.  An accepted face step is followed by another
-one, and a solve from a given start begins with one, so a start near the
-optimum finishes in a face step or two.  The face minimizer comes from a
-Cholesky factor of the face's Hessian and the Schur complement of its
+a convex quadratic program.  Each solve builds it once (``_scaled_qp``):
+centred, symmetric and scaled by one power of two, so that the certificate,
+the Armijo test and the face systems all read one gradient q2 w + b near
+unit scale, while the tolerance, objective and residual keep the caller's
+units.  The QP is solved by projected search with exact Euclidean projection
+onto the simplex, after Bertsekas (1982) and the GPCG method of Moré and
+Toraldo (1991).  Each iteration makes one of two moves.  A gradient step tries
+first the length that minimizes f along the negative gradient and halves it
+until the Armijo rule holds; no Lipschitz constant is needed.  Once two steps
+in a row have kept the set of judges carrying weight (the support), or
+gradient steps stall, a face step searches toward the exact minimizer on the
+current face instead.  That face is the support plus the judge with the
+smallest partial, the one that most wants to enter, so an active-set step
+can grow the support as well as shrink it.  An accepted face step is followed
+by another one, and a solve from a given start begins with one, so a start
+near the optimum finishes in a face step or two.  The face minimizer comes
+from a Cholesky factor of the face's Hessian and the Schur complement of its
 sum-to-one row; a singular face, such as one holding duplicated judges,
 takes the minimum-norm least-squares solution.
 Every accepted move lowers the objective, so the last iterate is the best
@@ -139,12 +142,8 @@ def skill_scores(model: CrowdModel) -> SkillProfile:
     return SkillProfile(model.cross_cov / (np.sqrt(variances) * sd_y))
 
 
-def _clipped_skill_simplex(model: CrowdModel, floor_at_zero: bool) -> np.ndarray:
-    s = skill_scores(model).skills
-    if floor_at_zero:
-        v = np.maximum(s, 0.0)
-    else:
-        v = s - min(float(s.min()), 0.0)
+def _clipped_skill_simplex(model: CrowdModel) -> np.ndarray:
+    v = np.maximum(skill_scores(model).skills, 0.0)
     if v.sum() <= 0.0:
         warnings.warn(
             "all clipped skills are zero; falling back to uniform",
@@ -155,21 +154,18 @@ def _clipped_skill_simplex(model: CrowdModel, floor_at_zero: bool) -> np.ndarray
     return v
 
 
-def skill_weights(model: CrowdModel, floor_at_zero: bool = True) -> WeightVector:
-    """Weights proportional to skill, clipped to be nonnegative.
+def skill_weights(model: CrowdModel) -> WeightVector:
+    """Weights proportional to skill, negative skills clipped to zero.
 
-    With ``floor_at_zero`` negative skills are clipped to zero; otherwise all
-    skills are shifted up so the least becomes zero.  If every clipped skill
-    is zero a uniform vector is returned and a SkillDegenerateWarning issued.
+    If every clipped skill is zero a uniform vector is returned and a
+    SkillDegenerateWarning issued.
     """
-    return WeightVector(_clipped_skill_simplex(model, floor_at_zero))
+    return WeightVector(_clipped_skill_simplex(model))
 
 
-def skill_selection(
-    model: CrowdModel, floor_at_zero: bool = True
-) -> SelectionDistribution:
+def skill_selection(model: CrowdModel) -> SelectionDistribution:
     """Selection probabilities proportional to clipped skill; uniform fallback."""
-    return SelectionDistribution(_clipped_skill_simplex(model, floor_at_zero))
+    return SelectionDistribution(_clipped_skill_simplex(model))
 
 
 def inverse_mse_weights(model: CrowdModel) -> WeightVector:
@@ -231,15 +227,51 @@ def project_to_simplex(v) -> WeightVector:
     return WeightVector(_project(arr))
 
 
+def _ldexp(x: float, exponent: int) -> float:
+    """x times 2**exponent, or an infinity of x's sign where that overflows."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _exponent(a: np.ndarray) -> float:
+    """The e with max|a| in [2^(e-1), 2^e), frexp's exponent; -inf for zeros."""
+    top = float(np.abs(a).max())
+    return math.frexp(top)[1] if top else -math.inf
+
+
+def _scaled_qp(model: CrowdModel) -> tuple[np.ndarray, np.ndarray, int]:
+    """q2, b and shift with f(w) = (w'q2 w / 2 + b'w) / 2^shift + sigma_y^2.
+
+    q2 = 2(S + m m') and b = -2 sigma_xy, with S the symmetric part of Sigma
+    and m = mu - mu_y ((mu'w - mu_y)^2 = (m'w)^2 on the simplex), scaled by
+    the even shift, read from exponents before any square forms, that brings
+    the largest of |S|, |sigma_xy| and m_i^2 into [1, 4).  A crowd scaled by
+    2^j, with its tolerance, solves to the same bits.
+    """
+    # Halves first: mu - mu_y can overflow, their halves cannot.
+    half = 0.5 * model.judge_means - 0.5 * model.criterion_mean
+    cov = model.judge_cov
+    if not (cov == cov.T).all():
+        cov = 0.5 * cov + 0.5 * cov.T
+    top = max(2 * _exponent(half) + 2, _exponent(cov), _exponent(model.cross_cov))
+    shift = 0 if top == -math.inf else -2 * ((top - 1) // 2)
+    m = np.ldexp(half, shift // 2 + 1)
+    q2 = np.outer(m, m)
+    q2 += np.ldexp(cov, shift) if shift else cov
+    q2 *= 2.0
+    return q2, -2.0 * np.ldexp(model.cross_cov, shift), shift
+
+
 def objective_gradient(model: CrowdModel, w: np.ndarray) -> np.ndarray:
-    """Gradient 2(mu' w - mu_y) mu + 2 Sigma w - 2 sigma_xy."""
-    w = np.asarray(w, dtype=float)
-    bias = float(model.judge_means @ w) - model.criterion_mean
-    return (
-        2.0 * bias * model.judge_means
-        + 2.0 * (model.judge_cov @ w)
-        - 2.0 * model.cross_cov
-    )
+    """The solver's gradient q2 w + b (``_scaled_qp``) in the caller's units.
+
+    Off the simplex it differs from the raw formula's gradient by a multiple
+    of ones, which moves no first-order certificate.
+    """
+    q2, b, shift = _scaled_qp(model)
+    return np.ldexp(q2 @ np.asarray(w, dtype=float) + b, -shift)
 
 
 def _certificate_residual(w: np.ndarray, grad: np.ndarray) -> float:
@@ -254,14 +286,6 @@ def _certificate_residual(w: np.ndarray, grad: np.ndarray) -> float:
     active = w > ACTIVE_WEIGHT
     weighted_excess = float(w @ grad) - tau
     return max(float((grad[active] - tau).max()), weighted_excess)
-
-
-def _decrease(q2: np.ndarray, grad: np.ndarray, d: np.ndarray) -> float:
-    """f(w + d) - f(w) for the quadratic objective with gradient ``grad`` at w.
-
-    Taken from the step itself, so it keeps its digits when f is large.
-    """
-    return float(grad @ d) + 0.5 * float(d @ (q2 @ d))
 
 
 def _projected_search(
@@ -280,7 +304,8 @@ def _projected_search(
         if not step.any():
             return None  # shorter trials stay at w, up to rounding
         slope = float(grad @ step)
-        change = _decrease(q2, grad, step)
+        # f(x) - f(w), from the step itself: it keeps its digits when f is large.
+        change = slope + 0.5 * float(step @ (q2 @ step))
         if slope < 0.0 and change <= ARMIJO * slope:
             return x, -change
         d = 0.5 * d
@@ -335,30 +360,6 @@ def _newton_face_step(lower: np.ndarray, g_face: np.ndarray, total: float) -> np
     return _lower_solve(upper_reversed, (y - multiplier * z)[::-1])[::-1]
 
 
-def _least_squares_face(q_face: np.ndarray, b_face: np.ndarray) -> np.ndarray | None:
-    """The minimum-norm minimizer of x'Hx/2 + b'x subject to sum x = 1.
-
-    The least-squares solution of the KKT system spreads weight evenly over
-    duplicated judges.  The curvature rows are scaled by the power of 16
-    that brings their largest entry into [1, 16).  That is exact, the same
-    weights solve the scaled system, and its sum-to-one row no longer falls
-    below the SVD's rank cutoff beside curvatures far from one; unit-scale
-    crowds, whose curvatures already lie in that range, are solved unscaled.
-    None when the scaled system leaves the float range, where LAPACK may not
-    return.
-    """
-    k = b_face.shape[0]
-    exponent = -4 * ((math.frexp(float(np.abs(q_face).max()))[1] - 1) // 4)
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = np.ldexp(q_face, exponent)
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([np.ldexp(-b_face, exponent), [1.0]])
-    if not (np.isfinite(kkt).all() and np.isfinite(rhs).all()):
-        return None
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-
-
 def _face_step(
     q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, float] | None:
@@ -368,28 +369,28 @@ def _face_step(
     partial.  Weights that would turn negative on the way stay at zero, and
     judges off the face go to zero.  On a face whose Hessian has a Cholesky
     factor the step is the constrained Newton step from w
-    (``_newton_face_step``); a singular face takes the least-squares
-    minimizer instead
-    (``_least_squares_face``).  A poor factor of a nearly singular face only
-    costs iterations: the search accepts no step that fails Armijo.  None
-    when there is no finite step or it is not downhill from w.
+    (``_newton_face_step``); a singular face takes the minimum-norm
+    least-squares minimizer, which spreads weight evenly over duplicated
+    judges.  A poor factor of a nearly singular face only costs iterations:
+    the search accepts no step that fails Armijo.  None when there is no
+    finite step or it is not downhill.
     """
     on_face = w > ACTIVE_WEIGHT
     on_face[np.argmin(grad)] = True
     active = np.nonzero(on_face)[0]
     q_face = q2[np.ix_(active, active)]
-    if not (np.isfinite(q_face).all() and np.isfinite(grad).all()):
-        return None  # curvatures past the float range; LAPACK may not return
     d = np.where(on_face, 0.0, -w)
     lower = _definite_factor(q_face)
     if lower is not None:
         g_face = (grad + q2 @ d)[active] if d.any() else grad[active]
         d[active] = _newton_face_step(lower, g_face, -float(d.sum()))
     else:
-        x = _least_squares_face(q_face, b[active])
-        if x is None:
-            return None
-        d[active] = x - w[active]
+        # The KKT system; its sum-to-one row stays above lstsq's rank cutoff
+        # beside curvature rows at the scale of _scaled_qp.
+        kkt = np.ones((len(active) + 1,) * 2)
+        kkt[:-1, :-1], kkt[-1, -1] = q_face, 0.0
+        rhs = np.append(-b[active], 1.0)
+        d[active] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1] - w[active]
     if not (np.isfinite(d).all() and float(grad @ d) < 0.0):
         return None
     return _projected_search(q2, grad, w, d)
@@ -400,20 +401,15 @@ def _gradient_step(
 ) -> tuple[np.ndarray, float] | None:
     """Projected search along -grad.
 
-    The first trial length minimizes f along -grad, g'g / g'Qg, evaluated on
-    grad scaled by a power of two so that neither product overflows; the
-    scaling is exact, so the length is the unscaled one wherever that is
-    finite.  Where f has no curvature along grad it falls linearly, and the
-    first trial is the length that empties the judge with the largest
-    partial.
+    The first trial length minimizes f along -grad, g'g / g'Qg.  Where f has
+    no curvature along grad it falls linearly, and the first trial is the
+    length that empties the judge with the largest partial.
     """
-    exponent = -math.frexp(float(np.abs(grad).max()))[1]
-    g = np.ldexp(grad, exponent)
-    curvature = float(g @ (q2 @ g))
+    curvature = float(grad @ (q2 @ grad))
     if curvature > 0.0:
-        t = float(g @ g) / curvature
+        t = float(grad @ grad) / curvature
     else:
-        t = math.ldexp(2.0 / (float(np.ptp(g)) or 2.0), exponent)
+        t = 2.0 / (float(np.ptp(grad)) or 2.0)
     return _projected_search(q2, grad, w, -t * grad)
 
 
@@ -426,14 +422,11 @@ def _nonunique_on_face(
     (Mangasarian, Oper. Res. Lett. 7, 1988): the judges carrying weight or
     with excess grad_i - min(grad) within ``tolerance``.  H = Q[face, face]
     is PSD, so H + c 11', c = trace(H) / k, is singular exactly when such a
-    d exists.  One judge is unique; a non-finite H is possibly nonunique.
+    d exists.  One judge is unique.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        face = np.nonzero((w > ACTIVE_WEIGHT) | (grad - grad.min() <= tolerance))[0]
-        h = q2[np.ix_(face, face)]
-        h = h + np.trace(h) / len(face)
-        singular = not np.isfinite(h).all() or _definite_factor(h) is None
-    return len(face) > 1 and singular
+    face = np.nonzero((w > ACTIVE_WEIGHT) | (grad - grad.min() <= tolerance))[0]
+    h = q2[np.ix_(face, face)]
+    return len(face) > 1 and _definite_factor(h + np.trace(h) / len(face)) is None
 
 
 def optimal_weights(
@@ -444,23 +437,22 @@ def optimal_weights(
 ) -> QPSolution:
     """Minimize the crowd squared error over the simplex.
 
-    Each iteration from ``start`` (uniform weights when None) makes one move.
-    It searches toward the exact minimizer on the face of the judges carrying
-    weight plus the one with the smallest partial when the solve was given a
-    start and has not yet moved, when the last move was such a face step,
-    when two steps in a row have kept the support, or when the latest
-    gradient step lowered f by at most STALL times the largest fall since
-    the last face move; weights that would turn negative on the way stay at
-    zero.  Otherwise, or if that would not lower the objective, it takes a
-    projected gradient step under the Armijo rule.  No move raises the
-    objective, from any feasible start, so a start near the optimum, such as
-    a smaller crowd's optimum padded with zero weights, can certify in a face
-    step or two, or none, and then comes back bit for bit.  The iterate is
-    accepted only once its own first-order certificate is within
-    ``tolerance``, so the result is guaranteed wise against every selection
-    distribution up to that slack; ``kkt_residual`` is that certificate,
-    taken at the stored weights, where ``possibly_nonunique`` tests the
-    optimal face that ``tolerance`` picks.
+    Each iteration from ``start`` (uniform weights when None) makes one move:
+    a face step when the solve was given a start and has not yet moved, when
+    the last move was a face step, when two steps in a row have kept the
+    support, or when the latest gradient step lowered f by at most STALL
+    times the largest fall since the last face move; otherwise, or if that
+    would not lower the objective, a projected gradient step.  No move
+    raises the objective, from any feasible start, so a start near the
+    optimum, such as a smaller crowd's optimum padded with zero weights, can
+    certify in a face step or two, or none, and then comes back bit for bit.
+    The iterate is accepted only once its own first-order certificate is
+    within ``tolerance``, so the result is guaranteed wise against every
+    selection distribution up to that slack; ``kkt_residual`` is that
+    certificate, taken at the stored weights, where ``possibly_nonunique``
+    tests the optimal face that ``tolerance`` picks.  ``tolerance``,
+    ``objective`` and ``kkt_residual`` are in the caller's units; the solve
+    reads one scaled, symmetric QP (``_scaled_qp``).
 
     Raises:
         ValidationFailed: some moment of the model is nan or inf.
@@ -477,19 +469,18 @@ def optimal_weights(
     n = model.n_judges
     if start is not None and len(start) != n:
         raise ShapeMismatch(f"start has {len(start)} weights for {n} judges")
-    mu = model.judge_means
-    q2 = 2.0 * (model.judge_cov + np.outer(mu, mu))
-    b = -2.0 * (model.criterion_mean * mu + model.cross_cov)
+    q2, b, shift = _scaled_qp(model)
+    tol = _ldexp(tolerance, shift)
 
     def build(w: np.ndarray, iterations: int) -> QPSolution:
         wv = WeightVector(w)
-        grad = objective_gradient(model, wv.weights)
+        grad = q2 @ wv.weights + b
         return QPSolution(
             weights=wv,
             objective=crowd_mse(model, wv).total,
             iterations=iterations,
-            kkt_residual=_certificate_residual(wv.weights, grad),
-            possibly_nonunique=_nonunique_on_face(q2, wv.weights, grad, tolerance),
+            kkt_residual=_ldexp(_certificate_residual(wv.weights, grad), -shift),
+            possibly_nonunique=_nonunique_on_face(q2, wv.weights, grad, tol),
         )
 
     w = np.full(n, 1.0 / n) if start is None else start.weights
@@ -501,8 +492,8 @@ def optimal_weights(
     support, kept = None, 0
     best_fall, last_fall = 0.0, math.inf if start is None else 0.0
     for iteration in range(max_iterations + 1):
-        grad = objective_gradient(model, w)
-        if _certificate_residual(w, grad) <= tolerance:
+        grad = q2 @ w + b
+        if _certificate_residual(w, grad) <= tol:
             return build(w, iteration)
         if iteration == max_iterations:
             break
@@ -512,7 +503,10 @@ def optimal_weights(
         face_tried = kept >= 2 or last_fall <= STALL * best_fall
         if face_tried:
             kept, best_fall, last_fall = 0, 0.0, math.inf
-            moved = _face_step(q2, b, w, grad)
+            # The excesses have grad's slopes along the simplex, without the
+            # rounding of its common part; gradient steps keep that rounding,
+            # so they stop at it rather than crawl where f has no curvature.
+            moved = _face_step(q2, b, w, grad - grad.min())
             if moved is not None:
                 w, last_fall = moved[0], 0.0
                 continue

@@ -70,15 +70,15 @@ def linalg_calls(monkeypatch):
 
 
 @pytest.fixture
-def gradient_calls(monkeypatch):
-    """Calls of ``schemes.objective_gradient``: one per solver iteration, and
-    one to certify the returned iterate."""
+def certificate_calls(monkeypatch):
+    """Calls of ``schemes._certificate_residual``: one per solver iteration,
+    and one to certify the returned iterate."""
     calls = []
-    original = schemes.objective_gradient
+    original = schemes._certificate_residual
     monkeypatch.setattr(
         schemes,
-        "objective_gradient",
-        lambda model, w: calls.append(1) or original(model, w),
+        "_certificate_residual",
+        lambda w, grad: calls.append(1) or original(w, grad),
     )
     return calls
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix_with_spectrum
-from crowdwise import cli
+from crowdwise import cli, schemes
 from crowdwise.cli import ingest_csv, load_model, main, read_candidates, save_model
 from crowdwise.errors import (
     DuplicateJudgeLabel,
@@ -937,18 +937,16 @@ class TestExitCodes:
         assert main(argv.replace("{d}", str(tmp_path)).split()) == code
         assert capsys.readouterr() == ("", err.replace("{d}", str(tmp_path)) + "\n")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_internal_error_is_three_without_traceback(self, tmp_path, capsys):
-        # Finite but overflowing moments break the solver's arithmetic.
-        path = tmp_path / "huge.txt"
-        path.write_text(
-            "judge_labels = a, b\n"
-            "judge_means = 1e200, 3.0\n"
-            "judge_cov = 1.0, 0.0, 0.0, 1.0\n"
-            "criterion_mean = 0.0\n"
-            "criterion_var = 1.0\n"
-            "cross_cov = 0.0, 0.0\n"
-        )
+    def test_internal_error_is_three_without_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A defect in the solver, not bad input.
+        def defect(v):
+            raise IndexError("index -1 is out of bounds for axis 0 with size 0")
+
+        monkeypatch.setattr(schemes, "_project", defect)
+        path = tmp_path / "model.txt"
+        save_model(fixed_criterion_model([0.0, 0.0], np.diag([1.0, 4.0]), 0.0), str(path))
         assert main(["optimize", "--model", str(path)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -960,6 +958,24 @@ class TestExitCodes:
     @pytest.mark.parametrize("output_format", ["human", "machine"])
     def test_overflowing_report_is_three(self, output_format, tmp_path, capsys):
         # Finite moments whose squares overflow: crowd_mse = inf, gap = nan.
+        last = self.overflowing_report("analyze", output_format, tmp_path, capsys)
+        assert {"crowd_mse", "wisdom_gap"} <= set(last.split(": ")[-1].split(", "))
+        assert "weights" not in last.split(": ")[-1].split(", ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("output_format", ["human", "machine"])
+    def test_overflowing_optimize_report_is_three(
+        self, output_format, tmp_path, capsys
+    ):
+        # The solve certifies the finite optimum [0, 1]; judge a's own error
+        # overflows.
+        last = self.overflowing_report("optimize", output_format, tmp_path, capsys)
+        bad = set(last.split(": ")[-1].split(", "))
+        assert bad == {"individual_mse", "wisdom_gap", "per_judge_mse"}
+
+    @staticmethod
+    def overflowing_report(command, output_format, tmp_path, capsys) -> str:
+        """The last stderr line of ``command`` on means of 1e200 and 3."""
         path = tmp_path / "huge.txt"
         path.write_text(
             "judge_labels = a, b\n"
@@ -969,15 +985,15 @@ class TestExitCodes:
             "criterion_var = 1.0\n"
             "cross_cov = 0.0, 0.0\n"
         )
-        argv = ["analyze", "--model", str(path), "--format", output_format]
+        argv = [command, "--model", str(path), "--format", output_format]
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
+        assert "internal:" not in err
         last = err.splitlines()[-1]
         assert err.endswith(last + "\n")
         assert last.startswith("error: non-finite values in the report: ")
-        assert {"crowd_mse", "wisdom_gap"} <= set(last.split(": ")[-1].split(", "))
-        assert "weights" not in last.split(": ")[-1].split(", ")
+        return last
 
     def test_numerical_failure_is_three(self, tmp_path, capsys):
         model = fixed_criterion_model([0.0, 0.0], np.diag([1.0, 4.0]), 0.0)
@@ -991,8 +1007,11 @@ class TestExitCodes:
             "(residual 1.038e+00)\n"
         )
 
-    def test_fixed_point_says_where_it_stopped(self, tmp_path, capsys, gradient_calls):
-        # At scale 1e100 no step lowers the objective after a few moves; the
+    def test_fixed_point_says_where_it_stopped(
+        self, tmp_path, capsys, certificate_calls
+    ):
+        # At scale 1e100 the absolute tolerance lies below the rounding of the
+        # certificate, and no step lowers the objective after a few moves; the
         # solver stops there and reports that iteration, not the cap.
         path = tmp_path / "huge.txt"
         path.write_text(
@@ -1008,9 +1027,9 @@ class TestExitCodes:
         assert out == ""
         assert err == (
             "error: optimizer stopped at iteration 2: no step lowers the "
-            "objective (residual 1.000e+100)\n"
+            "objective (residual 6.853e+183)\n"
         )
-        assert len(gradient_calls) == 2 + 2
+        assert len(certificate_calls) == 2 + 2
 
     @pytest.mark.parametrize(
         "flag", ["--data", "--model", "--candidates", "--weights", "--sweep-grid"]

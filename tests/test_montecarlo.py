@@ -175,16 +175,19 @@ class TestSimulate:
         # Broader agreement sweep lives in the acceptance suite.
         for k, model in enumerate(model_corpus(6, base_seed=71)):
             n = model.n_judges
+            optimal = optimal_weights(model).weights
             pairings = (
-                (uniform_weights(n), uniform_selection(n)),
-                (optimal_weights(model).weights, uniform_selection(n)),
-                (uniform_weights(n), best_member_selection(model).selection),
+                (uniform_weights(n), uniform_selection(n), "gaussian"),
+                (optimal, uniform_selection(n), "gaussian"),
+                (uniform_weights(n), best_member_selection(model).selection, "gaussian"),
+                (optimal, uniform_selection(n), "uniform"),
             )
-            for j, (w, p) in enumerate(pairings):
+            for j, (w, p, distribution) in enumerate(pairings):
                 analytic = evaluate(model, w, p)
-                result = simulate(
-                    SimulationSpec(model, trials=50_000, seed=10 * k + j), w, p
+                spec = SimulationSpec(
+                    model, trials=50_000, seed=10 * k + j, distribution=distribution
                 )
+                result = simulate(spec, w, p)
                 se_crowd, se_indiv = result.standard_errors
                 assert abs(
                     result.empirical_crowd_mse - analytic.crowd_mse
