@@ -134,20 +134,38 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
     return value
 
 
-def _fast_table(handle, n_columns: int) -> np.ndarray | None:
-    """The remaining rows of ``handle`` as one array, or None to fall back.
+# numpy opens a path ending in one of these through a decompressor.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-    One C-level parse.  It is accepted only when it reads at least two rows
-    of ``n_columns`` finite numbers; every cell it parses equals ``float`` of
-    that cell.  Anything else it rejects or might read differently (quotes,
-    whitespace-only rows, ragged rows, ``1_0``, non-ASCII digits, nan, inf)
-    is left to the per-cell parser, which alone raises ingest errors.
+
+def _fast_table(path: str, handle, n_columns: int) -> np.ndarray | None:
+    """The data rows of the CSV at ``path`` as one array, or None to fall back.
+
+    One C-level parse.  A regular file whose name numpy would not take for a
+    compressed one is given to ``np.loadtxt`` by its absolute path (so no
+    name is read as a URL), which numpy reads in C chunks, skipping the one
+    header line.  Anything else, such as a pipe, is read from ``handle``,
+    which is positioned after the header; numpy reads a handle line by line.
+
+    The parse is accepted only when it reads at least two rows of
+    ``n_columns`` finite numbers; every cell it parses equals ``float`` of
+    that cell.  Anything else it rejects or might read differently (quotes, a
+    header record over several lines, whitespace-only rows, ragged rows,
+    ``1_0``, non-ASCII digits, nan, inf, bytes that are not UTF-8) is left to
+    the per-cell parser, which alone raises ingest errors.
     """
+    if os.path.isfile(path) and os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES:
+        source = os.path.abspath(path)
+        options = {"skiprows": 1, "encoding": "utf-8-sig"}
+    else:
+        source, options = handle, {}
     with warnings.catch_warnings():
         # A header-only file is reported by the per-cell parser.
         warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
         try:
-            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(
+                source, delimiter=",", comments=None, ndmin=2, **options
+            )
         except ValueError:
             return None
     if table.shape[1] != n_columns or table.shape[0] < 2:
@@ -159,14 +177,18 @@ def ingest_csv(path: str) -> JudgmentSample:
     """Read a trials-by-judges CSV with a required ``criterion`` column.
 
     The header names the judges; the (case-sensitive) ``criterion`` column
-    holds the realized criterion value of each trial.  Cells must be plain
-    decimal numbers.  Row numbers in errors count from the header as line 1.
+    holds the realized criterion value of each trial.  Judge labels must be
+    non-empty.  Cells must be plain decimal numbers.  Row numbers in errors
+    count from the header as line 1.
 
-    All data rows are parsed by one vectorised ``np.loadtxt`` call.  That
-    fast path is all-or-nothing: if it fails, or its table is not at least
-    two rows of finite numbers, one per header column, the file is read again
-    by the per-cell parser, which gives the same sample or raises the error
-    that locates the first bad row or cell.
+    All data rows are parsed by one vectorised ``np.loadtxt`` call
+    (``_fast_table``).  That fast path is all-or-nothing: if it fails, or its
+    table is not at least two rows of finite numbers, one per header column,
+    the file is read again by the per-cell parser, which gives the same
+    sample or raises the error that locates the first bad row or cell.
+
+    The parsed table becomes the sample's joint array as it is when the
+    criterion is the last column; otherwise one gather moves it last.
     """
     with _csv_header(path) as (handle, header):
         criterion_cols = [i for i, h in enumerate(header) if h == "criterion"]
@@ -181,12 +203,14 @@ def ingest_csv(path: str) -> JudgmentSample:
         judge_labels = [h for i, h in enumerate(header) if i != criterion_idx]
         if not judge_labels:
             raise ZeroJudges(f"{path} has no judge columns besides 'criterion'")
+        if not all(judge_labels):
+            raise ParseError(f"{path} line 1: empty judge label")
         dupes = {h for h in judge_labels if judge_labels.count(h) > 1}
         if dupes:
             raise DuplicateJudgeLabel(
                 f"{path} has duplicated judge columns: {sorted(dupes)}"
             )
-        table = _fast_table(handle, len(header))
+        table = _fast_table(path, handle, len(header))
     if table is None:
         with _csv_rows(path) as (_, rows):
             table = np.array(
@@ -199,11 +223,10 @@ def ingest_csv(path: str) -> JudgmentSample:
             raise SampleTooSmall(
                 f"{path} has {len(table)} data rows; at least 2 trials are needed"
             )
-    return JudgmentSample(
-        judgments=np.delete(table, criterion_idx, axis=1),
-        criterion=table[:, criterion_idx],
-        judge_labels=tuple(judge_labels),
-    )
+    if criterion_idx != len(judge_labels):
+        order = [i for i in range(len(header)) if i != criterion_idx]
+        table = np.take(table, order + [criterion_idx], axis=1)
+    return JudgmentSample.from_joint(table, tuple(judge_labels))
 
 
 def read_candidates(
@@ -212,7 +235,7 @@ def read_candidates(
     """Read the candidate CSV for ``model``.
 
     Header must be exactly ``label,mean,variance,cov_with_criterion`` followed
-    by the model's judge labels in order.
+    by the model's judge labels in order.  Every row needs a non-empty label.
     """
     expected = ["label", "mean", "variance", "cov_with_criterion"]
     expected += list(model.judge_labels)
@@ -225,11 +248,14 @@ def read_candidates(
                 "(the model's judge labels, in order)"
             )
         for line_no, row in rows:
+            label = row[0].strip()
+            if not label:
+                raise ParseError(f"{path} line {line_no}: empty candidate label")
             values = [
                 _parse_cell(cell, line_no, expected[i])
                 for i, cell in enumerate(row[1:], start=1)
             ]
-            labels.append(row[0].strip())
+            labels.append(label)
             candidates.append(
                 CandidateMember(
                     mean=values[0],

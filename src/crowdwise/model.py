@@ -126,36 +126,70 @@ class CrowdModel:
         return _extreme_eigenvalues(self.joint_covariance())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JudgmentSample:
-    """Raw judgment data: T trials by N judges, plus realized criterion values."""
+    """Raw judgment data: T trials by N judges, plus realized criterion values.
 
-    judgments: np.ndarray
-    criterion: np.ndarray
-    judge_labels: tuple[str, ...] = field(default=())
+    The sample holds one read-only, C-ordered T x (N+1) array, ``joint``,
+    with each trial's criterion value in the last column; ``judgments`` and
+    ``criterion`` are views of it.  Construction from separate judgments and
+    criterion copies them into ``joint`` once; ``from_joint`` takes a table
+    already in that layout and does not copy it.
+    """
 
-    def __post_init__(self):
-        judgments = _readonly(np.atleast_2d(self.judgments))
-        criterion = _readonly(np.atleast_1d(self.criterion))
-        t, n = judgments.shape
+    joint: np.ndarray
+    judge_labels: tuple[str, ...]
+
+    def __init__(self, judgments, criterion, judge_labels: tuple[str, ...] = ()):
+        judgments = np.atleast_2d(np.asarray(judgments, dtype=float))
+        criterion = np.atleast_1d(np.asarray(criterion, dtype=float))
+        t, _ = judgments.shape
         if criterion.shape != (t,):
             raise ShapeMismatch(
                 f"criterion has length {criterion.shape[0]} for {t} trials"
             )
-        labels = tuple(self.judge_labels) or default_labels(n)
+        self._hold(np.column_stack([judgments, criterion]), judge_labels)
+
+    @classmethod
+    def from_joint(
+        cls, joint: np.ndarray, judge_labels: tuple[str, ...] = ()
+    ) -> JudgmentSample:
+        """Wrap a T x (N+1) table whose last column is the criterion.
+
+        A C-ordered float array is not copied: the sample holds a read-only
+        view of it, so the caller hands it over and must not write to it.
+        """
+        joint = np.ascontiguousarray(joint, dtype=float)
+        if joint.ndim != 2 or joint.shape[1] < 1:
+            raise ShapeMismatch(f"joint table has shape {joint.shape}")
+        sample = cls.__new__(cls)
+        sample._hold(joint.view(), judge_labels)
+        return sample
+
+    def _hold(self, joint: np.ndarray, judge_labels) -> None:
+        joint.flags.writeable = False
+        n = joint.shape[1] - 1
+        labels = tuple(judge_labels) or default_labels(n)
         if len(labels) != n:
             raise ShapeMismatch(f"{len(labels)} judge labels for {n} judges")
-        object.__setattr__(self, "judgments", judgments)
-        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "judge_labels", labels)
 
     @property
+    def judgments(self) -> np.ndarray:
+        return self.joint[:, :-1]
+
+    @property
+    def criterion(self) -> np.ndarray:
+        return self.joint[:, -1]
+
+    @property
     def n_trials(self) -> int:
-        return self.judgments.shape[0]
+        return self.joint.shape[0]
 
     @property
     def n_judges(self) -> int:
-        return self.judgments.shape[1]
+        return self.joint.shape[1] - 1
 
 
 def _symmetry_violation(cov: np.ndarray) -> float:
@@ -376,6 +410,9 @@ def estimate_model(sample: JudgmentSample) -> CrowdModel:
     (co)variances use the unbiased denominator T-1 and are not clamped:
     ``validate_model`` forgives their rounding.
 
+    The moments are read from the sample's joint array as it stands; the
+    centred copy is the only T x (N+1) float array made here.
+
     Raises:
         SampleTooSmall: fewer than two trials.
     """
@@ -385,10 +422,10 @@ def estimate_model(sample: JudgmentSample) -> CrowdModel:
         raise SampleTooSmall(
             f"need at least 2 trials for sample covariances, got {t}"
         )
-    stacked = np.column_stack([sample.judgments, sample.criterion])
-    constant = (stacked == stacked[0]).all(axis=0)
-    means = np.where(constant, stacked[0], stacked.mean(axis=0))
-    centered = stacked - means
+    table = sample.joint
+    constant = (table == table[0]).all(axis=0)
+    means = np.where(constant, table[0], table.mean(axis=0))
+    centered = table - means
     joint = centered.T @ centered / (t - 1)
     model = CrowdModel(
         judge_means=means[:n],

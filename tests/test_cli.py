@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import math
+import os
+import threading
+import urllib.request
 import warnings
 
 import numpy as np
@@ -22,7 +25,9 @@ from crowdwise.errors import (
     SampleTooSmall,
     ValidationFailed,
 )
-from crowdwise.model import CrowdModel, estimate_model, fixed_criterion_model
+from crowdwise.model import (
+    CrowdModel, JudgmentSample, estimate_model, fixed_criterion_model,
+)
 from crowdwise.montecarlo import random_model
 from crowdwise.schemes import optimal_weights, uniform_selection, uniform_weights
 from crowdwise.wisdom import evaluate
@@ -101,6 +106,14 @@ INGEST_CORPUS = {
 }
 
 
+def assert_equals_reference(sample, data: bytes) -> None:
+    labels, judgments, criterion = float_reference(data)
+    assert sample.judge_labels == labels
+    np.testing.assert_array_equal(sample.judgments, judgments)
+    np.testing.assert_array_equal(sample.criterion, criterion)
+    np.testing.assert_array_equal(np.signbit(sample.judgments), np.signbit(judgments))
+
+
 def write_rows(tmp_path, header: str, rows: list[str]) -> str:
     path = tmp_path / "big.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
@@ -170,14 +183,97 @@ class TestIngestCsv:
         data = INGEST_CORPUS[name]
         path = tmp_path / "corpus.csv"
         path.write_bytes(data)
+        assert_equals_reference(ingest_csv(str(path)), data)
+
+    def test_regular_file_is_parsed_by_path(self, tmp_path, monkeypatch):
+        sources = []
+        loadtxt = np.loadtxt
+
+        def recording(source, *args, **kwargs):
+            sources.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recording)
+        path = tmp_path / "plain.csv"
+        path.write_bytes(INGEST_CORPUS["generated_5000_rows"])
+        ingest_csv(str(path))
+        assert sources == [str(path)]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_compressed_suffix(self, suffix, tmp_path):
+        data = INGEST_CORPUS["generated_5000_rows"]
+        path = tmp_path / f"x{suffix}"
+        path.write_bytes(data)
+        assert_equals_reference(ingest_csv(str(path)), data)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_keeps_every_row(self, tmp_path):
+        data = INGEST_CORPUS["generated_5000_rows"]
+        path = str(tmp_path / "pipe.csv")
+        os.mkfifo(path)
+
+        def write():
+            with open(path, "wb") as pipe:
+                pipe.write(data)
+
+        result = {}
+
+        def read():
+            try:
+                result["sample"] = ingest_csv(path)
+            except Exception as err:  # reported below, on the test's thread
+                result["error"] = err
+
+        threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+        for thread in threads:
+            thread.start()
+        threads[1].join(timeout=60)
+        if threads[1].is_alive():
+            # Release a reader that reopened the pipe after the writer left.
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            pytest.fail("ingest_csv blocked on the named pipe")
+        threads[0].join(timeout=60)
+        assert not threads[0].is_alive()
+        assert "error" not in result, result.get("error")
+        assert result["sample"].n_trials == 5000
+        assert_equals_reference(result["sample"], data)
+
+    def test_relative_url_like_name_is_a_file(self, tmp_path, monkeypatch):
+        def urlopen(*args, **kwargs):
+            pytest.fail("a local file name was fetched as a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.chdir(tmp_path)
+        data = INGEST_CORPUS["generated_5000_rows"]
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "x.csv").write_bytes(data)
+        assert_equals_reference(ingest_csv("http://host/x.csv"), data)
+
+    def test_header_label_with_quoted_newline(self, tmp_path):
+        data = b'"judge\na",b,criterion\n1,2,3\n4,5,7\n6,1,2\n'
+        path = tmp_path / "multiline.csv"
+        path.write_bytes(data)
         sample = ingest_csv(str(path))
-        labels, judgments, criterion = float_reference(data)
-        assert sample.judge_labels == labels
-        np.testing.assert_array_equal(sample.judgments, judgments)
-        np.testing.assert_array_equal(sample.criterion, criterion)
-        np.testing.assert_array_equal(
-            np.signbit(sample.judgments), np.signbit(judgments)
+        assert sample.judge_labels == ("judge\na", "b")
+        assert_equals_reference(sample, data)
+
+    def test_bad_byte_deep_in_large_file_is_two(self, tmp_path, capsys):
+        rows = [f"{i},{i + 1},{i + 2},{i + 3},{i % 7}".encode() for i in range(60000)]
+        rows[49999] = b"1,2,3\xff,4,5"  # line 50001, counting the header as 1
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join([b"a,b,c,d,criterion", *rows]) + b"\n")
+        assert main(["analyze", "--data", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: not valid UTF-8 (byte 0xff)\n"
         )
+
+    @pytest.mark.parametrize("header", ["a, ,criterion", ",criterion", "criterion,a,"])
+    def test_empty_judge_label(self, header, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(header + "\n1,2,3\n4,5,6\n")
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(str(path))
+        assert str(exc.value) == f"{path} line 1: empty judge label"
 
     def test_plain_file_skips_per_cell_parser(self, tmp_path, monkeypatch):
         def per_cell(*args):
@@ -224,6 +320,53 @@ class TestIngestCsv:
         assert str(exc.value) == (
             f"{path} has {rows} data rows; at least 2 trials are needed"
         )
+
+
+class TestJudgmentSample:
+    def test_views_are_read_only(self, data_csv):
+        for sample in (
+            ingest_csv(data_csv),
+            JudgmentSample(judgments=np.ones((3, 2)), criterion=np.zeros(3)),
+        ):
+            for array in (sample.joint, sample.judgments, sample.criterion):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    def test_construction_from_lists(self):
+        sample = JudgmentSample(
+            judgments=[[1, 2], [3, 4], [5, 7]], criterion=[2, 3, 5],
+            judge_labels=("a", "b"),
+        )
+        assert (sample.n_trials, sample.n_judges) == (3, 2)
+        assert sample.judge_labels == ("a", "b")
+        np.testing.assert_array_equal(sample.judgments, [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+        np.testing.assert_array_equal(sample.criterion, [2.0, 3.0, 5.0])
+        np.testing.assert_array_equal(sample.joint, [[1, 2, 2], [3, 4, 3], [5, 7, 5]])
+        assert sample.joint.dtype == float and sample.joint.flags.c_contiguous
+
+    def test_from_joint_does_not_copy(self):
+        table = np.arange(6.0).reshape(3, 2)
+        sample = JudgmentSample.from_joint(table, ("a",))
+        assert np.shares_memory(sample.joint, table)
+        assert table.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(INGEST_CORPUS))
+    def test_estimate_keeps_the_column_stack_bits(self, name, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(INGEST_CORPUS[name])
+        model = estimate_model(ingest_csv(str(path)))
+        _, judgments, criterion = float_reference(INGEST_CORPUS[name])
+        stacked = np.column_stack([judgments, criterion])
+        constant = (stacked == stacked[0]).all(axis=0)
+        means = np.where(constant, stacked[0], stacked.mean(axis=0))
+        centered = stacked - means
+        joint = centered.T @ centered / (len(stacked) - 1)
+        n = judgments.shape[1]
+        assert model.judge_means.tobytes() == means[:n].tobytes()
+        assert model.judge_cov.tobytes() == np.ascontiguousarray(joint[:n, :n]).tobytes()
+        assert model.cross_cov.tobytes() == np.ascontiguousarray(joint[:n, n]).tobytes()
+        assert (model.criterion_mean, model.criterion_var) == (means[n], joint[n, n])
 
 
 class TestModelFiles:
@@ -827,6 +970,21 @@ class TestExitCodes:
                 2,
                 "error: {d}/m.txt: empty judge label",
                 id="empty judge label",
+            ),
+            pytest.param(
+                {"x.csv": "a, ,criterion\n1,2,3\n4,5,6\n"},
+                "analyze --data {d}/x.csv",
+                2,
+                "error: {d}/x.csv line 1: empty judge label",
+                id="empty csv judge label",
+            ),
+            pytest.param(
+                {"x.csv": BASIC_CSV,
+                 "c.csv": "label,mean,variance,cov_with_criterion,a,b\nc,0,1,0,0,0\n ,0,1,0,0,0\n"},
+                "candidate --data {d}/x.csv --candidates {d}/c.csv",
+                2,
+                "error: {d}/c.csv line 3: empty candidate label",
+                id="empty candidate label",
             ),
             pytest.param(
                 {"m.txt": VALID_MODEL.replace("judge_means = 0.0,", "judge_means =")},
