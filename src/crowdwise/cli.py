@@ -74,53 +74,46 @@ _MODEL_FIELDS = (
 # ---------------------------------------------------------------------------
 
 
-def _not_utf8(path: str, err: UnicodeDecodeError) -> ParseError:
-    return ParseError(f"{path}: not valid UTF-8 (byte {err.object[err.start]:#04x})")
-
-
 @contextmanager
-def _csv_header(path: str):
-    """Open a CSV and yield the handle, positioned after the header record,
-    and the stripped header.
-
-    A byte that is not UTF-8, met while reading the header or later in the
-    caller's block (the ``_csv_rows`` iteration), raises ``ParseError``.
-    """
+def _opened(path: str):
+    """``path`` opened once as UTF-8 text, BOM dropped and line ends kept; a
+    failure to open or decode it, in the caller's block too, is a ParseError."""
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from None
     with handle:
         try:
-            header = next(csv.reader(handle), None)
-            if header is None:
-                raise ParseError(f"{path} is empty")
-            yield handle, [h.strip() for h in header]
+            yield handle
         except UnicodeDecodeError as err:
-            raise _not_utf8(path, err) from None
+            byte = err.object[err.start]
+            raise ParseError(f"{path}: not valid UTF-8 (byte {byte:#04x})") from None
 
 
-@contextmanager
-def _csv_rows(path: str):
-    """Open a CSV and yield its stripped header and an iterator of its rows.
+def _csv_header(path: str, handle) -> tuple[list[str], int]:
+    """The stripped header record of the CSV ``handle`` and the number of
+    physical lines it spans; ``handle`` is left after it."""
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path} is empty")
+    return [h.strip() for h in header], reader.line_num
 
-    The iterator skips blank rows and yields ``(line number, cells)``,
-    counting the header as line 1; every row has as many cells as the header.
-    """
-    with _csv_header(path) as (handle, header):
 
-        def rows():
-            for line_no, row in enumerate(csv.reader(handle), start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"{path} line {line_no}: expected {len(header)} cells, "
-                        f"got {len(row)}"
-                    )
-                yield line_no, row
-
-        yield header, rows()
+def _csv_records(path: str, lines, width: int, offset: int):
+    """``(line, cells)`` of each non-blank CSV record in ``lines``, which
+    follow a header of ``offset`` lines; ``line`` is the file's physical line
+    the record ends on.  Every record must have ``width`` cells."""
+    reader = csv.reader(lines)
+    for row in reader:
+        if not any(cell.strip() for cell in row):
+            continue
+        line_no = offset + reader.line_num
+        if len(row) != width:
+            raise ParseError(
+                f"{path} line {line_no}: expected {width} cells, got {len(row)}"
+            )
+        yield line_no, row
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
@@ -138,14 +131,12 @@ def _parse_cell(raw: str, line: int, column: str) -> float:
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _fast_table(path: str, handle, n_columns: int) -> np.ndarray | None:
-    """The data rows of the CSV at ``path`` as one array, or None to fall back.
+def _fast_table(source, n_columns: int, skiprows: int) -> np.ndarray | None:
+    """The data rows of ``source`` as one array, or None to fall back.
 
-    One C-level parse.  A regular file whose name numpy would not take for a
-    compressed one is given to ``np.loadtxt`` by its absolute path (so no
-    name is read as a URL), which numpy reads in C chunks, skipping the one
-    header line.  Anything else, such as a pipe, is read from ``handle``,
-    which is positioned after the header; numpy reads a handle line by line.
+    One C-level parse by ``np.loadtxt``.  ``source`` is either a file's path,
+    which numpy reads in C chunks after skipping ``skiprows`` header lines, or
+    the list of lines after the header, which numpy reads one by one.
 
     The parse is accepted only when it reads at least two rows of
     ``n_columns`` finite numbers; every cell it parses equals ``float`` of
@@ -154,17 +145,13 @@ def _fast_table(path: str, handle, n_columns: int) -> np.ndarray | None:
     ``1_0``, non-ASCII digits, nan, inf, bytes that are not UTF-8) is left to
     the per-cell parser, which alone raises ingest errors.
     """
-    if os.path.isfile(path) and os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES:
-        source = os.path.abspath(path)
-        options = {"skiprows": 1, "encoding": "utf-8-sig"}
-    else:
-        source, options = handle, {}
     with warnings.catch_warnings():
         # A header-only file is reported by the per-cell parser.
         warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
         try:
             table = np.loadtxt(
-                source, delimiter=",", comments=None, ndmin=2, **options
+                source, delimiter=",", comments=None, ndmin=2,
+                skiprows=skiprows, encoding="utf-8-sig",
             )
         except ValueError:
             return None
@@ -178,19 +165,24 @@ def ingest_csv(path: str) -> JudgmentSample:
 
     The header names the judges; the (case-sensitive) ``criterion`` column
     holds the realized criterion value of each trial.  Judge labels must be
-    non-empty.  Cells must be plain decimal numbers.  Row numbers in errors
-    count from the header as line 1.
+    non-empty.  Cells must be plain decimal numbers.  Errors name the file's
+    physical line, counting from 1.
 
-    All data rows are parsed by one vectorised ``np.loadtxt`` call
-    (``_fast_table``).  That fast path is all-or-nothing: if it fails, or its
-    table is not at least two rows of finite numbers, one per header column,
-    the file is read again by the per-cell parser, which gives the same
-    sample or raises the error that locates the first bad row or cell.
+    The file is opened once.  All data rows are parsed by one vectorised
+    ``np.loadtxt`` call (``_fast_table``): a regular file whose name numpy
+    would not take for a compressed one is given to it by its absolute path
+    (so no name is read as a URL); anything else, such as a pipe, is first
+    read into a list of lines.  That fast path is all-or-nothing: if it
+    fails, or its table is not at least two rows of finite numbers, one per
+    header column, the per-cell parser reads the same text (the open handle,
+    or the list), and gives the same sample or raises the error that locates
+    the first bad row or cell.
 
     The parsed table becomes the sample's joint array as it is when the
     criterion is the last column; otherwise one gather moves it last.
     """
-    with _csv_header(path) as (handle, header):
+    with _opened(path) as handle:
+        header, offset = _csv_header(path, handle)
         criterion_cols = [i for i, h in enumerate(header) if h == "criterion"]
         if not criterion_cols:
             raise MissingCriterionColumn(
@@ -210,19 +202,24 @@ def ingest_csv(path: str) -> JudgmentSample:
             raise DuplicateJudgeLabel(
                 f"{path} has duplicated judge columns: {sorted(dupes)}"
             )
-        table = _fast_table(path, handle, len(header))
-    if table is None:
-        with _csv_rows(path) as (_, rows):
+        suffix = os.path.splitext(path)[1]
+        if os.path.isfile(path) and suffix not in _COMPRESSED_SUFFIXES:
+            lines = handle
+            table = _fast_table(os.path.abspath(path), len(header), 1)
+        else:
+            lines = handle.readlines()
+            table = _fast_table(lines, len(header), 0)
+        if table is None:
             table = np.array(
                 [
                     [_parse_cell(c, line_no, header[i]) for i, c in enumerate(row)]
-                    for line_no, row in rows
+                    for line_no, row in _csv_records(path, lines, len(header), offset)
                 ]
             )
-        if len(table) < 2:
-            raise SampleTooSmall(
-                f"{path} has {len(table)} data rows; at least 2 trials are needed"
-            )
+    if len(table) < 2:
+        raise SampleTooSmall(
+            f"{path} has {len(table)} data rows; at least 2 trials are needed"
+        )
     if criterion_idx != len(judge_labels):
         order = [i for i in range(len(header)) if i != criterion_idx]
         table = np.take(table, order + [criterion_idx], axis=1)
@@ -236,18 +233,21 @@ def read_candidates(
 
     Header must be exactly ``label,mean,variance,cov_with_criterion`` followed
     by the model's judge labels in order.  Every row needs a non-empty label.
+    The file is opened once and read cell by cell, so a pipe works as a file
+    does; errors name the file's physical line, counting from 1.
     """
     expected = ["label", "mean", "variance", "cov_with_criterion"]
     expected += list(model.judge_labels)
     candidates: list[CandidateMember] = []
     labels: list[str] = []
-    with _csv_rows(path) as (header, rows):
+    with _opened(path) as handle:
+        header, offset = _csv_header(path, handle)
         if header != expected:
             raise ParseError(
                 f"{path}: header {header} does not match expected {expected} "
                 "(the model's judge labels, in order)"
             )
-        for line_no, row in rows:
+        for line_no, row in _csv_records(path, handle, len(header), offset):
             label = row[0].strip()
             if not label:
                 raise ParseError(f"{path} line {line_no}: empty candidate label")
@@ -280,13 +280,10 @@ _BLANK_FIELD = re.compile(r",\s*,")
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
-    except OSError as err:
-        raise ParseError(f"cannot read {path}: {err}") from None
-    except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
+    with _opened(path) as handle:
+        # A document's lines may end in \r, \n or \r\n; read them all as \n.
+        handle.reconfigure(newline=None)
+        return handle.read()
 
 
 def _c_parse(text: str) -> np.ndarray | None:

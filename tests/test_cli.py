@@ -114,6 +114,45 @@ def assert_equals_reference(sample, data: bytes) -> None:
     np.testing.assert_array_equal(np.signbit(sample.judgments), np.signbit(judgments))
 
 
+needs_mkfifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+
+
+def through_fifo(tmp_path, data: bytes, read):
+    """``read`` of a named pipe that a writer thread fills with ``data``.
+
+    An error of ``read`` is raised here.  A reader still blocked after 60 s
+    (one that opened the pipe again after the writer left) is released and
+    the test fails, so it cannot hang the suite.
+    """
+    path = str(tmp_path / "pipe.csv")
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as pipe:
+            pipe.write(data)
+
+    result = {}
+
+    def run():
+        try:
+            result["value"] = read(path)
+        except Exception as err:  # raised below, on the test's thread
+            result["error"] = err
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, run)]
+    for thread in threads:
+        thread.start()
+    threads[1].join(timeout=60)
+    if threads[1].is_alive():
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        pytest.fail(f"{read.__name__} blocked on the named pipe")
+    threads[0].join(timeout=60)
+    assert not threads[0].is_alive()
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
 def write_rows(tmp_path, header: str, rows: list[str]) -> str:
     path = tmp_path / "big.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
@@ -206,37 +245,57 @@ class TestIngestCsv:
         path.write_bytes(data)
         assert_equals_reference(ingest_csv(str(path)), data)
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @needs_mkfifo
     def test_named_pipe_keeps_every_row(self, tmp_path):
         data = INGEST_CORPUS["generated_5000_rows"]
-        path = str(tmp_path / "pipe.csv")
-        os.mkfifo(path)
+        sample = through_fifo(tmp_path, data, ingest_csv)
+        assert sample.n_trials == 5000
+        assert_equals_reference(sample, data)
 
-        def write():
-            with open(path, "wb") as pipe:
-                pipe.write(data)
+    @needs_mkfifo
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            (b"a,b,criterion\n1,x,2\n3,4,3\n", NonNumericCell),
+            (b'"judge\na",b,criterion\n1,2,3\n4,x,7\n', NonNumericCell),
+            (INGEST_CORPUS["quoted_cells"], None),
+            (b"a,b,criterion\n1,2,3\n", SampleTooSmall),
+            # The bad byte lies past the block decoded to read the header.
+            (b"a,b,criterion\n" + b"1,2,3\n" * 2000 + b"4,\xff,6\n", ParseError),
+        ],
+        ids=["bad_cell", "bad_cell_after_multiline_header", "quoted_cells", "one_row",
+             "not_utf8"],
+    )
+    def test_named_pipe_rejected_by_fast_path(self, data, error, tmp_path):
+        """The per-cell parser reads the pipe's text as it reads the file's."""
+        if error is None:
+            assert_equals_reference(through_fifo(tmp_path, data, ingest_csv), data)
+            return
+        regular = tmp_path / "regular.csv"
+        regular.write_bytes(data)
+        with pytest.raises(error) as expected:
+            ingest_csv(str(regular))
+        with pytest.raises(error) as got:
+            through_fifo(tmp_path, data, ingest_csv)
+        fifo = str(tmp_path / "pipe.csv")
+        assert str(got.value) == str(expected.value).replace(str(regular), fifo)
+        if error is NonNumericCell:
+            assert (got.value.row, got.value.column) == (
+                expected.value.row, expected.value.column
+            )
 
-        result = {}
+    def test_rejected_file_is_opened_once(self, tmp_path, monkeypatch):
+        opened = []
 
-        def read():
-            try:
-                result["sample"] = ingest_csv(path)
-            except Exception as err:  # reported below, on the test's thread
-                result["error"] = err
+        def recording(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
 
-        threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
-        for thread in threads:
-            thread.start()
-        threads[1].join(timeout=60)
-        if threads[1].is_alive():
-            # Release a reader that reopened the pipe after the writer left.
-            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
-            pytest.fail("ingest_csv blocked on the named pipe")
-        threads[0].join(timeout=60)
-        assert not threads[0].is_alive()
-        assert "error" not in result, result.get("error")
-        assert result["sample"].n_trials == 5000
-        assert_equals_reference(result["sample"], data)
+        monkeypatch.setattr(cli, "open", recording, raising=False)
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(INGEST_CORPUS["quoted_cells"])
+        assert_equals_reference(ingest_csv(str(path)), INGEST_CORPUS["quoted_cells"])
+        assert opened == [str(path)]
 
     def test_relative_url_like_name_is_a_file(self, tmp_path, monkeypatch):
         def urlopen(*args, **kwargs):
@@ -256,6 +315,13 @@ class TestIngestCsv:
         sample = ingest_csv(str(path))
         assert sample.judge_labels == ("judge\na", "b")
         assert_equals_reference(sample, data)
+
+    def test_error_names_physical_line_after_multiline_header(self, tmp_path):
+        path = tmp_path / "multiline.csv"
+        path.write_bytes(b'"judge\na",b,criterion\n1,2,3\n4,x,7\n6,1,2\n')
+        with pytest.raises(NonNumericCell) as exc:
+            ingest_csv(str(path))
+        assert (exc.value.row, exc.value.column, exc.value.value) == (4, "b", "x")
 
     def test_bad_byte_deep_in_large_file_is_two(self, tmp_path, capsys):
         rows = [f"{i},{i + 1},{i + 2},{i + 3},{i % 7}".encode() for i in range(60000)]
@@ -719,6 +785,26 @@ class TestCandidateCommand:
         loaded = load_model(str(model_path))
         with pytest.raises(ParseError):
             read_candidates(str(cand_path), loaded)
+
+    @needs_mkfifo
+    def test_candidates_through_named_pipe(self, tmp_path):
+        model = fixed_criterion_model([0.0], [[1.0]], 0.0, judge_labels=("j1",))
+        data = (
+            b"label,mean,variance,cov_with_criterion,j1\n"
+            b"steady,0,0.25,0,0\n\nhedge,0,1,0,-1\n"
+        )
+        cand_path = tmp_path / "cands.csv"
+        cand_path.write_bytes(data)
+        expected, expected_labels = read_candidates(str(cand_path), model)
+        candidates, labels = through_fifo(
+            tmp_path, data, lambda path: read_candidates(path, model)
+        )
+        assert labels == expected_labels == ["steady", "hedge"]
+        for got, want in zip(candidates, expected):
+            assert (got.mean, got.variance, got.cov_with_criterion) == (
+                want.mean, want.variance, want.cov_with_criterion
+            )
+            np.testing.assert_array_equal(got.cov_with_members, want.cov_with_members)
 
 
 class TestSimulateCommand:
