@@ -31,7 +31,6 @@ from .montecarlo import (
 from .schemes import (
     BestMemberChoice,
     QPSolution,
-    SkillProfile,
     best_member_selection,
     inverse_mse_weights,
     optimal_weights,
@@ -44,8 +43,6 @@ from .schemes import (
 )
 from .wisdom import (
     CrowdMse,
-    IndividualMse,
-    SelectionDistribution,
     WeightVector,
     WisdomReport,
     crowd_mse,
@@ -63,13 +60,10 @@ __all__ = [
     "CandidateRanking",
     "CrowdModel",
     "CrowdMse",
-    "IndividualMse",
     "JudgmentSample",
     "QPSolution",
-    "SelectionDistribution",
     "SimulationResult",
     "SimulationSpec",
-    "SkillProfile",
     "WeightVector",
     "WisdomReport",
     "best_member_selection",

@@ -53,9 +53,9 @@ from .model import CrowdModel, JudgmentSample, estimate_model, validate_model
 from .montecarlo import GENERATORS, SimulationSpec, random_model, simulate
 from .schemes import (
     SELECTION_RULES, inverse_mse_weights, optimal_weights, skill_scores,
-    skill_weights, uniform_selection, uniform_weights,
+    skill_weights, uniform_weights,
 )
-from .wisdom import SelectionDistribution, WeightVector, WisdomReport, evaluate
+from .wisdom import WeightVector, WisdomReport, evaluate
 
 SCHEMA_VERSION = 1
 
@@ -135,15 +135,16 @@ def _fast_table(source, n_columns: int, skiprows: int) -> np.ndarray | None:
     """The data rows of ``source`` as one array, or None to fall back.
 
     One C-level parse by ``np.loadtxt``.  ``source`` is either a file's path,
-    which numpy reads in C chunks after skipping ``skiprows`` header lines, or
-    the list of lines after the header, which numpy reads one by one.
+    which numpy reads in C chunks after skipping the ``skiprows`` physical
+    lines of the header, or the list of lines after the header, which numpy
+    reads one by one.
 
     The parse is accepted only when it reads at least two rows of
     ``n_columns`` finite numbers; every cell it parses equals ``float`` of
-    that cell.  Anything else it rejects or might read differently (quotes, a
-    header record over several lines, whitespace-only rows, ragged rows,
-    ``1_0``, non-ASCII digits, nan, inf, bytes that are not UTF-8) is left to
-    the per-cell parser, which alone raises ingest errors.
+    that cell.  Anything else it rejects or might read differently (quoted
+    cells, whitespace-only rows, ragged rows, ``1_0``, non-ASCII digits, nan,
+    inf, bytes that are not UTF-8) is left to the per-cell parser, which
+    alone raises ingest errors.
     """
     with warnings.catch_warnings():
         # A header-only file is reported by the per-cell parser.
@@ -205,7 +206,7 @@ def ingest_csv(path: str) -> JudgmentSample:
         suffix = os.path.splitext(path)[1]
         if os.path.isfile(path) and suffix not in _COMPRESSED_SUFFIXES:
             lines = handle
-            table = _fast_table(os.path.abspath(path), len(header), 1)
+            table = _fast_table(os.path.abspath(path), len(header), offset)
         else:
             lines = handle.readlines()
             table = _fast_table(lines, len(header), 0)
@@ -448,18 +449,16 @@ _WEIGHT_RULES = {
     "optimal": lambda model: optimal_weights(model).weights,
 }
 
-_SCHEMES = {
-    "weights": (_WEIGHT_RULES, WeightVector),
-    "selection": (SELECTION_RULES, SelectionDistribution),
-}
+_SCHEMES = {"weights": _WEIGHT_RULES, "selection": SELECTION_RULES}
 
 
 def _resolve(kind: str, scheme: str, model: CrowdModel) -> WeightVector:
     """Apply the ``kind`` rule named ``scheme``, or read it from that file.
 
-    A file holds one number per judge, separated by commas or whitespace.
+    A file holds one number per judge, separated by commas or whitespace;
+    errors name the file and ``kind``.
     """
-    rules, vector_type = _SCHEMES[kind]
+    rules = _SCHEMES[kind]
     if scheme in rules:
         return rules[scheme](model)
     text = ",".join(_read_text(scheme).replace(",", " ").split())
@@ -469,12 +468,16 @@ def _resolve(kind: str, scheme: str, model: CrowdModel) -> WeightVector:
             f"{scheme}: {kind} file has {values.shape[0]} entries "
             f"for {model.n_judges} judges"
         )
-    return vector_type(values)
+    try:
+        return WeightVector(values)
+    except ValidationFailed as err:
+        reason = err.violations[0].removeprefix("WeightVector ")
+        raise ParseError(f"{scheme}: {kind} {reason}") from None
 
 
 def _skill_pairs(model: CrowdModel) -> list[tuple[str, object]]:
     try:
-        return [("skill", skill_scores(model).skills)]
+        return [("skill", skill_scores(model))]
     except ZeroCriterionVariance:
         note = "criterion variance is zero"
     except UndefinedSkill as err:
@@ -603,7 +606,7 @@ def _report_pairs(
     args: argparse.Namespace,
     model: CrowdModel,
     w: WeightVector,
-    p: SelectionDistribution,
+    p: WeightVector,
     report: WisdomReport,
 ) -> list[tuple[str, object]]:
     pairs: list[tuple[str, object]] = [
@@ -614,7 +617,7 @@ def _report_pairs(
         ("weight_scheme", args.weight_scheme),
         ("selection_scheme", args.selection_scheme),
         ("weights", w.weights),
-        ("selection", p.probs),
+        ("selection", p.weights),
         ("crowd_mse", report.crowd_mse),
         ("crowd_bias_sq", report.crowd_bias_sq),
         ("crowd_variance", report.crowd_variance),
@@ -768,9 +771,9 @@ def _cmd_sweep(args: argparse.Namespace) -> list[list[object]]:
         except NoConvergence:
             rows.append([bias, rho, n, "no_convergence", "", "", "", "", ""])
             continue
-        p = uniform_selection(n)
-        uniform = evaluate(model, uniform_weights(n), p)
-        optimal = evaluate(model, solution.weights, p)
+        u = uniform_weights(n)
+        uniform = evaluate(model, u, u)
+        optimal = evaluate(model, solution.weights, u)
         values = (
             uniform.crowd_mse, optimal.crowd_mse, uniform.individual_mse,
             uniform.wisdom_gap, optimal.wisdom_gap,
@@ -912,7 +915,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     command, render_human = args.handler
     try:
-        output = command(args)
+        # _require_finite refuses inf and nan; numpy's warnings add stderr lines.
+        with np.errstate(all="ignore"):
+            output = command(args)
         if render_human is None:
             csv.writer(sys.stdout, lineterminator="\n").writerows(output)
         else:

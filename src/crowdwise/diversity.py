@@ -243,7 +243,7 @@ def rank_candidates(
         after_sol = optimal_weights(extended, start=start)
         after = evaluate(extended, after_sol.weights, select(extended))
         try:
-            skill = float(skill_scores(extended).skills[-1])
+            skill = float(skill_scores(extended)[-1])
         except (ZeroCriterionVariance, UndefinedSkill):
             skill = None
         uniform_after = crowd_mse(extended, uniform_weights(extended.n_judges)).total

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InfeasibleCorrelationRange, ShapeMismatch
 from .model import EIGEN_ROUNDING, CrowdModel
-from .wisdom import SelectionDistribution, WeightVector, _check_length
+from .wisdom import WeightVector, _check_length
 
 CHUNK_TRIALS = 1 << 16
 # Multiply-adds in one block's product of draws by the error map.  OpenBLAS
@@ -113,7 +113,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def simulate(
-    spec: SimulationSpec, w: WeightVector, p: SelectionDistribution
+    spec: SimulationSpec, w: WeightVector, p: WeightVector
 ) -> SimulationResult:
     """Estimate both expected squared errors by simulation.
 
@@ -146,7 +146,7 @@ def simulate(
     error_map = (factor[:n] - factor[n]).T
     bias = model.judge_means - model.criterion_mean
     weights = w.weights
-    probs = p.probs
+    probs = p.weights
     draw = GENERATORS[spec.distribution]
 
     t = spec.trials

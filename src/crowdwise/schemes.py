@@ -53,7 +53,7 @@ from .errors import (
     ZeroJudges,
 )
 from .model import CrowdModel, _nonfinite_violation, _readonly
-from .wisdom import SelectionDistribution, WeightVector, crowd_mse, per_judge_mse
+from .wisdom import WeightVector, crowd_mse, per_judge_mse
 
 # Weights above this threshold count as active when certifying optimality.
 ACTIVE_WEIGHT = 1e-12
@@ -68,16 +68,6 @@ MAX_HALVINGS = 60
 STALL = 0.1
 # Rows per block of the face solve's triangular substitutions.
 _SOLVE_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class SkillProfile:
-    """Predictive validity of each judge: corr(judge prediction, criterion)."""
-
-    skills: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "skills", _readonly(self.skills))
 
 
 @dataclass(frozen=True)
@@ -101,7 +91,7 @@ class QPSolution:
 class BestMemberChoice:
     """Point mass on the judge with least expected squared error."""
 
-    selection: SelectionDistribution
+    selection: WeightVector
     best_index: int
     tied_indices: tuple[int, ...]
 
@@ -116,14 +106,8 @@ def uniform_weights(n: int) -> WeightVector:
     return WeightVector(np.full(n, 1.0 / n))
 
 
-def uniform_selection(n: int) -> SelectionDistribution:
-    if n < 1:
-        raise ZeroJudges("cannot build a selection distribution for zero judges")
-    return SelectionDistribution(np.full(n, 1.0 / n))
-
-
-def skill_scores(model: CrowdModel) -> SkillProfile:
-    """Each judge's correlation with the criterion.
+def skill_scores(model: CrowdModel) -> np.ndarray:
+    """Each judge's predictive validity: corr(judge prediction, criterion).
 
     Raises:
         ZeroCriterionVariance: the criterion is fixed, so no correlation exists.
@@ -139,19 +123,7 @@ def skill_scores(model: CrowdModel) -> SkillProfile:
     if degenerate:
         raise UndefinedSkill(degenerate)
     sd_y = math.sqrt(model.criterion_var)
-    return SkillProfile(model.cross_cov / (np.sqrt(variances) * sd_y))
-
-
-def _clipped_skill_simplex(model: CrowdModel) -> np.ndarray:
-    v = np.maximum(skill_scores(model).skills, 0.0)
-    if v.sum() <= 0.0:
-        warnings.warn(
-            "all clipped skills are zero; falling back to uniform",
-            SkillDegenerateWarning,
-            stacklevel=3,
-        )
-        return np.full(len(v), 1.0 / len(v))
-    return v
+    return _readonly(model.cross_cov / (np.sqrt(variances) * sd_y))
 
 
 def skill_weights(model: CrowdModel) -> WeightVector:
@@ -160,12 +132,21 @@ def skill_weights(model: CrowdModel) -> WeightVector:
     If every clipped skill is zero a uniform vector is returned and a
     SkillDegenerateWarning issued.
     """
-    return WeightVector(_clipped_skill_simplex(model))
+    v = np.maximum(skill_scores(model), 0.0)
+    if v.sum() <= 0.0:
+        warnings.warn(
+            "all clipped skills are zero; falling back to uniform",
+            SkillDegenerateWarning,
+            stacklevel=2,
+        )
+        v = np.full(len(v), 1.0 / len(v))
+    return WeightVector(v)
 
 
-def skill_selection(model: CrowdModel) -> SelectionDistribution:
-    """Selection probabilities proportional to clipped skill; uniform fallback."""
-    return SelectionDistribution(_clipped_skill_simplex(model))
+# A selection distribution is a point of the same simplex as the weights, so
+# the uniform and skill rules build both.
+uniform_selection = uniform_weights
+skill_selection = skill_weights
 
 
 def inverse_mse_weights(model: CrowdModel) -> WeightVector:
@@ -193,7 +174,7 @@ def best_member_selection(model: CrowdModel) -> BestMemberChoice:
     best = int(np.argmin(mse))
     tied = tuple(int(i) for i in np.nonzero(mse == mse[best])[0])
     return BestMemberChoice(
-        selection=SelectionDistribution.point_mass(best, model.n_judges),
+        selection=WeightVector.point_mass(best, model.n_judges),
         best_index=best,
         tied_indices=tied,
     )

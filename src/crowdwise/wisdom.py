@@ -37,7 +37,8 @@ TIE_ROUNDING = 4.0
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative aggregation weights summing to one (normalized on construction).
+    """A point of the judges' simplex, normalized on construction: the
+    crowd's weights w or the selection probabilities p alike.
 
     Entries are divided by their ``math.fsum`` only when it is more than
     ``sys.float_info.epsilon`` from 1.0; divided entries never sum farther off,
@@ -47,23 +48,22 @@ class WeightVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        kind = type(self).__name__
         v = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if v.ndim != 1 or v.shape[0] < 1:
-            raise ValidationFailed([f"{kind} must be a nonempty vector"])
+            raise ValidationFailed(["WeightVector must be a nonempty vector"])
         if np.any(v < -1e-12) or np.any(~np.isfinite(v)):
-            raise ValidationFailed(
-                [f"{kind} entries must be nonnegative and finite, got {v.tolist()}"]
-            )
+            raise ValidationFailed([
+                f"WeightVector entries must be nonnegative and finite, got {v.tolist()}"
+            ])
         v = np.maximum(v, 0.0)
         try:
             total = math.fsum(v)
         except OverflowError:
             raise ValidationFailed(
-                [f"{kind} entries sum past the largest float"]
+                ["WeightVector entries sum past the largest float"]
             ) from None
         if total <= 0.0:
-            raise ValidationFailed([f"{kind} entries sum to zero"])
+            raise ValidationFailed(["WeightVector entries sum to zero"])
         if abs(total - 1.0) > sys.float_info.epsilon:
             v = v / total
         object.__setattr__(self, "weights", _readonly(v))
@@ -78,14 +78,6 @@ class WeightVector:
         return cls(v)
 
 
-class SelectionDistribution(WeightVector):
-    """Probabilities of selecting each judge (normalized on construction)."""
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.weights
-
-
 @dataclass(frozen=True)
 class CrowdMse:
     """Crowd expected squared error and its four addends."""
@@ -95,17 +87,6 @@ class CrowdMse:
     variance: float
     cross_term: float
     criterion_var: float
-
-
-@dataclass(frozen=True)
-class IndividualMse:
-    """Selection-weighted expected squared error and the per-judge terms."""
-
-    total: float
-    per_judge: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_judge", _readonly(self.per_judge))
 
 
 @dataclass(frozen=True)
@@ -170,32 +151,30 @@ def per_judge_mse(model: CrowdModel) -> np.ndarray:
     return bias * bias + np.diag(model.judge_cov) + cross_term + model.criterion_var
 
 
-def individual_mse(model: CrowdModel, p: SelectionDistribution) -> IndividualMse:
+def individual_mse(model: CrowdModel, p: WeightVector) -> float:
     """Expected squared error of a judge selected with probabilities ``p``."""
     _check_length(model.n_judges, len(p), "selection distribution")
-    per_judge = per_judge_mse(model)
-    total = float(p.probs @ per_judge)
-    return IndividualMse(total=total, per_judge=per_judge)
+    return float(p.weights @ per_judge_mse(model))
 
 
-def evaluate(
-    model: CrowdModel, w: WeightVector, p: SelectionDistribution
-) -> WisdomReport:
+def evaluate(model: CrowdModel, w: WeightVector, p: WeightVector) -> WisdomReport:
     """Assemble the full report; ties, up to rounding, count as wise."""
     crowd = crowd_mse(model, w)
-    individual = individual_mse(model, p)
-    gap = individual.total - crowd.total
+    _check_length(model.n_judges, len(p), "selection distribution")
+    per_judge = per_judge_mse(model)
+    individual = float(p.weights @ per_judge)
+    gap = individual - crowd.total
     scale = abs(crowd.bias_sq) + abs(crowd.variance) + abs(crowd.cross_term)
-    scale += crowd.criterion_var + abs(individual.total)
+    scale += crowd.criterion_var + abs(individual)
     slack = TIE_ROUNDING * model.n_judges * sys.float_info.epsilon * scale
     return WisdomReport(
         crowd_mse=crowd.total,
-        individual_mse=individual.total,
+        individual_mse=individual,
         wisdom_gap=gap,
         is_wise=gap >= -slack,
         crowd_bias_sq=crowd.bias_sq,
         crowd_variance=crowd.variance,
         crowd_cross_term=crowd.cross_term,
         criterion_var=crowd.criterion_var,
-        per_judge_mse=individual.per_judge,
+        per_judge_mse=per_judge,
     )

@@ -21,13 +21,7 @@ from crowdwise.schemes import (
     uniform_selection,
     uniform_weights,
 )
-from crowdwise.wisdom import (
-    SelectionDistribution,
-    WeightVector,
-    crowd_mse,
-    evaluate,
-    individual_mse,
-)
+from crowdwise.wisdom import WeightVector, crowd_mse, evaluate, per_judge_mse
 
 
 def _pass(criterion: int, message: str) -> None:
@@ -51,7 +45,7 @@ def test_criterion_1_vertex_consistency():
     checked = 0
     for model in models:
         n = model.n_judges
-        per_judge = individual_mse(model, uniform_selection(n)).per_judge
+        per_judge = per_judge_mse(model)
         for i in range(n):
             vertex = crowd_mse(model, WeightVector.point_mass(i, n)).total
             scale = max(abs(vertex), abs(per_judge[i]), 1e-300)
@@ -102,7 +96,7 @@ def test_criterion_5_always_wise():
         solution = optimal_weights(model)
         selections = [uniform_selection(n), best_member_selection(model).selection]
         selections += [
-            SelectionDistribution(p) for p in random_simplex_points(rng, n, 10)
+            WeightVector(p) for p in random_simplex_points(rng, n, 10)
         ]
         for p in selections:
             report = evaluate(model, solution.weights, p)

@@ -5,6 +5,8 @@ import csv
 import io
 import math
 import os
+import subprocess
+import sys
 import threading
 import urllib.request
 import warnings
@@ -314,6 +316,18 @@ class TestIngestCsv:
         path.write_bytes(data)
         sample = ingest_csv(str(path))
         assert sample.judge_labels == ("judge\na", "b")
+        assert_equals_reference(sample, data)
+
+    def test_multiline_header_skips_per_cell_parser(self, tmp_path, monkeypatch):
+        def per_cell(*args):
+            raise AssertionError("rows after a two-line header reached the parser")
+
+        monkeypatch.setattr(cli, "_parse_cell", per_cell)
+        data = b'"judge\na"' + INGEST_CORPUS["generated_5000_rows"][1:]
+        path = tmp_path / "multiline.csv"
+        path.write_bytes(data)
+        sample = ingest_csv(str(path))
+        assert sample.judge_labels == ("judge\na", "b", "c")
         assert_equals_reference(sample, data)
 
     def test_error_names_physical_line_after_multiline_header(self, tmp_path):
@@ -1011,15 +1025,27 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {path}: non-finite values in {flag[2:]}\n"
 
-    def test_weights_summing_past_the_largest_float_are_two(self, data_csv, tmp_path, capsys):
-        path = tmp_path / "weights.txt"
+    @pytest.mark.parametrize("flag", ["--weights", "--selection"])
+    def test_weights_summing_past_the_largest_float_are_two(
+        self, flag, data_csv, tmp_path, capsys
+    ):
+        path = tmp_path / "vector.txt"
         path.write_text("1e308, 1e308\n")
-        assert main(["analyze", "--data", data_csv, "--weights", str(path)]) == 2
+        assert main(["analyze", "--data", data_csv, flag, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: {flag[2:]} entries sum past the largest float\n"
+
+    @pytest.mark.parametrize("flag", ["--weights", "--selection"])
+    def test_negative_vector_file_is_two(self, flag, data_csv, tmp_path, capsys):
+        path = tmp_path / "vector.txt"
+        path.write_text("0.5, -1\n")
+        assert main(["analyze", "--data", data_csv, flag, str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: model validation failed: "
-            "WeightVector entries sum past the largest float\n"
+            f"error: {path}: {flag[2:]} entries must be nonnegative and finite, "
+            "got [0.5, -1.0]\n"
         )
 
     @pytest.mark.parametrize(
@@ -1198,7 +1224,6 @@ class TestExitCodes:
         assert err.startswith("error: internal: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("output_format", ["human", "machine"])
     def test_overflowing_report_is_three(self, output_format, tmp_path, capsys):
         # Finite moments whose squares overflow: crowd_mse = inf, gap = nan.
@@ -1206,7 +1231,6 @@ class TestExitCodes:
         assert {"crowd_mse", "wisdom_gap"} <= set(last.split(": ")[-1].split(", "))
         assert "weights" not in last.split(": ")[-1].split(", ")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("output_format", ["human", "machine"])
     def test_overflowing_optimize_report_is_three(
         self, output_format, tmp_path, capsys
@@ -1217,9 +1241,22 @@ class TestExitCodes:
         bad = set(last.split(": ")[-1].split(", "))
         assert bad == {"individual_mse", "wisdom_gap", "per_judge_mse"}
 
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_overflowing_report_is_one_line_from_a_process(self, command, tmp_path):
+        # numpy warns on stderr in a real process, where no test filter applies.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-m", "crowdwise", command, "--model"]
+        done = subprocess.run(
+            argv + [self.huge_model(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("error: non-finite values in the report: ")
+
     @staticmethod
-    def overflowing_report(command, output_format, tmp_path, capsys) -> str:
-        """The last stderr line of ``command`` on means of 1e200 and 3."""
+    def huge_model(tmp_path) -> str:
+        """A valid model file with judge means of 1e200 and 3."""
         path = tmp_path / "huge.txt"
         path.write_text(
             "judge_labels = a, b\n"
@@ -1229,11 +1266,17 @@ class TestExitCodes:
             "criterion_var = 1.0\n"
             "cross_cov = 0.0, 0.0\n"
         )
-        argv = [command, "--model", str(path), "--format", output_format]
+        return str(path)
+
+    @classmethod
+    def overflowing_report(cls, command, output_format, tmp_path, capsys) -> str:
+        """The one stderr line of ``command`` on means of 1e200 and 3."""
+        argv = [command, "--model", cls.huge_model(tmp_path), "--format", output_format]
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert "internal:" not in err
+        assert err.count("\n") == 1
         last = err.splitlines()[-1]
         assert err.endswith(last + "\n")
         assert last.startswith("error: non-finite values in the report: ")

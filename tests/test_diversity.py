@@ -352,9 +352,9 @@ class TestRankCandidates:
         before = optimal_weights(base).objective
         for ev in ranking.evaluations:
             assert ev.before.crowd_mse == pytest.approx(before, rel=1e-12)
-            assert ev.before.individual_mse == individual_mse(base, expected(base)).total
+            assert ev.before.individual_mse == individual_mse(base, expected(base))
         split_after = next(ev for ev in ranking.evaluations if ev.label == "candidate_1")
-        assert split_after.after.individual_mse == individual_mse(full, expected(full)).total
+        assert split_after.after.individual_mse == individual_mse(full, expected(full))
 
     def test_unknown_selection_rule_fails_every_candidate(self):
         fine = CandidateMember(

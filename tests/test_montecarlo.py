@@ -29,7 +29,7 @@ from crowdwise.schemes import (
     uniform_selection,
     uniform_weights,
 )
-from crowdwise.wisdom import SelectionDistribution, WeightVector, evaluate
+from crowdwise.wisdom import WeightVector, evaluate
 
 
 def perfect_predictor_model():
@@ -45,7 +45,7 @@ def perfect_predictor_model():
 class TestSimulate:
     def test_perfect_predictor_is_exactly_zero(self):
         spec = SimulationSpec(perfect_predictor_model(), trials=5_000, seed=1)
-        result = simulate(spec, WeightVector([1.0]), SelectionDistribution([1.0]))
+        result = simulate(spec, WeightVector([1.0]), WeightVector([1.0]))
         assert result.empirical_crowd_mse == 0.0
 
     def test_biased_crowd_matches_closed_forms(self):
@@ -60,7 +60,7 @@ class TestSimulate:
 
     def test_single_trial_flags_degenerate_se(self):
         spec = SimulationSpec(perfect_predictor_model(), trials=1, seed=4)
-        result = simulate(spec, WeightVector([1.0]), SelectionDistribution([1.0]))
+        result = simulate(spec, WeightVector([1.0]), WeightVector([1.0]))
         assert result.standard_errors == (0.0, 0.0)
         assert result.wisdom_gap_se == 0.0
         assert result.degenerate_se
@@ -82,7 +82,7 @@ class TestSimulate:
         model = random_model(4, seed=12)
         w = WeightVector([0.0, 0.0, 1.0, 0.0])
         spec = SimulationSpec(model, trials=70_000, seed=3)
-        result = simulate(spec, w, SelectionDistribution(w.weights))
+        result = simulate(spec, w, WeightVector(w.weights))
         assert result.empirical_crowd_mse == result.empirical_individual_mse
         assert result.standard_errors[0] == result.standard_errors[1]
         assert result.wisdom_gap_se == 0.0
@@ -113,7 +113,7 @@ class TestSimulate:
         for k, n in enumerate((2, 3, 5)):
             model = random_model(n, seed=400 + k)
             w = optimal_weights(model).weights if k % 2 else uniform_weights(n)
-            p = SelectionDistribution(np.arange(1.0, n + 1.0))
+            p = WeightVector(np.arange(1.0, n + 1.0))
             analytic = evaluate(model, w, p)
             for seed in range(40):
                 spec = SimulationSpec(model, trials=1 << 12, seed=seed)
@@ -218,7 +218,7 @@ def serial_reference(spec, w, p):
         errors += bias
         crowd_err = (errors @ w.weights) ** 2
         errors *= errors
-        indiv_err = errors @ p.probs
+        indiv_err = errors @ p.weights
         per_trial = (crowd_err, indiv_err, indiv_err - crowd_err)
         sums = [float(np.sum(e)) for e in per_trial]
         squares = [float(np.sum((e - s / m) ** 2)) for e, s in zip(per_trial, sums)]
@@ -252,7 +252,7 @@ class TestChunkPool:
         model = random_model(n, seed=700 + n)
         rng = np.random.default_rng(n)
         w = WeightVector(rng.dirichlet(np.ones(n)))
-        p = SelectionDistribution(rng.dirichlet(np.ones(n)))
+        p = WeightVector(rng.dirichlet(np.ones(n)))
         for trials in (1, 2, 999, 65535, 65536, 65537, 3 * 65536 + 5):
             for distribution in sorted(GENERATORS):
                 spec = SimulationSpec(model, trials, trials % 97, distribution)
@@ -281,7 +281,7 @@ class TestChunkPool:
         model = perfect_predictor_model()
         spec = SimulationSpec(model, 40 * CHUNK_TRIALS, seed=0, distribution="failing")
         with pytest.raises(RuntimeError, match="chunk 1 failed"):
-            simulate(spec, WeightVector([1.0]), SelectionDistribution([1.0]))
+            simulate(spec, WeightVector([1.0]), WeightVector([1.0]))
         assert 1 in started
         assert len(started) < 20
 

@@ -39,7 +39,7 @@ from crowdwise.schemes import (
     uniform_selection,
     uniform_weights,
 )
-from crowdwise.wisdom import SelectionDistribution, WeightVector, crowd_mse, evaluate, individual_mse
+from crowdwise.wisdom import WeightVector, crowd_mse, evaluate, per_judge_mse
 
 
 def raw_objective(model, w):
@@ -114,11 +114,11 @@ class TestUniform:
 class TestSkillScores:
     def test_perfect_validity(self):
         model = skill_model([1.0])
-        assert skill_scores(model).skills[0] == pytest.approx(1.0, abs=1e-12)
+        assert skill_scores(model)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_covariance_means_zero_skill(self):
         model = skill_model([0.0, 0.4])
-        assert skill_scores(model).skills[0] == 0.0
+        assert skill_scores(model)[0] == 0.0
 
     def test_estimated_two_judge_model(self):
         # sigma_yx = 1, sigma_x = sqrt(2), sigma_y = sqrt(0.5): skill is 1.
@@ -129,7 +129,7 @@ class TestSkillScores:
             criterion_var=0.5,
             cross_cov=[1.0, 1.0],
         )
-        np.testing.assert_allclose(skill_scores(model).skills, [1.0, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(skill_scores(model), [1.0, 1.0], rtol=1e-12)
 
     def test_fixed_criterion_has_no_skill(self):
         model = fixed_criterion_model([0.0], [[1.0]], 0.0)
@@ -152,7 +152,7 @@ class TestSkillScores:
         for model in model_corpus(40, criterion_vars=(0.5, 1.0, 4.0)):
             if np.diag(model.judge_cov).min() <= 0.0:
                 continue
-            skills = skill_scores(model).skills
+            skills = skill_scores(model)
             assert np.all(skills >= -1.0 - 1e-9)
             assert np.all(skills <= 1.0 + 1e-9)
 
@@ -173,38 +173,42 @@ class TestSkillWeights:
 
 
 class TestSkillSelection:
+    def test_selection_rules_are_the_weight_rules(self):
+        assert uniform_selection is uniform_weights
+        assert skill_selection is skill_weights
+
     def test_proportional(self):
         p = skill_selection(skill_model([0.8, 0.2]))
-        np.testing.assert_allclose(p.probs, [0.8, 0.2], rtol=1e-12)
+        np.testing.assert_allclose(p.weights, [0.8, 0.2], rtol=1e-12)
 
     def test_equal_skills_uniform(self):
         p = skill_selection(skill_model([0.7, 0.7]))
-        np.testing.assert_allclose(p.probs, [0.5, 0.5], rtol=1e-12)
+        np.testing.assert_allclose(p.weights, [0.5, 0.5], rtol=1e-12)
 
     def test_zero_skills_fall_back(self):
         with pytest.warns(SkillDegenerateWarning):
             p = skill_selection(skill_model([0.0, 0.0]))
-        np.testing.assert_array_equal(p.probs, [0.5, 0.5])
+        np.testing.assert_array_equal(p.weights, [0.5, 0.5])
 
 
 class TestBestMember:
     def test_argmin(self):
         model = fixed_criterion_model([0.0, 0.0, 0.0], np.diag([2.0, 0.5, 1.0]), 0.0)
         choice = best_member_selection(model)
-        np.testing.assert_array_equal(choice.selection.probs, [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(choice.selection.weights, [0.0, 1.0, 0.0])
         assert choice.best_index == 1
         assert not choice.is_tie
 
     def test_tie_breaks_low_and_is_flagged(self):
         model = fixed_criterion_model([0.0, 0.0], np.eye(2), 0.0)
         choice = best_member_selection(model)
-        np.testing.assert_array_equal(choice.selection.probs, [1.0, 0.0])
+        np.testing.assert_array_equal(choice.selection.weights, [1.0, 0.0])
         assert choice.tied_indices == (0, 1)
         assert choice.is_tie
 
     def test_single_judge(self):
         model = fixed_criterion_model([0.0], [[1.0]], 0.0)
-        np.testing.assert_array_equal(best_member_selection(model).selection.probs, [1.0])
+        np.testing.assert_array_equal(best_member_selection(model).selection.weights, [1.0])
 
 
 class TestInverseMseWeights:
@@ -393,7 +397,7 @@ class TestOptimalWeights:
         for model in model_corpus(15, base_seed=9):
             n = model.n_judges
             solution = optimal_weights(model)
-            per_judge = individual_mse(model, uniform_selection(n)).per_judge
+            per_judge = per_judge_mse(model)
             assert solution.objective <= per_judge.min() + 1e-9
             points = random_simplex_points(rng, n, 1000)
             q = model.judge_cov + np.outer(model.judge_means, model.judge_means)
@@ -424,7 +428,7 @@ class TestOptimalWeights:
                     warnings.simplefilter("ignore", SkillDegenerateWarning)
                     selections.append(skill_selection(model))
             selections += [
-                SelectionDistribution(p) for p in random_simplex_points(rng, n, 5)
+                WeightVector(p) for p in random_simplex_points(rng, n, 5)
             ]
             for p in selections:
                 report = evaluate(model, solution.weights, p)

@@ -13,7 +13,6 @@ from crowdwise.errors import ShapeMismatch, ValidationFailed
 from crowdwise.model import CrowdModel, fixed_criterion_model
 from crowdwise.wisdom import (
     TIE_ROUNDING,
-    SelectionDistribution,
     WeightVector,
     crowd_mse,
     evaluate,
@@ -44,7 +43,7 @@ class TestSimplexTypes:
 
     def test_zero_sum_rejected(self):
         with pytest.raises(ValidationFailed):
-            SelectionDistribution([0.0, 0.0])
+            WeightVector([0.0, 0.0])
 
     @given(
         st.lists(
@@ -62,7 +61,6 @@ class TestSimplexTypes:
     def test_sum_within_tolerance(self):
         for values in ([0.3, 0.3, 0.4], [1.0], [5.0, 3.0]):
             assert abs(sum(WeightVector(values).weights) - 1.0) <= 1e-12
-            assert abs(sum(SelectionDistribution(values).probs) - 1.0) <= 1e-12
 
 
 class TestCrowdMse:
@@ -108,41 +106,39 @@ class TestCrowdMse:
 class TestIndividualMse:
     def test_four_biased_judges(self):
         model = biased_independent_model(4, bias=1.0)
-        result = individual_mse(model, SelectionDistribution(np.full(4, 0.25)))
-        assert result.total == pytest.approx(2.0, abs=1e-12)
-        np.testing.assert_allclose(result.per_judge, np.full(4, 2.0), atol=1e-12)
+        result = individual_mse(model, WeightVector(np.full(4, 0.25)))
+        assert result == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(per_judge_mse(model), np.full(4, 2.0), atol=1e-12)
 
     def test_point_mass_selects_one_judge(self):
         model = fixed_criterion_model([0.0, 0.0], np.diag([0.5, 1.5]), 0.0)
-        result = individual_mse(model, SelectionDistribution([1.0, 0.0]))
-        assert result.total == 0.5
+        result = individual_mse(model, WeightVector([1.0, 0.0]))
+        assert result == 0.5
 
     def test_uniform_selection_is_arithmetic_mean(self):
         for model in model_corpus(20):
             n = model.n_judges
-            result = individual_mse(model, SelectionDistribution(np.full(n, 1.0 / n)))
-            assert result.total == pytest.approx(result.per_judge.mean(), rel=1e-12)
+            result = individual_mse(model, WeightVector(np.full(n, 1.0 / n)))
+            assert result == pytest.approx(per_judge_mse(model).mean(), rel=1e-12)
 
     def test_right_side_is_linear_in_selection(self):
         rng = np.random.default_rng(11)
         for model in model_corpus(20):
             n = model.n_judges
-            p = SelectionDistribution(rng.dirichlet(np.ones(n)))
+            p = WeightVector(rng.dirichlet(np.ones(n)))
             vertex_values = [
                 crowd_mse(model, WeightVector.point_mass(i, n)).total
                 for i in range(n)
             ]
-            expected = float(np.dot(p.probs, vertex_values))
-            assert individual_mse(model, p).total == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            expected = float(np.dot(p.weights, vertex_values))
+            assert individual_mse(model, p) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 class TestVertexConsistency:
     def test_point_mass_weight_equals_per_judge_error(self):
         for model in model_corpus(60):
             n = model.n_judges
-            per_judge = individual_mse(
-                model, SelectionDistribution(np.full(n, 1.0 / n))
-            ).per_judge
+            per_judge = per_judge_mse(model)
             for i in range(n):
                 vertex = crowd_mse(model, WeightVector.point_mass(i, n)).total
                 scale = max(abs(vertex), abs(per_judge[i]), 1e-300)
@@ -157,8 +153,8 @@ class TestCompensatedReference:
         for model in model_corpus(200, base_seed=4):
             n = model.n_judges
             wv = WeightVector(rng.dirichlet(np.ones(n)))
-            pv = SelectionDistribution(rng.dirichlet(np.ones(n)))
-            w, p = wv.weights, pv.probs
+            pv = WeightVector(rng.dirichlet(np.ones(n)))
+            w, p = wv.weights, pv.weights
             per_judge = np.empty(n)
             for i in range(n):
                 bias = model.judge_means[i] - model.criterion_mean
@@ -184,21 +180,21 @@ class TestEvaluate:
         report = evaluate(
             model,
             WeightVector(np.full(4, 0.25)),
-            SelectionDistribution(np.full(4, 0.25)),
+            WeightVector(np.full(4, 0.25)),
         )
         assert report.wisdom_gap == pytest.approx(0.75, abs=1e-12)
         assert report.is_wise
 
     def test_crowd_of_one_ties(self):
         model = biased_independent_model(1, bias=0.3)
-        report = evaluate(model, WeightVector([1.0]), SelectionDistribution([1.0]))
+        report = evaluate(model, WeightVector([1.0]), WeightVector([1.0]))
         assert report.wisdom_gap == 0.0
         assert report.is_wise
 
     def test_symmetric_judges_tie(self):
         model = biased_independent_model(2, bias=0.0)
         report = evaluate(
-            model, WeightVector([1.0, 0.0]), SelectionDistribution([0.0, 1.0])
+            model, WeightVector([1.0, 0.0]), WeightVector([0.0, 1.0])
         )
         assert report.crowd_mse == 1.0
         assert report.individual_mse == 1.0
@@ -222,7 +218,7 @@ class TestEvaluate:
             )
             uniform = np.full(n, 1.0 / n)
             report = evaluate(
-                model, WeightVector(uniform), SelectionDistribution(uniform)
+                model, WeightVector(uniform), WeightVector(uniform)
             )
             assert abs(report.wisdom_gap) <= 1e-12 * report.individual_mse
             assert report.is_wise
@@ -230,7 +226,7 @@ class TestEvaluate:
     def test_loss_beyond_rounding_is_unwise(self):
         model = fixed_criterion_model([0.0, 0.0], np.diag([1.0 + 1e-12, 1.0]), 0.0)
         report = evaluate(
-            model, WeightVector([1.0, 0.0]), SelectionDistribution([0.0, 1.0])
+            model, WeightVector([1.0, 0.0]), WeightVector([0.0, 1.0])
         )
         assert report.wisdom_gap < 0.0
         assert not report.is_wise
@@ -240,7 +236,7 @@ class TestEvaluate:
         for model in model_corpus(20):
             n = model.n_judges
             w = WeightVector(rng.dirichlet(np.ones(n)))
-            p = SelectionDistribution(rng.dirichlet(np.ones(n)))
+            p = WeightVector(rng.dirichlet(np.ones(n)))
             report = evaluate(model, w, p)
             assert report.crowd_mse == (
                 report.crowd_bias_sq
@@ -259,7 +255,7 @@ class TestClassicalLaws:
         report = evaluate(
             model,
             WeightVector(np.full(n, 1.0 / n)),
-            SelectionDistribution(np.full(n, 1.0 / n)),
+            WeightVector(np.full(n, 1.0 / n)),
         )
         assert report.crowd_mse == pytest.approx(1.0 / n, abs=1e-12)
         assert report.wisdom_gap == pytest.approx(1.0 - 1.0 / n, abs=1e-12)
@@ -272,7 +268,7 @@ class TestClassicalLaws:
         report = evaluate(
             model,
             WeightVector(np.full(4, 0.25)),
-            SelectionDistribution(np.full(4, 0.25)),
+            WeightVector(np.full(4, 0.25)),
         )
         assert report.wisdom_gap == pytest.approx(0.75, abs=1e-9)
 
@@ -289,7 +285,7 @@ class TestAffineInvariance:
         model = model_corpus(1, base_seed=seed)[0]
         n = model.n_judges
         w = WeightVector(rng.dirichlet(np.ones(n)))
-        p = SelectionDistribution(rng.dirichlet(np.ones(n)))
+        p = WeightVector(rng.dirichlet(np.ones(n)))
         base = evaluate(model, w, p)
         scaled = evaluate(affine_model(model, a, b), w, p)
         assert scaled.crowd_mse == pytest.approx(a * a * base.crowd_mse, rel=1e-9, abs=1e-9)
@@ -306,9 +302,7 @@ class TestNonnegativity:
         rng = np.random.default_rng(17)
         for model in model_corpus(50):
             n = model.n_judges
-            per_judge = individual_mse(
-                model, SelectionDistribution(np.full(n, 1.0 / n))
-            ).per_judge
+            per_judge = per_judge_mse(model)
             assert per_judge.min() >= -1e-9
             for w in random_simplex_points(rng, n, 10):
                 assert crowd_mse(model, WeightVector(w)).total >= -1e-9
