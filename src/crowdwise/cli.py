@@ -699,8 +699,15 @@ def _cmd_simulate(args: argparse.Namespace) -> list[tuple[str, object]]:
         seed=args.seed,
         distribution=args.generator,
     )
-    result = simulate(spec, w, p)
     analytic = evaluate(model, w, p)
+    crowd, individual, gap = analytic_pairs = [
+        ("analytic_crowd_mse", analytic.crowd_mse),
+        ("analytic_individual_mse", analytic.individual_mse),
+        ("analytic_wisdom_gap", analytic.wisdom_gap),
+    ]
+    # A non-finite analytic half is refused before any trial is drawn.
+    _require_finite(analytic_pairs)
+    result = simulate(spec, w, p)
     return [
         ("schema_version", SCHEMA_VERSION),
         ("command", args.command),
@@ -716,10 +723,10 @@ def _cmd_simulate(args: argparse.Namespace) -> list[tuple[str, object]]:
         ("individual_mse_se", result.standard_errors[1]),
         ("wisdom_gap_se", result.wisdom_gap_se),
         ("degenerate_se", result.degenerate_se),
-        ("analytic_crowd_mse", analytic.crowd_mse),
-        ("analytic_individual_mse", analytic.individual_mse),
+        crowd,
+        individual,
         ("empirical_wisdom_gap", result.empirical_wisdom_gap),
-        ("analytic_wisdom_gap", analytic.wisdom_gap),
+        gap,
     ]
 
 

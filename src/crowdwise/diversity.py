@@ -17,7 +17,14 @@ its joint matrix, bordered by each candidate's covariances in one forward
 substitution, certifies every consistent candidate at once (a bordered
 Cholesky factor, or Schur complement; Golub & Van Loan, Matrix Computations,
 ch. 4).  Only a candidate it cannot certify pays ``extend_model``'s full
-validation, which reports every failure.
+validation, which reports every failure.  If one huge candidate's share of
+the shift sinks the factor, it is taken again at the crowd's own scale, for
+the candidates within it.
+
+Each candidate then costs a copy of the moments grown by one judge, one
+column of the substitution, one warm-started solve (a face factor per face
+step), one evaluation, its skill and its uniform crowd error.  The solve's
+objective and uniqueness flag are never read, so they are never computed.
 """
 
 from __future__ import annotations

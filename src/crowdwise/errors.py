@@ -78,6 +78,8 @@ class NoConvergence(CrowdwiseError):
     ``best`` holds the last iterate, which descent makes the best one, as a
     QPSolution certified and tested for uniqueness at its own weights; its
     ``iterations`` is the cap, or the iteration at which the solver stopped.
+    Like every QPSolution, its ``objective`` and ``possibly_nonunique`` are
+    computed on first read; the message reads neither.
     """
 
     exit_code = 3

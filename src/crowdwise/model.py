@@ -292,7 +292,10 @@ def _certified_extensions(
     with the model's judges and then its criterion.  True means
     ``validate_model`` of that extended model returns [].  One shifted
     Cholesky factor of the model's joint matrix and one forward substitution
-    decide all K; a False proves nothing.  Needs criterion_var > 0 and a
+    decide all K; a False proves nothing.  When the shift that covers every
+    judge sinks the model's own factor, one retry takes the model's own
+    shift and certifies only judges of variance at most the joint matrix's
+    largest diagonal entry.  Needs criterion_var > 0 and a
     judge_cov within PSD_RTOL of symmetric, otherwise returns all False: an
     asymmetric judge_cov can pass that check once a large border is added.
     """
@@ -313,11 +316,11 @@ def _certified_extensions(
     # _certified_definite holds for any shift c at least twice
     # g / (1 - g) d sum(A_ii / d) + u d + order (order + 1) eta, with d any
     # bound on A's diagonal: every step of it uses only A_ii <= d.  The
-    # shift below takes d as the largest of J's diagonal and every v, and
-    # order in place of sum(A_ii / d), which that bounds; _cholesky_shift
-    # grows with each argument, so it is at least every extended matrix's
-    # own shift.  A Cholesky factor of fl(A - cI) may be computed as the
-    # factor L of fl(J - cI), then the last row r = L^-1 b, then the last
+    # shift below takes d as the largest of J's diagonal and every covered v,
+    # and order in place of sum(A_ii / d), which that bounds; _cholesky_shift
+    # grows with each argument, so it is at least every covered extended
+    # matrix's own shift.  A Cholesky factor of fl(A - cI) may be computed as
+    # the factor L of fl(J - cI), then the last row r = L^-1 b, then the last
     # pivot s = fl(v - c) - r'r.  The forward substitution below forms each
     # r_i = (b_i - L[i, :i] r[:i]) / L_ii, the Cholesky recurrence for that
     # entry with its inner product taken in some order, so Thm 10.3 covers
@@ -328,8 +331,17 @@ def _certified_extensions(
     # largest entry than the model's, and a positive definite joint matrix
     # passes both PSD checks (see PSD_RTOL).
     order = m.shape[0] + 1
-    shift = _cholesky_shift(order, max(diag.max(), corners.max()), float(order))
+    own = diag.max()
+    bound = max(own, corners.max())
+    # One huge v can push the shift past J's smallest eigenvalue; J's own d
+    # then covers every v up to it, on a copy of J made before the shift.
+    spare = m.copy() if bound > own else None
+    shift = _cholesky_shift(order, bound, float(order))
     lower = _shifted_factor(m, shift)
+    if lower is None and spare is not None:
+        bound = own
+        shift = _cholesky_shift(order, bound, float(order))
+        lower = _shifted_factor(spare, shift)
     if lower is None:
         return certified
     solved = np.empty_like(borders)
@@ -337,7 +349,8 @@ def _certified_extensions(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(order - 1):
             solved[i] = (borders[i] - lower[i, :i] @ solved[:i]) / lower[i, i]
-        return (corners - shift) - (solved * solved).sum(axis=0) > 0.0
+        pivots = (corners - shift) - (solved * solved).sum(axis=0)
+        return (corners <= bound) & (pivots > 0.0)
 
 
 def _nonfinite_violation(model: CrowdModel) -> list[str]:

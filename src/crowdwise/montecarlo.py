@@ -160,17 +160,20 @@ def simulate(
         m = min(t - index * CHUNK_TRIALS, CHUNK_TRIALS)
         rng = _chunk_rng(spec.seed, index)
         crowd_err, indiv_err = np.empty(m), np.empty(m)
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            errors = draw(rng, (hi - lo, n + 1)) @ error_map
-            errors += bias
-            crowd_err[lo:hi] = errors @ weights
-            errors *= errors
-            indiv_err[lo:hi] = errors @ probs
-        crowd_err *= crowd_err
-        per_trial = (crowd_err, indiv_err, indiv_err - crowd_err)
-        sums = [float(np.sum(e)) for e in per_trial]
-        squares = [float(np.sum((e - s / m) ** 2)) for e, s in zip(per_trial, sums)]
+        # Overflow is left in the sums, unwarned: a pool thread starts with
+        # numpy's default error state, not its caller's.
+        with np.errstate(all="ignore"):
+            for lo in range(0, m, rows):
+                hi = min(lo + rows, m)
+                errors = draw(rng, (hi - lo, n + 1)) @ error_map
+                errors += bias
+                crowd_err[lo:hi] = errors @ weights
+                errors *= errors
+                indiv_err[lo:hi] = errors @ probs
+            crowd_err *= crowd_err
+            per_trial = (crowd_err, indiv_err, indiv_err - crowd_err)
+            sums = [float(np.sum(e)) for e in per_trial]
+            squares = [float(np.sum((e - s / m) ** 2)) for e, s in zip(per_trial, sums)]
         return m, sums, squares
 
     n_chunks = -(-t // CHUNK_TRIALS)

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -78,13 +79,27 @@ class QPSolution:
     direction on the optimal face, such as two identical judges that both
     carry weight, has no curvature, ``possibly_nonunique`` flags that the
     minimizer may not be a point (one valid argmin is still returned).
+
+    ``objective`` and ``possibly_nonunique`` are computed on first read, from
+    the model and the solve's scaled QP, whose N x N matrix the solution
+    keeps for as long as it lives.
     """
 
     weights: WeightVector
-    objective: float
     iterations: int
     kkt_residual: float
-    possibly_nonunique: bool
+    _model: CrowdModel = field(repr=False, compare=False)
+    # (q2, grad at the weights, tolerance), all scaled as in _scaled_qp.
+    _scaled: tuple[np.ndarray, np.ndarray, float] = field(repr=False, compare=False)
+
+    @cached_property
+    def objective(self) -> float:
+        return crowd_mse(self._model, self.weights).total
+
+    @cached_property
+    def possibly_nonunique(self) -> bool:
+        q2, grad, tol = self._scaled
+        return _nonunique_on_face(q2, self.weights.weights, grad, tol)
 
 
 @dataclass(frozen=True)
@@ -100,6 +115,8 @@ class BestMemberChoice:
         return len(self.tied_indices) > 1
 
 
+# A crowd size's uniform vector is read-only, so one is shared by every caller.
+@lru_cache(maxsize=16)
 def uniform_weights(n: int) -> WeightVector:
     if n < 1:
         raise ZeroJudges("cannot build weights for zero judges")
@@ -458,10 +475,10 @@ def optimal_weights(
         grad = q2 @ wv.weights + b
         return QPSolution(
             weights=wv,
-            objective=crowd_mse(model, wv).total,
             iterations=iterations,
             kkt_residual=_ldexp(_certificate_residual(wv.weights, grad), -shift),
-            possibly_nonunique=_nonunique_on_face(q2, wv.weights, grad, tol),
+            _model=model,
+            _scaled=(q2, grad, tol),
         )
 
     w = np.full(n, 1.0 / n) if start is None else start.weights

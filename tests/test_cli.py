@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix_with_spectrum
-from crowdwise import cli, schemes
+from crowdwise import cli, montecarlo, schemes
 from crowdwise.cli import ingest_csv, load_model, main, read_candidates, save_model
 from crowdwise.errors import (
     DuplicateJudgeLabel,
@@ -821,6 +821,31 @@ class TestCandidateCommand:
             np.testing.assert_array_equal(got.cov_with_members, want.cov_with_members)
 
 
+class TestReadCandidates:
+    HEADER = "label,mean,variance,cov_with_criterion,a,b\n"
+    MODEL = fixed_criterion_model([0.0, 0.0], np.eye(2), 0.0, judge_labels=("a", "b"))
+
+    def read(self, tmp_path, rows: str):
+        path = tmp_path / "cands.csv"
+        path.write_text(self.HEADER + rows)
+        return read_candidates(str(path), self.MODEL)
+
+    def test_rows_equal_the_per_cell_parse(self, tmp_path):
+        rows = 'c,1_0, 2 ,"3",0,-0.5\nd,.5,1e-3,\t-0,"4", 5\ne,0,1,0,0,0\n'
+        candidates, labels = self.read(tmp_path, rows)
+        assert labels == ["c", "d", "e"]
+        for got, row in zip(candidates, csv.reader(io.StringIO(rows))):
+            want = [float(cell.strip()) for cell in row[1:]]
+            values = [got.mean, got.variance, got.cov_with_criterion, *got.cov_with_members]
+            assert np.array(values).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("cell", ["x", '"1,5"', "nan", " ", "1e400"])
+    def test_bad_cell_named_by_line_and_column(self, cell, tmp_path):
+        with pytest.raises(NonNumericCell) as caught:
+            self.read(tmp_path, f"c,0,1,0,0,0\n\nd,0,1,0,{cell},0\n")
+        assert (caught.value.row, caught.value.column) == (4, "a")
+
+
 class TestSimulateCommand:
     def test_fixed_seed_byte_identical(self, data_csv, capsys):
         argv = [
@@ -1241,15 +1266,28 @@ class TestExitCodes:
         bad = set(last.split(": ")[-1].split(", "))
         assert bad == {"individual_mse", "wisdom_gap", "per_judge_mse"}
 
-    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_overflowing_simulate_is_refused_before_drawing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def simulate(*args):
+            raise AssertionError("trials drawn for a non-finite analytic half")
+
+        monkeypatch.setattr(cli, "simulate", simulate)
+        monkeypatch.setattr(montecarlo, "simulate", simulate)
+        last = self.overflowing_report("simulate", "machine", tmp_path, capsys)
+        assert last == (
+            "error: non-finite values in the report: "
+            "analytic_crowd_mse, analytic_individual_mse, analytic_wisdom_gap"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize", "simulate"])
     def test_overflowing_report_is_one_line_from_a_process(self, command, tmp_path):
         # numpy warns on stderr in a real process, where no test filter applies.
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        argv = [sys.executable, "-m", "crowdwise", command, "--model"]
-        done = subprocess.run(
-            argv + [self.huge_model(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        argv = [sys.executable, "-m", "crowdwise", command, "--model", self.huge_model(tmp_path)]
+        if command == "simulate":
+            argv += ["--trials", "1000"]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr.count("\n") == 1
         assert done.stderr.startswith("error: non-finite values in the report: ")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import model_corpus
-from crowdwise import diversity
+from crowdwise import diversity, schemes
+from crowdwise import model as model_module
 from crowdwise.diversity import (
     CandidateMember,
     evaluate_candidate,
@@ -38,9 +39,9 @@ def one_judge_crowd(variance=1.0):
     return fixed_criterion_model([0.0], [[variance]], 0.0)
 
 
-def candidate_from_model(model: CrowdModel) -> tuple[CrowdModel, CandidateMember]:
-    """Split a model's last judge off as a candidate for the remaining crowd."""
-    n = model.n_judges - 1
+def split_candidates(model: CrowdModel, k: int) -> tuple[CrowdModel, list[CandidateMember]]:
+    """The first N - k judges as a crowd, and each of the last k as a candidate."""
+    n = model.n_judges - k
     base = CrowdModel(
         judge_means=model.judge_means[:n],
         judge_cov=model.judge_cov[:n, :n],
@@ -49,12 +50,21 @@ def candidate_from_model(model: CrowdModel) -> tuple[CrowdModel, CandidateMember
         cross_cov=model.cross_cov[:n],
         judge_labels=model.judge_labels[:n],
     )
-    candidate = CandidateMember(
-        mean=model.judge_means[n],
-        variance=model.judge_cov[n, n],
-        cov_with_members=model.judge_cov[n, :n],
-        cov_with_criterion=model.cross_cov[n],
-    )
+    candidates = [
+        CandidateMember(
+            mean=model.judge_means[j],
+            variance=model.judge_cov[j, j],
+            cov_with_members=model.judge_cov[j, :n],
+            cov_with_criterion=model.cross_cov[j],
+        )
+        for j in range(n, model.n_judges)
+    ]
+    return base, candidates
+
+
+def candidate_from_model(model: CrowdModel) -> tuple[CrowdModel, CandidateMember]:
+    """Split a model's last judge off as a candidate for the remaining crowd."""
+    base, (candidate,) = split_candidates(model, 1)
     return base, candidate
 
 
@@ -425,6 +435,16 @@ class TestRankingReusesTheBaseSolve:
             assert abs(ev.marginal_gain) <= 1e-12
         assert checked >= 5
 
+    def test_no_solve_tests_uniqueness(self, monkeypatch):
+        # The ranking reads neither flag nor objective of any solve.
+        calls = []
+        monkeypatch.setattr(schemes, "_nonunique_on_face", lambda *args: calls.append(1))
+        full = random_model(9, seed=5, criterion_var=1.0)
+        base, candidates = split_candidates(full, 3)
+        ranking = rank_candidates(base, candidates + [candidates[0]])
+        assert len(ranking.evaluations) == 4
+        assert calls == []
+
     def test_base_failure_fails_every_candidate(self, monkeypatch):
         full = random_model(6, seed=91, criterion_var=1.0)
         base, split = candidate_from_model(full)
@@ -560,6 +580,32 @@ class TestBorderedCertificate:
             candidates_total += len(candidates)
         assert 0 < certified_total < candidates_total
 
+    def test_huge_candidate_leaves_the_others_certified(self):
+        base, candidates = split_candidates(random_model(9, seed=5, criterion_var=1.0), 3)
+        huge = CandidateMember(0.0, 1e300, np.zeros(base.n_judges), 0.0)
+        assert diversity._certified(base, candidates).tolist() == [True] * 3
+        assert diversity._certified(base, candidates + [huge]).tolist() == [True] * 3 + [False]
+        assert diversity._certified(base, [huge]).tolist() == [False]
+
+    def test_noisy_candidate_keeps_the_one_shared_factor(self, monkeypatch):
+        # Independent noise of 100 and 1000 times the crowd's largest joint
+        # variance keeps a candidate consistent; one factor still covers it.
+        base, candidates = split_candidates(random_model(9, seed=5, criterion_var=1.0), 3)
+        largest = max(base.judge_cov.diagonal().max(), base.criterion_var)
+        noisy = [
+            dataclasses.replace(candidates[0], variance=candidates[0].variance + k * largest)
+            for k in (100.0, 1000.0)
+        ]
+        factors = []
+        shifted_factor = model_module._shifted_factor
+        monkeypatch.setattr(
+            model_module,
+            "_shifted_factor",
+            lambda m, shift: factors.append(shift) or shifted_factor(m, shift),
+        )
+        assert diversity._certified(base, candidates + noisy).tolist() == [True] * 5
+        assert len(factors) == 1
+
     def test_wrong_length_candidate_is_reported_by_extend_model(self):
         fine = CandidateMember(0.0, 1.0, [0.0], 0.0)
         short = CandidateMember(0.0, 1.0, [0.0, 0.0], 0.0)
@@ -568,21 +614,8 @@ class TestBorderedCertificate:
         assert isinstance(ranking.failures[0].error, ShapeMismatch)
 
     def test_batch_validation_factors_once_without_eigensolve(self, monkeypatch, linalg_calls):
-        full = random_model(64, seed=3, criterion_var=1.0)
-        n = 60
-        base = CrowdModel(
-            judge_means=full.judge_means[:n],
-            judge_cov=full.judge_cov[:n, :n],
-            criterion_mean=full.criterion_mean,
-            criterion_var=full.criterion_var,
-            cross_cov=full.cross_cov[:n],
-        )
-        candidates = [
-            CandidateMember(
-                full.judge_means[k], full.judge_cov[k, k], full.judge_cov[k, :n], full.cross_cov[k]
-            )
-            for k in range(n, 64)
-        ]
+        base, candidates = split_candidates(random_model(64, seed=3, criterion_var=1.0), 4)
+        n = base.n_judges
         orders = []
         cholesky = np.linalg.cholesky
 

@@ -3,6 +3,7 @@
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ class TestSimulate:
         spec = SimulationSpec(perfect_predictor_model(), trials=5_000, seed=1)
         result = simulate(spec, WeightVector([1.0]), WeightVector([1.0]))
         assert result.empirical_crowd_mse == 0.0
+
+    def test_overflow_on_pool_threads_warns_nothing(self):
+        # Means of 1e200 overflow every squared error; the chunks run on pool
+        # threads, which start with numpy's default error state.
+        model = CrowdModel([1e200, 3.0], np.eye(2), 0.0, 1.0, [0.0, 0.0])
+        spec = SimulationSpec(model, trials=1000, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = simulate(spec, uniform_weights(2), uniform_selection(2))
+        assert result.empirical_crowd_mse == math.inf
 
     def test_biased_crowd_matches_closed_forms(self):
         # Four independent unit-variance judges with bias 1 and a fixed

@@ -110,6 +110,13 @@ class TestUniform:
         with pytest.raises(ZeroJudges):
             uniform_selection(0)
 
+    def test_one_shared_read_only_vector_per_size(self):
+        for n in (1, 3, 51):
+            assert uniform_weights(n) is uniform_weights(n) is uniform_selection(n)
+            assert not uniform_weights(n).weights.flags.writeable
+            with pytest.raises(ValueError):
+                uniform_weights(n).weights[0] = 0.0
+
 
 class TestSkillScores:
     def test_perfect_validity(self):
@@ -519,6 +526,44 @@ class TestOptimalWeights:
         grad = np.array([-1.0, 1.0, 1.0])
         assert schemes._projected_search(np.eye(3), grad, w, -grad) is None
         assert len(projections) == 1
+
+
+class TestCertificateFieldsOnFirstRead:
+    @staticmethod
+    def direct_fields(model, solution, tolerance=1e-10):
+        """The objective and uniqueness flag computed at the returned weights."""
+        q2, b, shift = schemes._scaled_qp(model)
+        w = solution.weights.weights
+        tol = schemes._ldexp(tolerance, shift)
+        return (
+            crowd_mse(model, solution.weights).total,
+            schemes._nonunique_on_face(q2, w, q2 @ w + b, tol),
+        )
+
+    def test_equal_a_direct_computation_at_the_weights(self):
+        corpus = model_corpus(12, base_seed=101, sizes=(2, 5, 13))
+        flags = set()
+        for model in corpus + [with_twin(model, 0) for model in corpus]:
+            solution = optimal_weights(model)
+            got = (solution.objective, solution.possibly_nonunique)
+            assert got == self.direct_fields(model, solution)
+            flags.add(solution.possibly_nonunique)
+            with pytest.raises(NoConvergence) as caught:
+                optimal_weights(model, max_iterations=0)
+            best = caught.value.best
+            assert (best.objective, best.possibly_nonunique) == self.direct_fields(model, best)
+        assert flags == {False, True}
+
+    def test_uniqueness_is_tested_once_and_only_when_read(self, monkeypatch):
+        calls = []
+        original = schemes._nonunique_on_face
+        monkeypatch.setattr(
+            schemes, "_nonunique_on_face", lambda *args: calls.append(1) or original(*args)
+        )
+        solution = optimal_weights(random_model(6, seed=3))
+        assert calls == []
+        assert solution.possibly_nonunique is solution.possibly_nonunique
+        assert len(calls) == 1
 
 
 class TestScaledQP:
