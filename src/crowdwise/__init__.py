@@ -11,7 +11,6 @@ from .diversity import (
     CandidateEvaluation,
     CandidateMember,
     CandidateRanking,
-    evaluate_candidate,
     extend_model,
     rank_candidates,
 )
@@ -29,12 +28,10 @@ from .montecarlo import (
     simulate,
 )
 from .schemes import (
-    BestMemberChoice,
     QPSolution,
     best_member_selection,
     inverse_mse_weights,
     optimal_weights,
-    project_to_simplex,
     skill_scores,
     skill_selection,
     skill_weights,
@@ -47,14 +44,12 @@ from .wisdom import (
     WisdomReport,
     crowd_mse,
     evaluate,
-    individual_mse,
     per_judge_mse,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BestMemberChoice",
     "CandidateEvaluation",
     "CandidateMember",
     "CandidateRanking",
@@ -70,14 +65,11 @@ __all__ = [
     "crowd_mse",
     "estimate_model",
     "evaluate",
-    "evaluate_candidate",
     "extend_model",
     "fixed_criterion_model",
-    "individual_mse",
     "inverse_mse_weights",
     "optimal_weights",
     "per_judge_mse",
-    "project_to_simplex",
     "random_model",
     "rank_candidates",
     "simulate",

@@ -21,7 +21,7 @@ reads.
 Exit codes: 0 success, 1 usage error, 2 data or validation error (including
 nan or inf in any input file), 3 numerical failure (including a report that
 overflows to inf or nan) or internal error.  Error detail goes to stderr as
-one line, never to stdout.
+one line, never to stdout; so does each distinct warning, as ``warning: ...``.
 
 Weights are treated as fixed choices supplied before judgments realize.
 Estimating weights from the same trials they are scored on is not detected
@@ -830,25 +830,30 @@ def _build_parser() -> _Parser:
 
     Each subcommand sets ``handler`` to (command, human renderer); sweep
     writes CSV in every format.  Options that several commands share live in
-    parent parsers, so each is declared once.
+    parent parsers, so each is declared once; ``source`` builds the input's.
     """
-    source = _Parser(add_help=False)
-    group = source.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--data", dest="data_path", help="judgments CSV with a 'criterion' column"
-    )
-    group.add_argument(
-        "--model", dest="model_path", help="model file (see save_model format)"
-    )
-    source.add_argument(
-        "--selection",
-        dest="selection_scheme",
-        default="uniform",
-        help="uniform | skill | best | FILE",
-    )
-    source.add_argument(
-        "--format", dest="output_format", default="human", choices=("human", "machine")
-    )
+    def source(rules: str, **choices) -> _Parser:
+        parser = _Parser(add_help=False)
+        group = parser.add_mutually_exclusive_group(required=True)
+        group.add_argument(
+            "--data", dest="data_path", help="judgments CSV with a 'criterion' column"
+        )
+        group.add_argument(
+            "--model", dest="model_path", help="model file (see save_model format)"
+        )
+        parser.add_argument(
+            "--selection", dest="selection_scheme", default="uniform", help=rules,
+            **choices,
+        )
+        parser.add_argument(
+            "--format", dest="output_format", default="human",
+            choices=("human", "machine"),
+        )
+        return parser
+
+    files = source("uniform | skill | best | FILE")
+    # A file has one entry per judge, so it cannot select in the grown crowds.
+    named = source("uniform | skill | best", choices=tuple(SELECTION_RULES))
     weights = _Parser(add_help=False)
     weights.add_argument(
         "--weights",
@@ -866,16 +871,16 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "analyze", help="report both sides and the verdict", parents=[source, weights]
+        "analyze", help="report both sides and the verdict", parents=[files, weights]
     )
     p.set_defaults(handler=(_cmd_analyze, _human_analyze))
 
     p = sub.add_parser(
-        "optimize", help="solve for optimal weights", parents=[source, solver]
+        "optimize", help="solve for optimal weights", parents=[files, solver]
     )
     p.set_defaults(handler=(_cmd_optimize, _human_optimize), weight_scheme="optimal")
 
-    p = sub.add_parser("candidate", help="rank prospective members", parents=[source])
+    p = sub.add_parser("candidate", help="rank prospective members", parents=[named])
     p.set_defaults(handler=(_cmd_candidate, _human_candidate))
     p.add_argument(
         "--candidates", dest="candidates_path", required=True, help="candidate CSV"
@@ -890,7 +895,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "simulate",
         help="empirical check of analytic values",
-        parents=[source, weights, seeded],
+        parents=[files, weights, seeded],
     )
     p.set_defaults(handler=(_cmd_simulate, _human_simulate))
     p.add_argument("--trials", type=_at_least(1), default=100_000)
@@ -921,33 +926,37 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     command, render_human = args.handler
-    try:
-        # _require_finite refuses inf and nan; numpy's warnings add stderr lines.
-        with np.errstate(all="ignore"):
-            output = command(args)
-        if render_human is None:
-            csv.writer(sys.stdout, lineterminator="\n").writerows(output)
-        else:
-            _require_finite(output)
-            if args.output_format == "machine":
-                sys.stdout.write(_render_document(output))
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            # _require_finite refuses inf and nan; numpy's warnings add stderr lines.
+            with np.errstate(all="ignore"):
+                output = command(args)
+            if render_human is None:
+                csv.writer(sys.stdout, lineterminator="\n").writerows(output)
             else:
-                lines = render_human(dict(output), args)
-                sys.stdout.write("".join(line + "\n" for line in lines))
-        sys.stdout.flush()
-        return 0
-    except CrowdwiseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
-    except BrokenPipeError:
-        # Downstream consumer (head, etc.) closed the pipe; not our error.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 0
-    except Exception as err:
-        # A defect rather than bad input: one line, never a traceback.
-        print(f"error: internal: {type(err).__name__}: {err}", file=sys.stderr)
-        return 3
+                _require_finite(output)
+                if args.output_format == "machine":
+                    sys.stdout.write(_render_document(output))
+                else:
+                    lines = render_human(dict(output), args)
+                    sys.stdout.write("".join(line + "\n" for line in lines))
+            sys.stdout.flush()
+            return 0
+        except CrowdwiseError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return err.exit_code
+        except BrokenPipeError:
+            # Downstream consumer (head, etc.) closed the pipe; not our error.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 0
+        except Exception as err:
+            # A defect rather than bad input: one line, never a traceback.
+            print(f"error: internal: {type(err).__name__}: {err}", file=sys.stderr)
+            return 3
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

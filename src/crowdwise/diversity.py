@@ -37,9 +37,7 @@ from .errors import (
     CrowdwiseError,
     JointNotPSD,
     ShapeMismatch,
-    UndefinedSkill,
     ValidationFailed,
-    ZeroCriterionVariance,
 )
 from .model import (
     CrowdModel,
@@ -48,7 +46,7 @@ from .model import (
     _readonly,
     validate_model,
 )
-from .schemes import SELECTION_RULES, optimal_weights, skill_scores, uniform_weights
+from .schemes import SELECTION_RULES, optimal_weights, uniform_weights
 from .wisdom import WeightVector, WisdomReport, crowd_mse, evaluate
 
 
@@ -82,7 +80,7 @@ class CandidateEvaluation:
     ``marginal_gain`` is the drop in optimal crowd squared error; it is never
     meaningfully negative.  ``uniform_marginal_gain`` is the same comparison
     under simple averaging, where adding a member genuinely can hurt.
-    ``candidate_skill`` is None when the criterion is fixed.
+    ``candidate_skill`` is None for a fixed criterion or a constant candidate.
     """
 
     label: str
@@ -179,23 +177,6 @@ def _certified(model: CrowdModel, candidates: list[CandidateMember]) -> np.ndarr
     return _certified_extensions(model, borders, corners)
 
 
-def evaluate_candidate(
-    model: CrowdModel,
-    candidate: CandidateMember,
-    p_rule: str = "uniform",
-    label: str = "candidate",
-) -> CandidateEvaluation:
-    """Compare optimal-weight wisdom with and without the candidate.
-
-    The one-candidate case of ``rank_candidates``: returns its evaluation, or
-    raises the error ``rank_candidates`` reports as its failure.
-    """
-    ranking = rank_candidates(model, [candidate], p_rule, [label])
-    if ranking.failures:
-        raise ranking.failures[0].error
-    return ranking.evaluations[0]
-
-
 def rank_candidates(
     model: CrowdModel,
     candidates: list[CandidateMember],
@@ -249,10 +230,11 @@ def rank_candidates(
         extended = extend_model(model, candidate, label, certified=valid)
         after_sol = optimal_weights(extended, start=start)
         after = evaluate(extended, after_sol.weights, select(extended))
-        try:
-            skill = float(skill_scores(extended)[-1])
-        except (ZeroCriterionVariance, UndefinedSkill):
-            skill = None
+        skill = None
+        if model.criterion_var > 0.0 and candidate.variance > 0.0:
+            # skill_scores' operations, on the candidate's moments alone.
+            sd = np.sqrt(candidate.variance) * np.sqrt(model.criterion_var)
+            skill = float(candidate.cov_with_criterion / sd)
         uniform_after = crowd_mse(extended, uniform_weights(extended.n_judges)).total
         return CandidateEvaluation(
             label=label,

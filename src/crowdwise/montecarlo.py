@@ -190,14 +190,19 @@ def simulate(
         """Mean of per-trial quantity k, and its standard error.
 
         Chunks are pooled by Chan, Golub and LeVeque's update, so no raw sum
-        of squares cancels against the squared mean.
+        of squares cancels against the squared mean.  A sum or square that
+        overflows a float, or inf + -inf in ``math.fsum``, leaves a nan.
         """
-        mean = math.fsum(totals[k] for _, totals, _ in chunks) / t
+        mean = spread = math.nan
+        try:
+            mean = math.fsum(totals[k] for _, totals, _ in chunks) / t
+            spread = math.fsum(centred[k] for _, _, centred in chunks) + math.fsum(
+                size * (totals[k] / size - mean) ** 2 for size, totals, _ in chunks
+            )
+        except (OverflowError, ValueError):
+            pass  # the nan makes the report non-finite, which the CLI refuses
         if t < 2:
             return mean, 0.0
-        spread = math.fsum(centred[k] for _, _, centred in chunks) + math.fsum(
-            size * (totals[k] / size - mean) ** 2 for size, totals, _ in chunks
-        )
         return mean, math.sqrt(spread / (t - 1) / t)
 
     (crowd_mean, crowd_se), (indiv_mean, indiv_se), (gap_mean, gap_se) = map(

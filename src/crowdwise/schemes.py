@@ -102,19 +102,6 @@ class QPSolution:
         return _nonunique_on_face(q2, self.weights.weights, grad, tol)
 
 
-@dataclass(frozen=True)
-class BestMemberChoice:
-    """Point mass on the judge with least expected squared error."""
-
-    selection: WeightVector
-    best_index: int
-    tied_indices: tuple[int, ...]
-
-    @property
-    def is_tie(self) -> bool:
-        return len(self.tied_indices) > 1
-
-
 # A crowd size's uniform vector is read-only, so one is shared by every caller.
 @lru_cache(maxsize=16)
 def uniform_weights(n: int) -> WeightVector:
@@ -182,19 +169,10 @@ def inverse_mse_weights(model: CrowdModel) -> WeightVector:
     return WeightVector(v)
 
 
-def best_member_selection(model: CrowdModel) -> BestMemberChoice:
-    """Deterministically select the judge with minimal expected squared error.
-
-    Ties go to the lowest index and are recorded in ``tied_indices``.
-    """
-    mse = per_judge_mse(model)
-    best = int(np.argmin(mse))
-    tied = tuple(int(i) for i in np.nonzero(mse == mse[best])[0])
-    return BestMemberChoice(
-        selection=WeightVector.point_mass(best, model.n_judges),
-        best_index=best,
-        tied_indices=tied,
-    )
+def best_member_selection(model: CrowdModel) -> WeightVector:
+    """Point mass on the judge with least expected squared error; ties go to
+    the lowest index."""
+    return WeightVector.point_mass(int(np.argmin(per_judge_mse(model))), model.n_judges)
 
 
 # Named selection rules: each derives a selection distribution from a model.
@@ -203,7 +181,7 @@ def best_member_selection(model: CrowdModel) -> BestMemberChoice:
 SELECTION_RULES = {
     "uniform": lambda model: uniform_selection(model.n_judges),
     "skill": lambda model: skill_selection(model),
-    "best": lambda model: best_member_selection(model).selection,
+    "best": lambda model: best_member_selection(model),
 }
 
 
@@ -215,14 +193,6 @@ def _project(v: np.ndarray) -> np.ndarray:
     support = np.nonzero(u - shifted / counts > 0.0)[0][-1]
     theta = shifted[support] / (support + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def project_to_simplex(v) -> WeightVector:
-    """Nearest point of the simplex to ``v`` in Euclidean distance."""
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.shape[0] < 1:
-        raise ShapeMismatch("cannot project an empty vector")
-    return WeightVector(_project(arr))
 
 
 def _ldexp(x: float, exponent: int) -> float:

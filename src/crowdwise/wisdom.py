@@ -151,12 +151,6 @@ def per_judge_mse(model: CrowdModel) -> np.ndarray:
     return bias * bias + np.diag(model.judge_cov) + cross_term + model.criterion_var
 
 
-def individual_mse(model: CrowdModel, p: WeightVector) -> float:
-    """Expected squared error of a judge selected with probabilities ``p``."""
-    _check_length(model.n_judges, len(p), "selection distribution")
-    return float(p.weights @ per_judge_mse(model))
-
-
 def evaluate(model: CrowdModel, w: WeightVector, p: WeightVector) -> WisdomReport:
     """Assemble the full report; ties, up to rounding, count as wise."""
     crowd = crowd_mse(model, w)

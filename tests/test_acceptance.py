@@ -94,7 +94,7 @@ def test_criterion_5_always_wise():
     for model in models:
         n = model.n_judges
         solution = optimal_weights(model)
-        selections = [uniform_selection(n), best_member_selection(model).selection]
+        selections = [uniform_selection(n), best_member_selection(model)]
         selections += [
             WeightVector(p) for p in random_simplex_points(rng, n, 10)
         ]

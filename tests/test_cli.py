@@ -821,6 +821,49 @@ class TestCandidateCommand:
             np.testing.assert_array_equal(got.cov_with_members, want.cov_with_members)
 
 
+    @staticmethod
+    def crowd_with_a_constant_judge(tmp_path) -> tuple[str, str]:
+        """A model whose judge b never varies, and one candidate for it."""
+        model = tmp_path / "crowd.txt"
+        model.write_text(
+            "judge_labels = a, b\n"
+            "judge_means = 0.0, 0.0\n"
+            "judge_cov = 1.0, 0.0, 0.0, 0.0\n"
+            "criterion_mean = 0.0\n"
+            "criterion_var = 1.0\n"
+            "cross_cov = 0.5, 0.0\n"
+        )
+        cands = tmp_path / "cands.csv"
+        cands.write_text("label,mean,variance,cov_with_criterion,a,b\nc1,0.1,1.5,0.3,0.2,0\n")
+        return str(model), str(cands)
+
+    def test_skill_beside_a_constant_judge(self, tmp_path, capsys):
+        model, cands = self.crowd_with_a_constant_judge(tmp_path)
+        argv = ["candidate", "--model", model, "--candidates", cands, "--format", "machine"]
+        assert main(argv) == 0
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["candidate_1_skill"] == "0.24494897427831783"
+
+    def test_selection_file_is_a_usage_error(self, tmp_path, capsys):
+        # A file holds one entry per judge of the crowd, none for the candidate.
+        model, cands = self.crowd_with_a_constant_judge(tmp_path)
+        selection = tmp_path / "p.txt"
+        selection.write_text("0.5, 0.5\n")
+        argv = ["candidate", "--model", model, "--candidates", cands]
+        assert main(argv + ["--selection", str(selection)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("usage error: argument --selection: invalid choice: ")
+
+    def test_help_lists_only_the_named_rules(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["candidate", "--help"])
+        out = capsys.readouterr().out
+        assert "--selection {uniform,skill,best}" in out
+        assert "FILE" not in out
+
+
 class TestReadCandidates:
     HEADER = "label,mean,variance,cov_with_criterion,a,b\n"
     MODEL = fixed_criterion_model([0.0, 0.0], np.eye(2), 0.0, judge_labels=("a", "b"))
@@ -1292,6 +1335,24 @@ class TestExitCodes:
         assert done.stderr.count("\n") == 1
         assert done.stderr.startswith("error: non-finite values in the report: ")
 
+    def test_simulate_whose_pooled_squares_overflow_is_three(self, tmp_path, capsys):
+        # Variances of 1e160: every trial's error is finite, its spread is not.
+        path = tmp_path / "wide.txt"
+        path.write_text(
+            "judge_labels = a, b\n"
+            "judge_means = 0.0, 0.0\n"
+            "judge_cov = 1e160, 0.0, 0.0, 1e160\n"
+            "criterion_mean = 0.0\n"
+            "criterion_var = 1.0\n"
+            "cross_cov = 0.0, 0.0\n"
+        )
+        assert main(["simulate", "--model", str(path), "--trials", "200001"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: non-finite values in the report: "
+            "crowd_mse_se, individual_mse_se, wisdom_gap_se\n",
+        )
+
     @staticmethod
     def huge_model(tmp_path) -> str:
         """A valid model file with judge means of 1e200 and 3."""
@@ -1427,6 +1488,54 @@ def diagonal_crowds(draw):
     return two_judge_model(
         means[:2], [var[0], 0.0, 0.0, var[1]], means[2], criterion_var, cross
     )
+
+
+class TestWarnings:
+    FALLBACK = "warning: all clipped skills are zero; falling back to uniform\n"
+
+    @staticmethod
+    def hedging_crowd(tmp_path) -> list[str]:
+        """``analyze`` weighting and selecting by skill on a crowd whose
+        skills are all negative, so both fall back to uniform."""
+        path = tmp_path / "negative.txt"
+        path.write_text(
+            "judge_labels = a, b\n"
+            "judge_means = 0.0, 0.5\n"
+            "judge_cov = 1.0, 0.3, 0.3, 2.0\n"
+            "criterion_mean = 0.0\n"
+            "criterion_var = 1.0\n"
+            "cross_cov = -0.5, -0.4\n"
+        )
+        return ["analyze", "--model", str(path), "--weights", "skill", "--selection", "skill"]
+
+    def test_each_distinct_warning_is_one_line(self, tmp_path, capsys):
+        argv = self.hedging_crowd(tmp_path)
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            assert main(argv + ["--format", "machine"]) == 0
+        assert escaped == []
+        out, err = capsys.readouterr()
+        assert err == self.FALLBACK
+        fields = machine_fields(out)
+        assert fields["weights"] == fields["selection"] == "0.5, 0.5"
+
+    def test_each_distinct_warning_is_one_line_from_a_process(self, tmp_path):
+        # A real process has Python's default filters and its source paths.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-m", "crowdwise", *self.hedging_crowd(tmp_path)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, self.FALLBACK)
+        assert done.stdout.startswith("crowd of 2 judge(s)\n")
+
+    def test_an_error_filter_still_raises_inside_main(self, data_csv, capsys, monkeypatch):
+        def command(args):
+            warnings.warn("probe", RuntimeWarning)
+
+        monkeypatch.setattr(cli, "_cmd_analyze", command)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["analyze", "--data", data_csv]) == 3
+        assert capsys.readouterr() == ("", "error: internal: RuntimeWarning: probe\n")
 
 
 @pytest.fixture(scope="module")

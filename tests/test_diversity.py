@@ -11,7 +11,6 @@ from crowdwise import diversity, schemes
 from crowdwise import model as model_module
 from crowdwise.diversity import (
     CandidateMember,
-    evaluate_candidate,
     extend_model,
     rank_candidates,
 )
@@ -29,10 +28,19 @@ from crowdwise.schemes import (
     best_member_selection,
     objective_gradient,
     optimal_weights,
+    skill_scores,
     skill_selection,
     uniform_selection,
 )
-from crowdwise.wisdom import individual_mse
+from crowdwise.wisdom import per_judge_mse
+
+
+def evaluate_one(model, candidate):
+    """The one-candidate ranking's evaluation; its failure is raised."""
+    ranking = rank_candidates(model, [candidate])
+    if ranking.failures:
+        raise ranking.failures[0].error
+    return ranking.evaluations[0]
 
 
 def one_judge_crowd(variance=1.0):
@@ -182,7 +190,7 @@ class TestEvaluateCandidate:
         candidate = CandidateMember(
             mean=0.0, variance=1.0, cov_with_members=[-1.0], cov_with_criterion=0.0
         )
-        result = evaluate_candidate(one_judge_crowd(), candidate)
+        result = evaluate_one(one_judge_crowd(), candidate)
         assert result.before.crowd_mse == pytest.approx(1.0, abs=1e-12)
         assert result.after.crowd_mse == pytest.approx(0.0, abs=1e-9)
         assert result.marginal_gain == pytest.approx(1.0, abs=1e-9)
@@ -194,7 +202,7 @@ class TestEvaluateCandidate:
         candidate = CandidateMember(
             mean=0.0, variance=0.25, cov_with_members=[0.0], cov_with_criterion=0.0
         )
-        result = evaluate_candidate(one_judge_crowd(), candidate)
+        result = evaluate_one(one_judge_crowd(), candidate)
         assert two_asset_optimal_mse(1.0, 0.25, 0.0) == pytest.approx(0.2)
         np.testing.assert_allclose(
             result.after.per_judge_mse, [1.0, 0.25], atol=1e-12
@@ -221,7 +229,7 @@ class TestEvaluateCandidate:
             cov_with_members=model.judge_cov[0],
             cov_with_criterion=0.0,
         )
-        result = evaluate_candidate(model, clone)
+        result = evaluate_one(model, clone)
         assert abs(result.marginal_gain) <= 1e-9
 
     def test_skill_reported_when_criterion_random(self):
@@ -235,8 +243,27 @@ class TestEvaluateCandidate:
         candidate = CandidateMember(
             mean=0.0, variance=1.0, cov_with_members=[0.0], cov_with_criterion=0.6
         )
-        result = evaluate_candidate(model, candidate)
+        result = evaluate_one(model, candidate)
         assert result.candidate_skill == pytest.approx(0.6, abs=1e-12)
+
+
+class TestCandidateSkill:
+    def test_zero_variance_judge_in_the_crowd_leaves_it_defined(self):
+        model = CrowdModel([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], 0.0, 1.0, [0.5, 0.0])
+        candidate = CandidateMember(0.1, 1.5, [0.2, 0.0], 0.3)
+        assert evaluate_one(model, candidate).candidate_skill == 0.24494897427831783
+
+    def test_bits_equal_skill_scores_of_the_grown_crowd(self):
+        corpus = model_corpus(60, base_seed=303, sizes=(3, 6), criterion_vars=(0.5, 4.0))
+        for full in corpus:
+            base, candidate = candidate_from_model(full)
+            grown = skill_scores(extend_model(base, candidate))[-1]
+            assert evaluate_one(base, candidate).candidate_skill == grown
+
+    def test_undefined_for_a_constant_candidate(self):
+        model = CrowdModel([0.0], [[1.0]], 0.0, 1.0, [0.5])
+        constant = CandidateMember(0.0, 0.0, [0.0], 0.0)
+        assert evaluate_one(model, constant).candidate_skill is None
 
 
 class TestHedgingDominance:
@@ -249,7 +276,7 @@ class TestHedgingDominance:
             candidate = CandidateMember(
                 mean=0.0, variance=1.0, cov_with_members=[c], cov_with_criterion=0.0
             )
-            result = evaluate_candidate(one_judge_crowd(), candidate)
+            result = evaluate_one(one_judge_crowd(), candidate)
             expected = (1.0 - c * c) / (2.0 - 2.0 * c)
             assert result.after.crowd_mse == pytest.approx(expected, abs=1e-8)
             values.append(result.after.crowd_mse)
@@ -262,7 +289,7 @@ class TestMarginalGainNonnegative:
         # candidate; the optimal crowd never worsens by considering it.
         for k, full in enumerate(model_corpus(40, base_seed=101, sizes=(2, 3, 4, 6))):
             base, candidate = candidate_from_model(full)
-            result = evaluate_candidate(base, candidate)
+            result = evaluate_one(base, candidate)
             assert result.marginal_gain >= -1e-9
 
 
@@ -347,7 +374,7 @@ class TestRankCandidates:
         expected = {
             "uniform": lambda m: uniform_selection(m.n_judges),
             "skill": skill_selection,
-            "best": lambda m: best_member_selection(m).selection,
+            "best": best_member_selection,
         }[rule]
         full = random_model(6, seed=77, bias_scale=0.5, criterion_var=1.0)
         base, split = candidate_from_model(full)
@@ -360,11 +387,14 @@ class TestRankCandidates:
         ranking = rank_candidates(base, [split, indep], p_rule=rule)
         assert ranking.failures == ()
         before = optimal_weights(base).objective
+        base_individual, full_individual = (
+            expected(m).weights @ per_judge_mse(m) for m in (base, full)
+        )
         for ev in ranking.evaluations:
             assert ev.before.crowd_mse == pytest.approx(before, rel=1e-12)
-            assert ev.before.individual_mse == individual_mse(base, expected(base))
+            assert ev.before.individual_mse == base_individual
         split_after = next(ev for ev in ranking.evaluations if ev.label == "candidate_1")
-        assert split_after.after.individual_mse == individual_mse(full, expected(full))
+        assert split_after.after.individual_mse == full_individual
 
     def test_unknown_selection_rule_fails_every_candidate(self):
         fine = CandidateMember(
@@ -374,8 +404,7 @@ class TestRankCandidates:
         assert ranking.evaluations == ()
         assert [f.index for f in ranking.failures] == [0, 1]
         assert all(isinstance(f.error, ShapeMismatch) for f in ranking.failures)
-        with pytest.raises(ShapeMismatch, match="median"):
-            evaluate_candidate(one_judge_crowd(), fine, p_rule="median")
+        assert "median" in str(ranking.failures[0].error)
 
 
 class TestRankingReusesTheBaseSolve:

@@ -59,6 +59,26 @@ class TestSimulate:
             result = simulate(spec, uniform_weights(2), uniform_selection(2))
         assert result.empirical_crowd_mse == math.inf
 
+    @pytest.mark.parametrize(
+        "variance, nan_means",
+        # 1e160: each chunk's squares about its mean overflow, and so does the
+        # square of a chunk mean's distance from the pooled mean.  1e303:
+        # three finite chunk sums of individual errors overflow in fsum.
+        [(1e160, ()), (1e303, ("individual",))],
+    )
+    def test_overflowing_pool_leaves_nan_not_an_exception(self, variance, nan_means):
+        model = CrowdModel([0.0, 0.0], np.diag([variance] * 2), 0.0, 1.0, [0.0, 0.0])
+        spec = SimulationSpec(model, trials=3 * CHUNK_TRIALS, seed=0)
+        result = simulate(spec, uniform_weights(2), uniform_selection(2))
+        means = {
+            "crowd": result.empirical_crowd_mse,
+            "individual": result.empirical_individual_mse,
+            "gap": result.empirical_wisdom_gap,
+        }
+        assert {k for k, v in means.items() if math.isnan(v)} == set(nan_means)
+        assert all(math.isfinite(v) for k, v in means.items() if k not in nan_means)
+        assert all(map(math.isnan, (*result.standard_errors, result.wisdom_gap_se)))
+
     def test_biased_crowd_matches_closed_forms(self):
         # Four independent unit-variance judges with bias 1 and a fixed
         # criterion: crowd MSE 1.25 under uniform weights, individual 2.0.
@@ -190,7 +210,7 @@ class TestSimulate:
             pairings = (
                 (uniform_weights(n), uniform_selection(n), "gaussian"),
                 (optimal, uniform_selection(n), "gaussian"),
-                (uniform_weights(n), best_member_selection(model).selection, "gaussian"),
+                (uniform_weights(n), best_member_selection(model), "gaussian"),
                 (optimal, uniform_selection(n), "uniform"),
             )
             for j, (w, p, distribution) in enumerate(pairings):

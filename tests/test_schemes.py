@@ -32,7 +32,6 @@ from crowdwise.schemes import (
     inverse_mse_weights,
     objective_gradient,
     optimal_weights,
-    project_to_simplex,
     skill_scores,
     skill_selection,
     skill_weights,
@@ -202,20 +201,16 @@ class TestBestMember:
     def test_argmin(self):
         model = fixed_criterion_model([0.0, 0.0, 0.0], np.diag([2.0, 0.5, 1.0]), 0.0)
         choice = best_member_selection(model)
-        np.testing.assert_array_equal(choice.selection.weights, [0.0, 1.0, 0.0])
-        assert choice.best_index == 1
-        assert not choice.is_tie
+        assert isinstance(choice, WeightVector)
+        np.testing.assert_array_equal(choice.weights, [0.0, 1.0, 0.0])
 
-    def test_tie_breaks_low_and_is_flagged(self):
+    def test_tie_goes_to_the_lowest_index(self):
         model = fixed_criterion_model([0.0, 0.0], np.eye(2), 0.0)
-        choice = best_member_selection(model)
-        np.testing.assert_array_equal(choice.selection.weights, [1.0, 0.0])
-        assert choice.tied_indices == (0, 1)
-        assert choice.is_tie
+        np.testing.assert_array_equal(best_member_selection(model).weights, [1.0, 0.0])
 
     def test_single_judge(self):
         model = fixed_criterion_model([0.0], [[1.0]], 0.0)
-        np.testing.assert_array_equal(best_member_selection(model).selection.weights, [1.0])
+        np.testing.assert_array_equal(best_member_selection(model).weights, [1.0])
 
 
 class TestInverseMseWeights:
@@ -239,7 +234,7 @@ class TestInverseMseWeights:
 class TestProjectToSimplex:
     def test_symmetric_point(self):
         np.testing.assert_allclose(
-            project_to_simplex([0.6, 0.6]).weights, [0.5, 0.5], atol=1e-15
+            schemes._project(np.array([0.6, 0.6])), [0.5, 0.5], atol=1e-15
         )
 
     def test_exterior_point_brute_force(self):
@@ -250,13 +245,11 @@ class TestProjectToSimplex:
         distances = ((points - v) ** 2).sum(axis=1)
         brute = points[np.argmin(distances)]
         np.testing.assert_allclose(brute, [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(project_to_simplex(v).weights, brute, atol=1e-12)
+        np.testing.assert_allclose(schemes._project(v), brute, atol=1e-12)
 
     def test_simplex_points_unchanged(self):
         for v in ([1.0], [0.25, 0.75], [0.2, 0.0, 0.8]):
-            np.testing.assert_allclose(
-                project_to_simplex(v).weights, v, atol=1e-12
-            )
+            np.testing.assert_allclose(schemes._project(np.array(v)), v, atol=1e-12)
 
     @given(
         v=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
@@ -265,10 +258,10 @@ class TestProjectToSimplex:
     @settings(max_examples=60, deadline=None)
     def test_projection_properties(self, v, seed):
         v = np.array(v)
-        out = project_to_simplex(v).weights
+        out = schemes._project(v)
         assert np.all(out >= 0.0)
         assert abs(math.fsum(out) - 1.0) <= 1e-12
-        again = project_to_simplex(out).weights
+        again = schemes._project(out)
         np.testing.assert_allclose(again, out, atol=1e-12)
         # No random feasible point may be closer to v than the projection.
         rng = np.random.default_rng(seed)
@@ -429,7 +422,7 @@ class TestOptimalWeights:
         for model in model_corpus(60, base_seed=77):
             n = model.n_judges
             solution = optimal_weights(model)
-            selections = [uniform_selection(n), best_member_selection(model).selection]
+            selections = [uniform_selection(n), best_member_selection(model)]
             if model.criterion_var > 0.0 and np.diag(model.judge_cov).min() > 0.0:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", SkillDegenerateWarning)

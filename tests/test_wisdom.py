@@ -16,7 +16,6 @@ from crowdwise.wisdom import (
     WeightVector,
     crowd_mse,
     evaluate,
-    individual_mse,
     per_judge_mse,
 )
 
@@ -101,6 +100,11 @@ class TestCrowdMse:
         model = biased_independent_model(3, 0.0)
         with pytest.raises(ShapeMismatch):
             crowd_mse(model, WeightVector([0.5, 0.5]))
+
+
+def individual_mse(model: CrowdModel, p: WeightVector) -> float:
+    """The selection side of ``evaluate``'s report."""
+    return evaluate(model, WeightVector(np.full(model.n_judges, 1.0)), p).individual_mse
 
 
 class TestIndividualMse:
