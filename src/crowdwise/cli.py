@@ -275,9 +275,12 @@ def read_candidates(
 # ---------------------------------------------------------------------------
 
 
-# Two commas with nothing but whitespace between them: a blank field, once
-# the text has a comma added at each end.
-_BLANK_FIELD = re.compile(r",\s*,")
+# Characters of text per orjson call, cut at a comma: a block's numbers are
+# Python objects until they are copied into an array, so blocks bound them.
+_BLOCK_CHARS = 1 << 16
+
+# An integer token -0, which JSON reads as the int 0, losing the sign.
+_INTEGER_NEGATIVE_ZERO = re.compile(r"(?<![eE])-0(?![0-9.eE])")
 
 
 def _read_text(path: str) -> str:
@@ -287,26 +290,28 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _c_parse(text: str) -> np.ndarray | None:
-    """numpy's C parse of comma-separated numbers, or None where it may
+def _json_parse(block: str) -> np.ndarray | None:
+    """orjson's parse of comma-separated numbers, or None where it may
     differ from ``float()``.
 
-    Its grammar is not ``float()``'s: it stops quietly at text it cannot
-    read, reads ``nan(...)`` with any text in the parentheses, and reads a
-    field of nothing but whitespace as -1.0 (the error value of the C
-    routine under it).  So its result stands only when it holds one finite
-    number per field and, where some number is -1.0, no field is blank.
+    JSON's number grammar is a subset of ``float()``'s, and orjson rounds
+    correctly, so each JSON number is the double ``float()`` reads.  JSON
+    also reads ``true``, ``false``, ``null``, strings, arrays and objects,
+    a blank text as no number at all, and an integer ``-0`` as the int 0;
+    the result stands only where it holds none of these.
     """
-    with warnings.catch_warnings():
-        # numpy before 2.0 warns and returns what it read instead of raising.
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(text, sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
-    if values.shape[0] != text.count(",") + 1 or not np.isfinite(values).all():
+    import orjson  # not at module level: ``import crowdwise.cli`` stays cheap
+
+    if any(c in block for c in '"[{tfn'):
         return None
-    if (values == -1.0).any() and _BLANK_FIELD.search(f",{text},"):
+    try:
+        numbers = orjson.loads("[" + block + "]")
+    except orjson.JSONDecodeError:
+        return None
+    if not numbers:
+        return None
+    values = np.fromiter(numbers, dtype=float, count=len(numbers))
+    if not values.all() and _INTEGER_NEGATIVE_ZERO.search(block):
         return None
     return values
 
@@ -314,19 +319,27 @@ def _c_parse(text: str) -> np.ndarray | None:
 def _parse_numbers(text: str, path: str, key: str) -> np.ndarray:
     """Comma-separated finite numbers; an empty text is an empty list.
 
-    The C parse reads the common case; ``float()`` reads whatever it leaves,
-    and decides what is a number and words the error.
+    orjson reads the common case a block at a time; ``float()`` reads any
+    block it leaves, and decides what is a number and words the error.
     """
-    values = _c_parse(text)
-    if values is None:
-        try:
-            values = np.fromiter(
-                map(float, text.split(",")) if text else (), dtype=float
-            )
-        except ValueError:
-            raise ParseError(
-                f"{path}: field {key!r} is not a list of numbers"
-            ) from None
+    if not text:
+        return np.empty(0)
+    blocks = []
+    start = 0
+    while start >= 0:
+        cut = text.find(",", start + _BLOCK_CHARS)
+        block = text[start:] if cut < 0 else text[start:cut]
+        values = _json_parse(block)
+        if values is None:
+            try:
+                values = np.fromiter(map(float, block.split(",")), dtype=float)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: field {key!r} is not a list of numbers"
+                ) from None
+        blocks.append(values)
+        start = cut if cut < 0 else cut + 1
+    values = np.concatenate(blocks)
     if not np.isfinite(values).all():
         raise ParseError(f"{path}: non-finite values in {key}")
     return values
@@ -424,6 +437,10 @@ def load_model(path: str) -> CrowdModel:
         raise ParseError(
             f"{path}: criterion_mean and criterion_var must be numbers"
         ) from None
+    criterion = {"criterion_mean": criterion_mean, "criterion_var": criterion_var}
+    for key, value in criterion.items():
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: non-finite values in {key}")
     model = CrowdModel(
         judge_means=means,
         judge_cov=cov_flat.reshape(n, n),

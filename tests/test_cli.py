@@ -10,6 +10,7 @@ import sys
 import threading
 import urllib.request
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -80,6 +81,63 @@ def float_reference(data: bytes):
     table = np.array([[float(cell) for cell in row] for row in rows[1:]])
     labels = tuple(h for h in header if h != "criterion")
     return labels, np.delete(table, k, axis=1), table[:, k]
+
+
+# Text the JSON number grammar reads differently from ``float()``, or not at
+# all: many digits, halfway cases, big integers, an integer -0 beside other
+# zeros, JSON's other values, and numbers that overflow (1e400 is in the
+# edge-text cases already).
+JSON_EDGE_TEXT = [
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "1.7976931348623158e308", "1.7976931348623159e308",
+    "2.4703282292062328e-324", "2.4703282292062327e-324", "-2.4703282292062328e-324",
+    "1e-400", "-1e-400", "9007199254740993", "-9007199254740993",
+    "18446744073709551615", "18446744073709551616", "-9223372036854775809",
+    "1234567890123456789012345678901234567890", "123456789012345678.90123456789e-30",
+    "-0", "-0, -0.5, 0", "0, -0", "-0.5, -0", "-0e0, 0", "1e-0, 0", "-0.0, -0", " -0 ",
+    "true", "false", "null", "1, true", '"1.5"', "[1]", "{}", "[]", "1, [2]", '{"a": 1}',
+    "-1e400", "1" * 400, "-" + "9" * 400, "1, " + "1" * 400, "NaN", "-Infinity",
+    "01", "1.", "+1", "1e", "-", "\u00a01", "1\u00a0", "1\x0b", "\r1\n",
+]
+
+
+@st.composite
+def decimal_tokens(draw):
+    """Decimal numbers of 1 to 40 significant digits, over the whole range
+    of doubles and past both ends, in JSON's grammar and beyond it."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    point = draw(st.integers(0, len(digits)))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    mantissa = digits[:point] + "." + digits[point:] if point < len(digits) else digits
+    exponent = draw(st.one_of(st.just(""), st.integers(-400, 330).map("e{}".format)))
+    return sign + mantissa + exponent
+
+
+def numbers_reference(text: str):
+    """``float()`` on every field: the numbers ``_parse_numbers`` must give,
+    or the message of the error it must raise."""
+    try:
+        reference = np.array([float(p) for p in text.split(",")] if text else [])
+    except ValueError:
+        return "m.txt: field 'judge_cov' is not a list of numbers"
+    if not np.isfinite(reference).all():
+        return "m.txt: non-finite values in judge_cov"
+    return reference
+
+
+def assert_parses_as_float_does(text: str) -> None:
+    expected = numbers_reference(text)
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as exc:
+            cli._parse_numbers(text, "m.txt", "judge_cov")
+        assert str(exc.value) == expected
+        return
+    parsed = cli._parse_numbers(text, "m.txt", "judge_cov")
+    # Byte equality also checks the sign bit of -0.
+    assert parsed.dtype == np.float64
+    assert parsed.tobytes() == expected.tobytes()
 
 
 def generated_csv(rows: int) -> bytes:
@@ -500,11 +558,7 @@ class TestModelFiles:
         ["", "1.5", "1_0, 2", "\u0661, 2", " 1.5 ,+1", "-0, 0", "5e-324, 1e308", "1e-5,-2.5E3"],
     )
     def test_numbers_equal_the_float_list(self, text):
-        # Byte equality also checks the sign bit of -0.
-        parsed = cli._parse_numbers(text, "m.txt", "judge_means")
-        reference = np.array([float(p) for p in text.split(",")] if text else [])
-        assert parsed.dtype == reference.dtype == np.float64
-        assert parsed.tobytes() == reference.tobytes()
+        assert_parses_as_float_does(text)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -531,35 +585,47 @@ class TestModelFiles:
         "text",
         ["1_0", "\u0661", "1,,2", "1,2,", "0x1p3", "1 2", "1d0", "x", "1x", "-nan",
          " ", "\t", "1, ", "1, ,2", "-1, ", "-1, -1", "nan(x)", "1e400", "Infinity",
-         ".5, 1.", "1,\u0661"],
+         ".5, 1.", "1,\u0661"] + JSON_EDGE_TEXT,
     )
     def test_edge_text_parses_as_float_does(self, text):
-        # float() on every field is the reference grammar and error.
-        try:
-            reference = np.array([float(p) for p in text.split(",")])
-        except ValueError:
-            expected = "m.txt: field 'judge_cov' is not a list of numbers"
-        else:
-            if np.isfinite(reference).all():
-                parsed = cli._parse_numbers(text, "m.txt", "judge_cov")
-                assert parsed.tobytes() == reference.tobytes()
-                return
-            expected = "m.txt: non-finite values in judge_cov"
-        with pytest.raises(ParseError) as exc:
-            cli._parse_numbers(text, "m.txt", "judge_cov")
-        assert str(exc.value) == expected
+        assert_parses_as_float_does(text)
 
-    def test_partial_read_with_a_warning_is_read_again(self, monkeypatch):
-        # Before numpy 2.0, fromstring warned and returned the numbers it read
-        # before unreadable text, instead of raising.
-        def partial(text, sep):
-            warnings.warn("string could not be read to its end", DeprecationWarning)
-            return np.array([1.0])
+    @given(text=st.lists(decimal_tokens(), min_size=1, max_size=20).map(", ".join))
+    @settings(max_examples=500, deadline=None)
+    def test_decimal_text_keeps_float_bits(self, text):
+        assert_parses_as_float_does(text)
 
-        monkeypatch.setattr(np, "fromstring", partial)
-        with pytest.raises(ParseError, match="is not a list of numbers"):
-            cli._parse_numbers("1x", "m.txt", "judge_cov")
-        assert cli._parse_numbers("2.5", "m.txt", "judge_cov").tolist() == [2.5]
+    @given(
+        tokens=st.lists(
+            st.one_of(decimal_tokens(), st.sampled_from(JSON_EDGE_TEXT)), min_size=1, max_size=30
+        ),
+        block_chars=st.integers(1, 40),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_short_blocks_parse_as_float_does(self, tokens, block_chars):
+        # Every token, good or bad, lands at some block cut.
+        with mock.patch.object(cli, "_BLOCK_CHARS", block_chars):
+            assert_parses_as_float_does(",".join(tokens))
+
+    @pytest.mark.parametrize("token", ["-0", "true", "x", "-0 ", " -0"])
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_token_at_a_block_cut_of_a_long_field(self, token, side):
+        values = np.random.default_rng(3).normal(size=2 * cli._BLOCK_CHARS // 10)
+        fields = [repr(float(v)) for v in values]
+        cut = ",".join(fields).find(",", cli._BLOCK_CHARS)
+        at = ",".join(fields)[:cut].count(",") + (side == "after")
+        fields[at] = token
+        assert len(",".join(fields)) > cli._BLOCK_CHARS
+        assert_parses_as_float_does(",".join(fields))
+
+    def test_import_leaves_orjson_unloaded(self):
+        # orjson is imported by the first parse, so start-up does not pay for it.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        code = "import sys, crowdwise.cli; print('orjson' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     def test_wrong_cov_size_rejected(self, tmp_path):
         path = tmp_path / "shape.txt"
@@ -1083,6 +1149,18 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "non-finite values in judge_means" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["criterion_mean", "criterion_var"])
+    def test_non_finite_criterion_names_the_file(self, key, value, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        lines = [
+            f"{key} = {value}" if line.startswith(key) else line
+            for line in VALID_MODEL.splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", "--model", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: non-finite values in {key}\n")
 
     @pytest.mark.parametrize("flag", ["--weights", "--selection"])
     def test_non_finite_vector_file_is_two(self, flag, data_csv, tmp_path, capsys):
