@@ -74,6 +74,10 @@ _MODEL_FIELDS = (
 # ---------------------------------------------------------------------------
 
 
+def _utf8_error(path: str, err: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not valid UTF-8 (byte {err.object[err.start]:#04x})")
+
+
 @contextmanager
 def _opened(path: str):
     """``path`` opened once as UTF-8 text, BOM dropped and line ends kept; a
@@ -86,8 +90,7 @@ def _opened(path: str):
         try:
             yield handle
         except UnicodeDecodeError as err:
-            byte = err.object[err.start]
-            raise ParseError(f"{path}: not valid UTF-8 (byte {byte:#04x})") from None
+            raise _utf8_error(path, err) from None
 
 
 def _csv_header(path: str, handle) -> tuple[list[str], int]:
@@ -275,74 +278,124 @@ def read_candidates(
 # ---------------------------------------------------------------------------
 
 
-# Characters of text per orjson call, cut at a comma: a block's numbers are
+# Bytes of a field per orjson call, cut at a comma: a block's numbers are
 # Python objects until they are copied into an array, so blocks bound them.
 _BLOCK_CHARS = 1 << 16
 
-# An integer token -0, which JSON reads as the int 0, losing the sign.
-_INTEGER_NEGATIVE_ZERO = re.compile(r"(?<![eE])-0(?![0-9.eE])")
+# A -0 token, which JSON reads as the int 0, losing the sign; a match right
+# after an exponent's e or E is skipped.  No lookbehind: ``re`` scans for the
+# literal prefix fast.
+_INTEGER_NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
+
+# The ASCII characters ``str.strip()`` strips, but for \n and \r.
+_ASCII_SPACE = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def _read_text(path: str) -> str:
-    with _opened(path) as handle:
-        # A document's lines may end in \r, \n or \r\n; read them all as \n.
-        handle.reconfigure(newline=None)
-        return handle.read()
+def _read_file(path: str) -> bytearray:
+    """The bytes of ``path`` after any UTF-8 BOM, read by one ``readinto``
+    when the file's size is known; a failure to open it is a ParseError."""
+    try:
+        handle = open(path, "rb")
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err}") from None
+    with handle:
+        data = bytearray(os.fstat(handle.fileno()).st_size)
+        del data[handle.readinto(data):]
+        data += handle.read()  # a pipe has no size
+    if data.startswith(b"\xef\xbb\xbf"):
+        del data[:3]
+    return data
 
 
-def _json_parse(block: str) -> np.ndarray | None:
-    """orjson's parse of comma-separated numbers, or None where it may
-    differ from ``float()``.
+def _decode(data, path: str) -> str:
+    try:
+        return str(data, "utf-8")
+    except UnicodeDecodeError as err:
+        raise _utf8_error(path, err) from None
+
+
+def _span(text: str) -> tuple[bytearray, int, int]:
+    """``text`` as a span ``(data, start, end)`` of its own buffer, with a
+    byte on each side."""
+    data = bytearray(b" " + text.encode() + b" ")
+    return data, 1, len(data) - 1
+
+
+def _text(span: tuple[bytearray, int, int]) -> str:
+    data, start, end = span
+    return data[start:end].decode()
+
+
+def _json_parse(data: bytearray, start: int, end: int) -> np.ndarray | None:
+    """orjson's parse of the comma-separated numbers in ``data[start:end]``,
+    or None where it may differ from ``float()``.
 
     JSON's number grammar is a subset of ``float()``'s, and orjson rounds
     correctly, so each JSON number is the double ``float()`` reads.  JSON
     also reads ``true``, ``false``, ``null``, strings, arrays and objects,
     a blank text as no number at all, and an integer ``-0`` as the int 0;
     the result stands only where it holds none of these.
+
+    The block is read in place: ``[`` and ``]`` are written over the bytes
+    on either side of it, which are put back after the parse.
     """
     import orjson  # not at module level: ``import crowdwise.cli`` stays cheap
 
-    if any(c in block for c in '"[{tfn'):
+    if any(data.find(c, start, end) >= 0 for c in b'"[{tfn'):
         return None
+    outside = data[start - 1], data[end]
+    data[start - 1], data[end] = b"[]"
     try:
-        numbers = orjson.loads("[" + block + "]")
+        numbers = orjson.loads(memoryview(data)[start - 1:end + 1])
     except orjson.JSONDecodeError:
         return None
+    finally:
+        data[start - 1], data[end] = outside
     if not numbers:
         return None
     values = np.fromiter(numbers, dtype=float, count=len(numbers))
-    if not values.all() and _INTEGER_NEGATIVE_ZERO.search(block):
+    if not values.all() and any(
+        data[m.start() - 1] not in b"eE"
+        for m in _INTEGER_NEGATIVE_ZERO.finditer(data, start, end)
+    ):
         return None
     return values
 
 
-def _parse_numbers(text: str, path: str, key: str) -> np.ndarray:
-    """Comma-separated finite numbers; an empty text is an empty list.
+def _numbers(span: tuple[bytearray, int, int], path: str, key: str) -> np.ndarray:
+    """The comma-separated finite numbers of a span; an empty span is an
+    empty list.
 
     orjson reads the common case a block at a time; ``float()`` reads any
     block it leaves, and decides what is a number and words the error.
     """
-    if not text:
+    data, start, end = span
+    if start == end:
         return np.empty(0)
     blocks = []
-    start = 0
-    while start >= 0:
-        cut = text.find(",", start + _BLOCK_CHARS)
-        block = text[start:] if cut < 0 else text[start:cut]
-        values = _json_parse(block)
+    while start <= end:
+        cut = data.find(b",", start + _BLOCK_CHARS, end)
+        stop = end if cut < 0 else cut
+        values = _json_parse(data, start, stop)
         if values is None:
+            tokens = data[start:stop].decode().split(",")
             try:
-                values = np.fromiter(map(float, block.split(",")), dtype=float)
+                values = np.fromiter(map(float, tokens), dtype=float)
             except ValueError:
                 raise ParseError(
                     f"{path}: field {key!r} is not a list of numbers"
                 ) from None
         blocks.append(values)
-        start = cut if cut < 0 else cut + 1
+        start = stop + 1
     values = np.concatenate(blocks)
     if not np.isfinite(values).all():
         raise ParseError(f"{path}: non-finite values in {key}")
     return values
+
+
+def _parse_numbers(text: str, path: str, key: str) -> np.ndarray:
+    """Comma-separated finite numbers; an empty text is an empty list."""
+    return _numbers(_span(text), path, key)
 
 
 def _format_value(value) -> str:
@@ -354,6 +407,8 @@ def _format_value(value) -> str:
         return str(int(value))
     if isinstance(value, str):
         return value
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        return ", ".join(map(repr, value.tolist()))
     if isinstance(value, (list, tuple, np.ndarray)):
         return ", ".join(_format_value(v) for v in value)
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -363,22 +418,48 @@ def _render_document(pairs: list[tuple[str, object]]) -> str:
     return "".join(f"{key} = {_format_value(value)}\n" for key, value in pairs)
 
 
-def _parse_document(path: str) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ParseError(
-                f"{path} line {line_no}: expected 'key = value', got {stripped!r}"
-            )
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key in fields:
-            raise ParseError(f"{path} line {line_no}: duplicate key {key!r}")
-        fields[key] = value.strip()
-    return fields
+def _parse_document(path: str) -> dict[str, tuple[bytearray, int, int]]:
+    """The ``key = value`` fields of a document, each value a span of the
+    file's bytes, stripped as ``str.strip()`` strips its text.
+
+    Lines end in \\n, \\r\\n or \\r; blank lines and ``#`` comments are
+    skipped.  Only keys and non-ASCII lines are decoded; a non-ASCII line's
+    value gets a buffer of its own, so a long ASCII number field is never
+    copied as text.  A byte that is not UTF-8 is the error, wherever it is.
+    """
+    data = _read_file(path)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # Every line ends in \n, so every value has a byte after it.
+    data += b"\n"
+    ascii = data.isascii()
+    view = memoryview(data)
+    fields: dict[str, tuple[bytearray, int, int]] = {}
+    start = 0
+    for line_no in itertools.count(1):
+        end = data.find(b"\n", start)
+        if end < 0:
+            return fields
+        line = None if ascii else _decode(view[start:end], path)
+        eq = data.find(b"=", start, end)
+        key = str(view[start:end if eq < 0 else eq], "utf-8").strip()
+        if key.startswith("#") or (eq < 0 and not key):
+            pass
+        elif eq < 0 or key in fields:
+            if not ascii:
+                _decode(view[end:], path)
+            what = "expected 'key = value', got" if eq < 0 else "duplicate key"
+            raise ParseError(f"{path} line {line_no}: {what} {key!r}")
+        elif line is None or line.isascii():
+            value, stop = eq + 1, end
+            while value < stop and data[value] in _ASCII_SPACE:
+                value += 1
+            while stop > value and data[stop - 1] in _ASCII_SPACE:
+                stop -= 1
+            fields[key] = (data, value, stop)
+        else:
+            fields[key] = _span(line.partition("=")[2].strip())
+        start = end + 1
 
 
 def save_model(model: CrowdModel, path: str) -> None:
@@ -414,13 +495,16 @@ def load_model(path: str) -> CrowdModel:
     missing = [f for f in _MODEL_FIELDS if f not in fields]
     if missing:
         raise ParseError(f"{path}: missing fields {missing}")
-    labels = tuple(p.strip() for p in fields["judge_labels"].split(","))
+    labels = tuple(p.strip() for p in _text(fields["judge_labels"]).split(","))
     if any(not label for label in labels):
         raise ParseError(f"{path}: empty judge label")
     n = len(labels)
-    means = _parse_numbers(fields["judge_means"], path, "judge_means")
-    cov_flat = _parse_numbers(fields["judge_cov"], path, "judge_cov")
-    cross = _parse_numbers(fields["cross_cov"], path, "cross_cov")
+    if len(set(labels)) < n:
+        dupes = sorted({label for label in labels if labels.count(label) > 1})
+        raise DuplicateJudgeLabel(f"{path} has duplicated judge labels: {dupes}")
+    means = _numbers(fields["judge_means"], path, "judge_means")
+    cov_flat = _numbers(fields["judge_cov"], path, "judge_cov")
+    cross = _numbers(fields["cross_cov"], path, "cross_cov")
     if means.shape[0] != n:
         raise ParseError(f"{path}: {means.shape[0]} judge_means for {n} labels")
     if cov_flat.shape[0] != n * n:
@@ -431,8 +515,8 @@ def load_model(path: str) -> CrowdModel:
     if cross.shape[0] != n:
         raise ParseError(f"{path}: {cross.shape[0]} cross_cov entries for {n} labels")
     try:
-        criterion_mean = float(fields["criterion_mean"])
-        criterion_var = float(fields["criterion_var"])
+        criterion_mean = float(_text(fields["criterion_mean"]))
+        criterion_var = float(_text(fields["criterion_var"]))
     except ValueError:
         raise ParseError(
             f"{path}: criterion_mean and criterion_var must be numbers"
@@ -478,7 +562,7 @@ def _resolve(kind: str, scheme: str, model: CrowdModel) -> WeightVector:
     rules = _SCHEMES[kind]
     if scheme in rules:
         return rules[scheme](model)
-    text = ",".join(_read_text(scheme).replace(",", " ").split())
+    text = ",".join(_decode(_read_file(scheme), scheme).replace(",", " ").split())
     values = _parse_numbers(text, scheme, kind)
     if values.shape[0] != model.n_judges:
         raise ParseError(
@@ -755,7 +839,7 @@ def _parse_sweep_grid(
     def axis(key: str, default: tuple) -> tuple:
         if key not in fields:
             return default
-        return tuple(_parse_numbers(fields[key], path, key))
+        return tuple(_numbers(fields[key], path, key))
 
     bias = axis("bias_scale", DEFAULT_SWEEP_BIAS)
     correlation = axis("correlation", DEFAULT_SWEEP_CORRELATION)

@@ -14,9 +14,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import text_reader
 from conftest import matrix_with_spectrum
 from crowdwise import cli, montecarlo, schemes
 from crowdwise.cli import ingest_csv, load_model, main, read_candidates, save_model
@@ -138,6 +139,64 @@ def assert_parses_as_float_does(text: str) -> None:
     # Byte equality also checks the sign bit of -0.
     assert parsed.dtype == np.float64
     assert parsed.tobytes() == expected.tobytes()
+
+
+# What str.strip() strips, ASCII and not, and the empty string.
+DOCUMENT_SPACE = [
+    "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000",
+]
+
+
+@st.composite
+def documents(draw):
+    """Key-value documents: fields, comments, blank lines and lines with no
+    '=' between any padding, keys that repeat, \\n, \\r\\n and \\r line
+    ends, and maybe a BOM or a comment line that is not UTF-8."""
+    pad = st.lists(st.sampled_from(DOCUMENT_SPACE), max_size=2).map("".join)
+    token = st.one_of(decimal_tokens(), st.sampled_from(JSON_EDGE_TEXT + ["\u0661", "1e-0"]))
+    value = st.lists(st.tuples(pad, token, pad).map("".join), max_size=6).map(",".join)
+    key = st.sampled_from(["judge_cov", "judge_means", "k", "\u0661", "a b", ""])
+    field = st.tuples(pad, key, pad, st.just("="), pad, value, pad).map("".join)
+    comment = st.tuples(pad, st.sampled_from(["#", "# k = 1", "# caf\u00e9"])).map("".join)
+    no_equals = st.tuples(pad, st.sampled_from(["k", "1, 2", "#"]), pad).map("".join)
+    lines = [
+        line.encode()
+        for line in draw(st.lists(st.one_of(*[field] * 5, comment, pad, no_equals), max_size=8))
+    ]
+    if draw(st.integers(0, 3)) == 3:
+        bad = draw(st.sampled_from([b"# \xff", b"# caf\xc3", b"#\xe3\x80"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    ends = st.sampled_from([b"\n", b"\r\n", b"\r"])
+    data = b"".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    return b"\xef\xbb\xbf" + data if draw(st.booleans()) else data
+
+
+def read_fields(document, numbers, text, path: str):
+    """Each field's key, text and numbers' bits (or ParseError message), or
+    the document's ParseError message."""
+    try:
+        fields = document(path)
+    except ParseError as err:
+        return str(err)
+    read = []
+    for key, value in fields.items():
+        try:
+            bits = numbers(value, path, key).tobytes()
+        except ParseError as err:
+            bits = str(err)
+        read.append((key, text(value), bits))
+    return read
+
+
+def assert_reads_as_text_reader(data: bytes, path) -> None:
+    path.write_bytes(data)
+    expected = read_fields(
+        text_reader.parse_document, text_reader.parse_numbers, str, str(path)
+    )
+    got = read_fields(cli._parse_document, cli._numbers, cli._text, str(path))
+    assert got == expected
 
 
 def generated_csv(rows: int) -> bytes:
@@ -555,7 +614,11 @@ class TestModelFiles:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "1.5", "1_0, 2", "\u0661, 2", " 1.5 ,+1", "-0, 0", "5e-324, 1e308", "1e-5,-2.5E3"],
+        ["", "1.5", "1_0, 2", "\u0661, 2", " 1.5 ,+1", "-0, 0", "5e-324, 1e308", "1e-5,-2.5E3",
+         "1e-0", "1E-0, -0",
+         # Many zeros and exponents of -0, in blocks with and without a -0.
+         pytest.param(", ".join(["0", "0.0", "1e-0", "-0.0", "2E-0"] * 30000) + ", -0",
+                      id="zero-heavy")],
     )
     def test_numbers_equal_the_float_list(self, text):
         assert_parses_as_float_does(text)
@@ -639,6 +702,65 @@ class TestModelFiles:
         )
         with pytest.raises(ParseError):
             load_model(str(path))
+
+    def test_duplicate_judge_labels_rejected(self, tmp_path, capsys):
+        path = tmp_path / "dupes.txt"
+        path.write_text(VALID_MODEL.replace("judge_labels = a, b", "judge_labels = b ,b"))
+        message = f"{path} has duplicated judge labels: ['b']"
+        with pytest.raises(DuplicateJudgeLabel) as exc:
+            load_model(str(path))
+        assert str(exc.value) == message
+        assert main(["optimize", "--model", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @given(values=st.lists(st.floats(), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_float_array_renders_as_its_elements(self, values):
+        rendered = ", ".join(cli._format_value(float(v)) for v in values)
+        assert cli._format_value(np.array(values, dtype=float)) == rendered
+        assert cli._format_value((True, False, 1, 2.5)) == "true, false, 1, 2.5"
+
+
+class TestByteReader:
+    """The byte reader gives every field the text and the numbers the text
+    reader (``text_reader``) gave it, or raises the same ParseError."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xef\xbb\xbfjudge_cov = 1, 2\r\nk = 3\r\n",
+            b"a = 1\rb = -0, 2\r\r\nc = \r",
+            b"\x1c judge_cov \x1f= \x0b1,\xc2\xa02 \xe3\x80\x80\n",
+            b"k = \xd9\xa1, 2\nj = \xc2\x85\ni =  \x1c\x0c\n",
+            b"\xc2\x85# k = 1\n\xe3\x80\x80\n#\n k \n",
+            b"k = 1\n# caf\xc3\xa9 = 1\nk = 2\n",
+            b"no equals\n# \xff\n",
+            b"k = 1\nk = 2\n# caf\xc3\n",
+            b"= 1\n \t = \n",
+            b"k = 1e-0, 1E-0, -0",
+        ],
+    )
+    def test_edge_documents(self, data, tmp_path):
+        assert_reads_as_text_reader(data, tmp_path / "doc.txt")
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+    def test_a_lone_bom_prefix_is_not_utf8(self, data, tmp_path):
+        # The text reader's incremental utf-8-sig decoder dropped these bytes
+        # and read an empty document.
+        path = tmp_path / "doc.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            cli._parse_document(str(path))
+        assert str(exc.value) == f"{path}: not valid UTF-8 (byte 0xef)"
+
+    @given(data=documents(), block_chars=st.sampled_from([1, 2, 3, 5, 8, 13, 1 << 16]))
+    @settings(
+        max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_generated_documents(self, data, block_chars, tmp_path):
+        # With short blocks, every token, good or bad, lands at some cut.
+        with mock.patch.object(cli, "_BLOCK_CHARS", block_chars):
+            assert_reads_as_text_reader(data, tmp_path / "doc.txt")
 
 
 def counted_model(kind: str) -> CrowdModel:
