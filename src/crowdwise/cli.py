@@ -78,17 +78,27 @@ def _utf8_error(path: str, err: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not valid UTF-8 (byte {err.object[err.start]:#04x})")
 
 
+def _lines(handle):
+    """The lines of the text ``handle`` with a BOM dropped from the first."""
+    first = next(handle, "").removeprefix("\ufeff")
+    if first:
+        yield first
+    yield from handle
+
+
 @contextmanager
 def _opened(path: str):
-    """``path`` opened once as UTF-8 text, BOM dropped and line ends kept; a
-    failure to open or decode it, in the caller's block too, is a ParseError."""
+    """The lines of ``path``, opened once as UTF-8 text, BOM dropped and line
+    ends kept; a failure to open or decode it, in the caller's block too, is
+    a ParseError.  A file that is only part of a BOM is not UTF-8: the
+    ``utf-8-sig`` decoder would read it as empty."""
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as err:
         raise ParseError(f"cannot read {path}: {err}") from None
     with handle:
         try:
-            yield handle
+            yield _lines(handle)
         except UnicodeDecodeError as err:
             raise _utf8_error(path, err) from None
 
@@ -211,7 +221,7 @@ def ingest_csv(path: str) -> JudgmentSample:
             lines = handle
             table = _fast_table(os.path.abspath(path), len(header), offset)
         else:
-            lines = handle.readlines()
+            lines = list(handle)
             table = _fast_table(lines, len(header), 0)
         if table is None:
             table = np.array(

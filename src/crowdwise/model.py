@@ -125,6 +125,18 @@ class CrowdModel:
         """
         return _extreme_eigenvalues(self.joint_covariance())
 
+    @cached_property
+    def exactly_symmetric(self) -> bool:
+        """Whether ``judge_cov`` equals its transpose bit for bit.
+
+        Compared once per model.  When it does, the joint covariance is its
+        own symmetric part, and ``validate_model``, the solver and the
+        candidate certificate use the matrices as they are, with no
+        symmetrising pass.
+        """
+        cov = self.judge_cov
+        return bool((cov == cov.T).all())
+
 
 @dataclass(frozen=True, init=False)
 class JudgmentSample:
@@ -195,12 +207,9 @@ class JudgmentSample:
 def _symmetry_violation(cov: np.ndarray) -> float:
     """Asymmetry relative to the largest absolute entry (0 for symmetric).
 
-    An exactly symmetric matrix, the common case, returns before the N x N
-    temporaries of cov - cov'.  Callers pass finite matrices: one holding
-    inf symmetrically would give 0 here and nan from the full formula.
+    Callers read ``CrowdModel.exactly_symmetric`` first, so only a matrix
+    that is not exactly symmetric pays for the N x N temporaries here.
     """
-    if (cov == cov.T).all():
-        return 0.0
     scale = np.abs(cov).max()
     if scale == 0.0:
         return 0.0
@@ -232,10 +241,13 @@ def _cholesky_shift(order: int, largest: float, ratio_sum: float) -> float:
 
 
 def _shifted_factor(m: np.ndarray, shift: float) -> np.ndarray | None:
-    """The Cholesky factor of ``m - shift I``, or None; overwrites ``m``."""
+    """The Cholesky factor of the exactly symmetric ``m - shift I``, or None;
+    overwrites ``m``."""
     m.flat[:: m.shape[0] + 1] -= shift
     try:
-        return np.linalg.cholesky(m)
+        # m' is m, and numpy copies its columns into LAPACK's column-major
+        # buffer without a strided read.
+        return np.linalg.cholesky(m.T)
     except np.linalg.LinAlgError:
         return None
 
@@ -251,15 +263,16 @@ def _symmetrise(m: np.ndarray) -> np.ndarray:
     return m.diagonal()
 
 
-def _certified_definite(m: np.ndarray) -> bool:
+def _certified_definite(m: np.ndarray, symmetric: bool = False) -> bool:
     """Whether the symmetric part of ``m`` is provably positive definite.
 
     Overwrites ``m``.  A success is a proof about the exact matrix: its
     Cholesky factor, shifted down by a bound on the factorization's rounding,
     runs to completion (Rump, "Verification of positive definiteness", BIT
-    46, 2006).  A failure proves nothing.
+    46, 2006).  A failure proves nothing.  A caller that knows ``m`` equals
+    its transpose passes ``symmetric``, and ``m`` is factored as it is.
     """
-    diag = _symmetrise(m)
+    diag = m.diagonal() if symmetric else _symmetrise(m)
     if not diag.min() > 0.0:
         return False
     largest = diag.max()
@@ -300,16 +313,20 @@ def _certified_extensions(
     asymmetric judge_cov can pass that check once a large border is added.
     """
     certified = np.zeros(corners.shape[0], dtype=bool)
-    symmetric = _symmetry_violation(model.judge_cov) <= PSD_RTOL
+    symmetric = model.exactly_symmetric or _symmetry_violation(model.judge_cov) <= PSD_RTOL
     if not (model.criterion_var > 0.0 and symmetric):
         return certified
     m = model.joint_covariance()
-    diag = _symmetrise(m)
-    # The symmetric part holds b / 2 + b / 2 for an entry b on both sides.
-    borders = borders * 0.5
-    borders += borders
-    corners = corners * 0.5
-    corners += corners
+    if model.exactly_symmetric:
+        # So is the extended matrix, which validate_model factors as it is.
+        diag = m.diagonal()
+    else:
+        diag = _symmetrise(m)
+        # The symmetric part holds b / 2 + b / 2 for an entry b on both sides.
+        borders = borders * 0.5
+        borders += borders
+        corners = corners * 0.5
+        corners += corners
     # Move the new judge last, a symmetric permutation that keeps the
     # spectrum: its extended joint matrix is A = [[J, b], [b', v]], of order
     # N + 2, with J the symmetric part of the model's.  The derivation in
@@ -385,7 +402,7 @@ def validate_model(model: CrowdModel) -> list[str]:
     if model.n_judges < 1:
         violations.append("model has no judges")
         return violations
-    asym = _symmetry_violation(model.judge_cov)
+    asym = 0.0 if model.exactly_symmetric else _symmetry_violation(model.judge_cov)
     if asym > PSD_RTOL:
         violations.append(
             f"judge_cov is asymmetric (relative violation {asym:.3e})"
@@ -393,7 +410,9 @@ def validate_model(model: CrowdModel) -> list[str]:
     var_ok = model.criterion_var >= 0.0
     # A fixed criterion leaves the joint matrix a last pivot of -|l|^2 <= 0,
     # which Cholesky never factors, so it is not tried.
-    if model.criterion_var > 0.0 and _certified_definite(model.joint_covariance()):
+    if model.criterion_var > 0.0 and _certified_definite(
+        model.joint_covariance(), model.exactly_symmetric
+    ):
         return violations
     cov_spectrum = _extreme_eigenvalues(model.judge_cov)
     cov_ok = _psd_within_tolerance(cov_spectrum)

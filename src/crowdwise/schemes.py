@@ -205,7 +205,7 @@ def _ldexp(x: float, exponent: int) -> float:
 
 def _exponent(a: np.ndarray) -> float:
     """The e with max|a| in [2^(e-1), 2^e), frexp's exponent; -inf for zeros."""
-    top = float(np.abs(a).max())
+    top = max(float(a.max()), -float(a.min()))
     return math.frexp(top)[1] if top else -math.inf
 
 
@@ -216,12 +216,13 @@ def _scaled_qp(model: CrowdModel) -> tuple[np.ndarray, np.ndarray, int]:
     and m = mu - mu_y ((mu'w - mu_y)^2 = (m'w)^2 on the simplex), scaled by
     the even shift, read from exponents before any square forms, that brings
     the largest of |S|, |sigma_xy| and m_i^2 into [1, 4).  A crowd scaled by
-    2^j, with its tolerance, solves to the same bits.
+    2^j, with its tolerance, solves to the same bits.  q2 equals its
+    transpose bit for bit.
     """
     # Halves first: mu - mu_y can overflow, their halves cannot.
     half = 0.5 * model.judge_means - 0.5 * model.criterion_mean
     cov = model.judge_cov
-    if not (cov == cov.T).all():
+    if not model.exactly_symmetric:
         cov = 0.5 * cov + 0.5 * cov.T
     top = max(2 * _exponent(half) + 2, _exponent(cov), _exponent(model.cross_cov))
     shift = 0 if top == -math.inf else -2 * ((top - 1) // 2)
@@ -294,7 +295,8 @@ def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _definite_factor(q_face: np.ndarray) -> np.ndarray | None:
-    """The Cholesky factor of a face Hessian, or None for a singular face.
+    """The Cholesky factor of an exactly symmetric face Hessian, or None for
+    a singular face.
 
     A face holding duplicated judges is singular.  Cholesky then either
     fails or finishes with a pivot at rounding level, which would put the
@@ -303,7 +305,9 @@ def _definite_factor(q_face: np.ndarray) -> np.ndarray | None:
     largest eigenvalue, taken here at its upper bound, the trace.
     """
     try:
-        lower = np.linalg.cholesky(q_face)
+        # q_face' is q_face, and numpy copies its columns into LAPACK's
+        # column-major buffer without a strided read.
+        lower = np.linalg.cholesky(q_face.T)
     except np.linalg.LinAlgError:
         return None
     k = q_face.shape[0]
@@ -346,7 +350,7 @@ def _face_step(
     on_face = w > ACTIVE_WEIGHT
     on_face[np.argmin(grad)] = True
     active = np.nonzero(on_face)[0]
-    q_face = q2[np.ix_(active, active)]
+    q_face = q2.take(active, axis=0).take(active, axis=1)
     d = np.where(on_face, 0.0, -w)
     lower = _definite_factor(q_face)
     if lower is not None:
@@ -393,7 +397,7 @@ def _nonunique_on_face(
     d exists.  One judge is unique.
     """
     face = np.nonzero((w > ACTIVE_WEIGHT) | (grad - grad.min() <= tolerance))[0]
-    h = q2[np.ix_(face, face)]
+    h = q2.take(face, axis=0).take(face, axis=1)
     return len(face) > 1 and _definite_factor(h + np.trace(h) / len(face)) is None
 
 

@@ -753,6 +753,33 @@ class TestByteReader:
             cli._parse_document(str(path))
         assert str(exc.value) == f"{path}: not valid UTF-8 (byte 0xef)"
 
+    @needs_mkfifo
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+    @pytest.mark.parametrize("command", ["analyze", "candidate"])
+    def test_a_lone_bom_prefix_in_a_csv_is_not_utf8(self, data, command, tmp_path, capsys):
+        # The CSV readers' incremental utf-8-sig decoder read these bytes as
+        # an empty file.
+        model = tmp_path / "model.txt"
+        model.write_text(VALID_MODEL)
+        if command == "analyze":
+            read, argv = ingest_csv, ["analyze", "--data"]
+        else:
+            read = lambda path: read_candidates(path, load_model(str(model)))  # noqa: E731
+            argv = ["candidate", "--model", str(model), "--candidates"]
+        path = str(tmp_path / "partial.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        pipe = str(tmp_path / "pipe.csv")
+        for name, source in [
+            (path, lambda: read(path)),
+            (pipe, lambda: through_fifo(tmp_path, data, read)),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                source()
+            assert str(exc.value) == f"{name}: not valid UTF-8 (byte 0xef)"
+        assert main([*argv, path]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: not valid UTF-8 (byte 0xef)\n")
+
     @given(data=documents(), block_chars=st.sampled_from([1, 2, 3, 5, 8, 13, 1 << 16]))
     @settings(
         max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

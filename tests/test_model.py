@@ -1,5 +1,6 @@
 """Model construction, validation, and estimation from raw judgments."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import affine_model, matrix_with_spectrum, model_corpus
 from crowdwise import model as model_module
+from crowdwise.diversity import CandidateMember, extend_model
 from crowdwise.errors import SampleTooSmall, ShapeMismatch, ValidationFailed
 from crowdwise.model import (
     PSD_RTOL,
@@ -24,6 +26,8 @@ from crowdwise.model import (
     fixed_criterion_model,
     validate_model,
 )
+from crowdwise.montecarlo import random_model
+from crowdwise.schemes import optimal_weights
 
 
 def eigs_2x2(m):
@@ -621,3 +625,130 @@ class TestCholeskyCertificate:
                 decision = _certified_definite(m.copy())
                 for k in range(-900, 1001, 50):
                     assert _certified_definite(m * 2.0**k) == decision, k
+
+
+def factor_or_none(m: np.ndarray) -> np.ndarray | None:
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def one_ulp_off_symmetric(model: CrowdModel) -> CrowdModel:
+    cov = model.judge_cov.copy()
+    cov[0, 1] = np.nextafter(cov[0, 1], np.inf)
+    return dataclasses.replace(model, judge_cov=cov)
+
+
+class TransposeCompares(np.ndarray):
+    """An array that counts its comparisons with its own transpose."""
+
+    count = 0
+
+    def __eq__(self, other):
+        if (
+            isinstance(other, np.ndarray)
+            and other.shape == self.shape[::-1]
+            and other.strides == self.strides[::-1]
+            and np.may_share_memory(self, other)
+        ):
+            TransposeCompares.count += 1
+        return np.asarray(self) == np.asarray(other)
+
+
+class TestExactSymmetry:
+    """An exactly symmetric judge_cov is checked once and factored as it is;
+    any other takes the symmetrised route."""
+
+    def test_transposed_cholesky_is_the_same_factor(self):
+        # The certificate and the solver factor m' for an exactly symmetric
+        # m, the layout LAPACK reads without a strided copy.
+        rng = np.random.default_rng(31)
+        matrices = straddling_matrices()
+        for order in range(1, 301):
+            a = rng.normal(size=(order, order))
+            shift = order if order % 3 else 0.0  # every third is indefinite
+            matrices.append((a + a.T) / 2.0 + shift * np.eye(order))
+        factored = 0
+        for m in matrices:
+            assert (m == m.T).all()
+            expected, got = factor_or_none(m), factor_or_none(m.T)
+            assert (expected is None) == (got is None)
+            if expected is not None:
+                assert expected.tobytes() == got.tobytes()
+                factored += 1
+        assert 0 < factored < len(matrices)
+
+    def test_one_ulp_off_takes_the_symmetrised_route(self):
+        for model in model_corpus(64, base_seed=41, sizes=(2, 3, 5, 8)):
+            off = one_ulp_off_symmetric(model)
+            halves = 0.5 * off.judge_cov + 0.5 * off.judge_cov.T
+            symmetrised = dataclasses.replace(off, judge_cov=halves)
+            assert not off.exactly_symmetric and symmetrised.exactly_symmetric
+            assert validate_model(off) == validate_model(symmetrised) == []
+            got, expected = optimal_weights(off), optimal_weights(symmetrised)
+            assert got.weights.weights.tobytes() == expected.weights.weights.tobytes()
+            assert (got.iterations, got.kkt_residual) == (
+                expected.iterations, expected.kkt_residual
+            )
+
+    def test_validate_and_solve_compare_with_the_transpose_once(self, monkeypatch):
+        calls = []
+        symmetrise = model_module._symmetrise
+        monkeypatch.setattr(
+            model_module, "_symmetrise", lambda m: calls.append(1) or symmetrise(m)
+        )
+        monkeypatch.setattr(TransposeCompares, "count", 0)
+        model = model_corpus(1, base_seed=3, sizes=(6,), criterion_vars=(1.0,))[0]
+        object.__setattr__(model, "judge_cov", model.judge_cov.view(TransposeCompares))
+        assert validate_model(model) == []
+        optimal_weights(model)
+        assert TransposeCompares.count == 1
+        assert calls == []
+
+    def test_bordered_certificate_agrees_on_subnormal_borders(self, linalg_calls):
+        # Every moment is a multiple of the subnormal spacing eta, so an odd
+        # one is not its own b / 2 + b / 2.  At this scale both shifts are
+        # 2 order (order + 1) eta, and the bordered certificate decides each
+        # candidate as validate_model's own factor of the extended crowd.
+        eta = 2.0**-1074
+        rng = np.random.default_rng(43)
+        decisions = []
+        for _ in range(20):
+            variances = rng.integers(60, 200, size=3)
+            base = CrowdModel(
+                judge_means=np.zeros(2),
+                judge_cov=np.diag(variances[:2] * eta),
+                criterion_mean=0.0,
+                criterion_var=float(variances[2] * eta),
+                cross_cov=np.zeros(2),
+            )
+            borders = (2 * rng.integers(0, 40, size=(3, 12)) + 1) * eta
+            corners = rng.integers(40, 200, size=12) * eta
+            certified = _certified_extensions(base, borders, corners)
+            for b, v, decision in zip(borders.T, corners, certified):
+                extended = extend_model(base, CandidateMember(0.0, v, b[:2], b[2]), certified=True)
+                before = linalg_calls["eigvalsh"]
+                own = validate_model(extended) == [] and linalg_calls["eigvalsh"] == before
+                assert decision == own, (b / eta, v / eta)
+                decisions.append(bool(decision))
+        assert any(decisions) and not all(decisions)
+
+    def test_bordered_certificate_holds_beside_subnormal_borders(self, linalg_calls):
+        decisions = []
+        for seed in range(12):
+            base = random_model(8, seed=seed, criterion_var=1.0)
+            assert base.exactly_symmetric
+            rng = np.random.default_rng(seed)
+            borders = rng.normal(size=(9, 6)) * 0.2
+            borders[rng.random(size=borders.shape) < 0.3] = 5e-324
+            corners = (borders * borders).sum(axis=0) * 10.0 ** rng.uniform(-1.0, 1.0, 6)
+            certified = _certified_extensions(base, borders, corners)
+            for b, v, decision in zip(borders.T, corners, certified):
+                if decision:
+                    extended = extend_model(base, CandidateMember(0.0, v, b[:8], b[8]), certified=True)
+                    before = linalg_calls["eigvalsh"]
+                    assert validate_model(extended) == []
+                    assert linalg_calls["eigvalsh"] == before
+                decisions.append(bool(decision))
+        assert any(decisions) and not all(decisions)
