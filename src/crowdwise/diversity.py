@@ -147,6 +147,9 @@ def extend_model(
         ),
         judge_labels=model.judge_labels + (label,),
     )
+    # The border is written on both sides, so the extended judge_cov equals
+    # its transpose exactly when the crowd's does.
+    object.__setattr__(extended, "exactly_symmetric", model.exactly_symmetric)
     if certified:
         return extended
     violations = validate_model(extended)

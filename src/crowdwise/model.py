@@ -129,13 +129,26 @@ class CrowdModel:
     def exactly_symmetric(self) -> bool:
         """Whether ``judge_cov`` equals its transpose bit for bit.
 
-        Compared once per model.  When it does, the joint covariance is its
+        Compared once per model; ``extend_model`` carries the crowd's flag
+        over to the extended crowd.  When it does, the joint covariance is its
         own symmetric part, and ``validate_model``, the solver and the
         candidate certificate use the matrices as they are, with no
         symmetrising pass.
         """
         cov = self.judge_cov
         return bool((cov == cov.T).all())
+
+    @cached_property
+    def nonfinite_moments(self) -> tuple[str, ...]:
+        """The names of the moments that hold nan or inf, in field order.
+
+        Scanned once per model, for ``validate_model`` and the solver alike;
+        the arrays are read-only, so it cannot go stale.
+        """
+        moments = (
+            "judge_means", "judge_cov", "criterion_mean", "criterion_var", "cross_cov"
+        )
+        return tuple(m for m in moments if not np.all(np.isfinite(getattr(self, m))))
 
 
 @dataclass(frozen=True, init=False)
@@ -372,8 +385,7 @@ def _certified_extensions(
 
 def _nonfinite_violation(model: CrowdModel) -> list[str]:
     """The violation naming every moment that holds nan or inf, or []."""
-    moments = ("judge_means", "judge_cov", "criterion_mean", "criterion_var", "cross_cov")
-    nonfinite = [m for m in moments if not np.all(np.isfinite(getattr(model, m)))]
+    nonfinite = model.nonfinite_moments
     return [f"non-finite values in {', '.join(nonfinite)}"] if nonfinite else []
 
 

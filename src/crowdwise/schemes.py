@@ -11,22 +11,29 @@ the Armijo test and the face systems all read one gradient q2 w + b near
 unit scale, while the tolerance, objective and residual keep the caller's
 units.  The QP is solved by projected search with exact Euclidean projection
 onto the simplex, after Bertsekas (1982) and the GPCG method of Moré and
-Toraldo (1991).  Each iteration makes one of two moves.  A gradient step tries
+Toraldo (1991).  A solve with no given start opens, at uniform weights, with
+conjugate gradients (Hestenes and Stiefel, 1952) on the whole face (every
+judge, with steps that sum to zero) and takes the best of their projected
+iterates.  On a crowd with a small optimal support that usually leaves few
+judges beside it, so no face of the whole crowd is factored.  If no iterate
+lowers the objective, the solve goes on as below.  After that opening move,
+each iteration makes one of two moves.  A gradient step tries
 first the length that minimizes f along the negative gradient and halves it
 until the Armijo rule holds; no Lipschitz constant is needed.  Once two steps
 in a row have kept the set of judges carrying weight (the support), or
 gradient steps stall, a face step searches toward the exact minimizer on the
 current face instead.  That face is the support plus the judge with the
 smallest partial, the one that most wants to enter, so an active-set step
-can grow the support as well as shrink it.  An accepted face step is followed
-by another one, and a solve from a given start begins with one, so a start
-near the optimum finishes in a face step or two.  The face minimizer comes
-from a Cholesky factor of the face's Hessian and the Schur complement of its
-sum-to-one row; a singular face, such as one holding duplicated judges,
-takes the minimum-norm least-squares solution.
+can grow the support as well as shrink it.  An accepted face step or opening
+move is followed by a face step, and a solve from a given start begins with
+one, so a start near the optimum finishes in a face step or two.  The face
+minimizer comes from a Cholesky factor of the face's Hessian and the Schur
+complement of its sum-to-one row; a singular face, such as one holding
+duplicated judges, takes the minimum-norm least-squares solution.
 Every accepted move lowers the objective, so the last iterate is the best
-one; when neither move lowers it the iterate is a fixed point, and the
-solver stops there.
+one, and a move back to an earlier iterate can only have lowered it by
+rounding: it counts as failed.  When neither move lowers the objective the
+iterate is a fixed point, and the solver stops there.
 Convergence is certified by the first-order residual over the simplex: with
 tau = min_i df/dw_i, the residual is the largest excess df/dw_i - tau over
 judges carrying weight.  A residual of r guarantees the objective is within
@@ -368,6 +375,52 @@ def _face_step(
     return _projected_search(q2, grad, w, d)
 
 
+def _conjugate_opening(
+    q2: np.ndarray, w: np.ndarray, grad: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """The best of P(w + d_1), P(w + d_2), ..., with d_j the conjugate
+    gradient iterates (Hestenes and Stiefel, 1952) toward the minimizer of f
+    on the whole face: every judge, with steps that sum to zero.
+
+    Each iterate costs two products with q2, one for CG and one for the
+    change in f at its projection, taken from the step as in
+    ``_projected_search``.  The run stops at the first projected iterate
+    that does not lower f below the best so far, at a direction whose
+    curvature is not positive and finite, at a zero residual, or after
+    n - 1 iterates.  Returns the best point and how far f fell there, or
+    None if no iterate lowers f.
+    """
+    n = w.shape[0]
+    d = np.zeros_like(w)
+    # The residual -grad, projected onto the steps that sum to zero; sum / n
+    # is ndarray.mean's value at a quarter of its cost.
+    r = float(grad.sum()) / n - grad
+    p = r.copy()
+    rr = float(r @ r)
+    best, best_fall = None, 0.0
+    for _ in range(n - 1):
+        if rr == 0.0:
+            break
+        qp = q2 @ p
+        curvature = float(p @ qp)
+        if not 0.0 < curvature < math.inf:
+            break
+        alpha = rr / curvature
+        d += alpha * p
+        if not np.isfinite(d).all():
+            break
+        x = _project(w + d)
+        step = x - w
+        fall = -float(grad @ step) - 0.5 * float(step @ (q2 @ step))
+        if not fall > best_fall:
+            break
+        best, best_fall = x, fall
+        r -= alpha * (qp - float(qp.sum()) / n)
+        rr, previous = float(r @ r), rr
+        p = r + (rr / previous) * p
+    return None if best is None else (best, best_fall)
+
+
 def _gradient_step(
     q2: np.ndarray, w: np.ndarray, grad: np.ndarray
 ) -> tuple[np.ndarray, float] | None:
@@ -383,6 +436,17 @@ def _gradient_step(
     else:
         t = 2.0 / (float(np.ptp(grad)) or 2.0)
     return _projected_search(q2, grad, w, -t * grad)
+
+
+def _first_visit(seen: set[bytes], w: np.ndarray) -> bool:
+    """Whether ``seen`` lacks the digest of ``w``, a contiguous vector; adds it."""
+    import hashlib  # not at module level: ``import crowdwise.cli`` stays cheap
+
+    key = hashlib.blake2b(w, digest_size=16).digest()
+    if key in seen:
+        return False
+    seen.add(key)
+    return True
 
 
 def _nonunique_on_face(
@@ -409,15 +473,19 @@ def optimal_weights(
 ) -> QPSolution:
     """Minimize the crowd squared error over the simplex.
 
-    Each iteration from ``start`` (uniform weights when None) makes one move:
-    a face step when the solve was given a start and has not yet moved, when
-    the last move was a face step, when two steps in a row have kept the
-    support, or when the latest gradient step lowered f by at most STALL
-    times the largest fall since the last face move; otherwise, or if that
-    would not lower the objective, a projected gradient step.  No move
-    raises the objective, from any feasible start, so a start near the
-    optimum, such as a smaller crowd's optimum padded with zero weights, can
-    certify in a face step or two, or none, and then comes back bit for bit.
+    Each iteration from ``start`` (uniform weights when None) makes one move.
+    With no start, iteration 0 makes the opening move
+    (``_conjugate_opening``), if one of its iterates lowers f.  Otherwise it
+    is a face step when the solve was given a start and has not yet moved,
+    when the last move was a face step or the opening move, when two steps
+    in a row have kept the support, or when the latest gradient step lowered
+    f by at most STALL times the largest fall since the last face move;
+    otherwise, or if that would not lower the objective, a projected
+    gradient step.  A move back to an earlier iterate counts as one that
+    does not lower the objective.  No move raises the objective, from any
+    feasible start, so a start near the optimum, such as a smaller crowd's
+    optimum padded with zero weights, can certify in a face step or two, or
+    none, and then comes back bit for bit.
     The iterate is accepted only once its own first-order certificate is
     within ``tolerance``, so the result is guaranteed wise against every
     selection distribution up to that slack; ``kkt_residual`` is that
@@ -459,9 +527,12 @@ def optimal_weights(
     # ``kept``: steps in a row that kept the support.  ``best_fall`` and
     # ``last_fall``: the largest and the latest fall in f over the gradient
     # steps since the last face move.  A failed gradient step, an accepted
-    # face step and a given start all set a fall of zero, so the next
-    # iteration tries the face.
-    support, kept = None, 0
+    # face step or opening move and a given start all set a fall of zero, so
+    # the next iteration tries the face.  ``seen``: digests of the iterates
+    # so far.  f fell on the way from each of them to w, so a move back to
+    # one lowers f only by rounding, and counts as failed.
+    support, kept, seen = None, 0, set()
+    _first_visit(seen, w)
     best_fall, last_fall = 0.0, math.inf if start is None else 0.0
     for iteration in range(max_iterations + 1):
         grad = q2 @ w + b
@@ -469,6 +540,12 @@ def optimal_weights(
             return build(w, iteration)
         if iteration == max_iterations:
             break
+        if start is None and iteration == 0:
+            # As for the face step, the excesses drop grad's common part.
+            moved = _conjugate_opening(q2, w, grad - grad.min())
+            if moved is not None and _first_visit(seen, moved[0]):
+                w, last_fall = moved[0], 0.0
+                continue
         active = w > ACTIVE_WEIGHT
         kept = kept + 1 if np.array_equal(active, support) else 0
         support = active
@@ -479,11 +556,11 @@ def optimal_weights(
             # rounding of its common part; gradient steps keep that rounding,
             # so they stop at it rather than crawl where f has no curvature.
             moved = _face_step(q2, b, w, grad - grad.min())
-            if moved is not None:
+            if moved is not None and _first_visit(seen, moved[0]):
                 w, last_fall = moved[0], 0.0
                 continue
         moved = _gradient_step(q2, w, grad)
-        if moved is not None:
+        if moved is not None and _first_visit(seen, moved[0]):
             w, last_fall = moved
             best_fall = max(best_fall, last_fall)
         elif face_tried:

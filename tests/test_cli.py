@@ -1189,10 +1189,10 @@ class TestSweepCommand:
         assert len(lines) == 1 + 4 * 6 * 4
 
     def test_non_converging_cell_keeps_the_grid(self, tmp_path, capsys):
-        # One judge certifies at iteration 0; three cannot within one step.
+        # One judge certifies at iteration 0; three cannot without a step.
         grid = tmp_path / "grid.txt"
         grid.write_text("bias_scale = 0, 1\ncorrelation = 0.2\nn_judges = 1, 3\n")
-        argv = ["sweep", "--sweep-grid", str(grid), "--max-iterations", "1"]
+        argv = ["sweep", "--sweep-grid", str(grid), "--max-iterations", "0"]
         assert main(argv) == 0
         out, err = capsys.readouterr()
         assert err == ""
@@ -1612,12 +1612,12 @@ class TestExitCodes:
         model = fixed_criterion_model([0.0, 0.0], np.diag([1.0, 4.0]), 0.0)
         path = tmp_path / "model.txt"
         save_model(model, str(path))
-        assert main(["optimize", "--model", str(path), "--max-iterations", "1"]) == 3
+        assert main(["optimize", "--model", str(path), "--max-iterations", "0"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: optimizer did not converge within 1 iterations "
-            "(residual 1.038e+00)\n"
+            "error: optimizer did not converge within 0 iterations "
+            "(residual 3.000e+00)\n"
         )
 
     def test_fixed_point_says_where_it_stopped(
@@ -1639,10 +1639,10 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: optimizer stopped at iteration 2: no step lowers the "
+            "error: optimizer stopped at iteration 3: no step lowers the "
             "objective (residual 6.853e+183)\n"
         )
-        assert len(certificate_calls) == 2 + 2
+        assert len(certificate_calls) == 3 + 2
 
     @pytest.mark.parametrize(
         "flag", ["--data", "--model", "--candidates", "--weights", "--sweep-grid"]

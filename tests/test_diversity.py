@@ -102,6 +102,20 @@ class TestExtendModel:
         np.testing.assert_array_equal(extended.judge_cov[2, :2], [1.0, 0.3])
         assert extended.judge_labels[2] == "clone"
 
+    @pytest.mark.parametrize("asymmetry", [0.0, 1e-10], ids=["symmetric", "asymmetric"])
+    def test_extended_crowd_carries_the_symmetry_flag(self, asymmetry):
+        base = random_model(5, seed=41, criterion_var=1.0)
+        cov = base.judge_cov.copy()
+        cov[0, 1] *= 1.0 + asymmetry
+        base = dataclasses.replace(base, judge_cov=cov)
+        assert validate_model(base) == []
+        candidate = CandidateMember(0.5, 1.0, 0.1 * np.sqrt(np.diag(cov)), 0.2)
+        extended = extend_model(base, candidate, certified=True)
+        # Carried over from the crowd, not compared again.
+        assert "exactly_symmetric" in vars(extended)
+        fresh = dataclasses.replace(extended)
+        assert extended.exactly_symmetric is fresh.exactly_symmetric is (asymmetry == 0.0)
+
     def test_perfect_hedge_is_consistent(self):
         # Extended covariance has eigenvalues 0 and 2: PSD.
         candidate = CandidateMember(

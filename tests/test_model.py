@@ -108,6 +108,17 @@ class TestValidateModel:
             "non-finite values in judge_means, judge_cov"
         ]
 
+    def test_validation_and_solve_scan_the_moments_once(self, monkeypatch):
+        model = random_model(6, seed=17, criterion_var=1.0)
+        scans = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(
+            np, "isfinite", lambda a: scans.append(a is model.judge_cov) or isfinite(a)
+        )
+        assert validate_model(model) == []
+        optimal_weights(model)
+        assert scans.count(True) == 1
+
     def test_largest_finite_variances_validate_without_overflow(self):
         model = CrowdModel(
             judge_means=[0.0, 0.0],

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     affine_model,
     grid_minimum,
+    matrix_with_spectrum,
     model_corpus,
     random_simplex_points,
 )
@@ -91,6 +92,31 @@ def skill_model(skills, criterion_var=1.0):
         criterion_var=criterion_var,
         cross_cov=skills * math.sqrt(criterion_var),
     )
+
+
+def planted_crowd(seed, n, n_active, margin=0.03):
+    """A crowd whose optimal weights are known, and those weights.
+
+    The recipe of the benchmark's planted N=1000 crowds: factor-model
+    covariances, weights on ``n_active`` random judges, and criterion
+    covariances solved for so that every other judge's partial exceeds the
+    multiplier by ``margin`` to twice that.
+    """
+    rng = np.random.default_rng(seed)
+    loadings = rng.normal(0.0, 0.6, size=(n, 4))
+    cov = loadings @ loadings.T + np.diag(rng.uniform(0.5, 2.0, size=n) ** 2)
+    cov = (cov + cov.T) / 2.0
+    means = rng.normal(0.0, 0.5, size=n)
+    active = rng.choice(n, size=n_active, replace=False)
+    w = np.zeros(n)
+    w[active] = rng.uniform(0.5, 1.5, size=n_active)
+    w /= w.sum()
+    grad = 2.0 * (cov @ w + means * float(means @ w))
+    excess = margin * rng.uniform(1.0, 2.0, size=n)
+    excess[active] = 0.0
+    cross = (grad - grad[active].mean() - excess) / 2.0
+    explained = float(cross @ np.linalg.solve(cov, cross))
+    return CrowdModel(means, cov, 0.0, explained + 1.0, cross), w
 
 
 class TestUniform:
@@ -301,7 +327,8 @@ class TestOptimalWeights:
     def test_iteration_cap_raises_with_best_iterate(self):
         model = fixed_criterion_model([0.0, 0.0], np.diag([1.0, 4.0]), 0.0)
         with pytest.raises(NoConvergence) as exc:
-            optimal_weights(model, max_iterations=1)
+            # One move, cold or from a start, solves two judges exactly.
+            optimal_weights(model, max_iterations=0)
         best = exc.value.best
         assert best.kkt_residual > 1e-10
         assert abs(math.fsum(best.weights.weights) - 1.0) <= 1e-12
@@ -383,6 +410,27 @@ class TestOptimalWeights:
                     f"optimizer stopped at iteration {err.best.iterations}: "
                 )
         assert len(projections) <= 10 * schemes.MAX_HALVINGS
+
+    def test_moves_back_to_an_earlier_iterate_count_as_failed(self):
+        # The crowd of the test above at every scale 10^k: where the
+        # tolerance lies below the certificate's rounding, face and gradient
+        # steps that lower f only by rounding can cycle between neighbouring
+        # points.  A move back to an earlier iterate is refused, so each
+        # solve certifies or stops at a fixed point, far below the cap.
+        for exponent in range(308):
+            s = 10.0**exponent
+            r = math.sqrt(s)
+            model = CrowdModel(
+                judge_means=[0.3 * r, -0.2 * r],
+                judge_cov=[[s, 0.6 * s], [0.6 * s, 2.0 * s]],
+                criterion_mean=0.1 * r,
+                criterion_var=1.5 * s,
+                cross_cov=[0.5 * s, 0.4 * s],
+            )
+            try:
+                optimal_weights(model, max_iterations=1000)
+            except NoConvergence as err:
+                assert str(err).startswith("optimizer stopped at iteration ")
 
     def test_matches_grid_oracle_small_models(self):
         models = model_corpus(24, base_seed=3, sizes=(2, 3))
@@ -519,6 +567,75 @@ class TestOptimalWeights:
         grad = np.array([-1.0, 1.0, 1.0])
         assert schemes._projected_search(np.eye(3), grad, w, -grad) is None
         assert len(projections) == 1
+
+
+class TestConjugateOpening:
+    @staticmethod
+    def opening_iterates(monkeypatch):
+        """The number of conjugate-gradient iterates of each opening move:
+        each one is projected once."""
+        counts = []
+        project, opening = schemes._project, schemes._conjugate_opening
+
+        def counted(*args):
+            projections = []
+            monkeypatch.setattr(schemes, "_project", lambda v: projections.append(1) or project(v))
+            try:
+                return opening(*args)
+            finally:
+                monkeypatch.setattr(schemes, "_project", project)
+                counts.append(len(projections))
+
+        monkeypatch.setattr(schemes, "_conjugate_opening", counted)
+        return counts
+
+    def test_cold_solve_factors_no_face_of_more_than_half_the_crowd(self, monkeypatch):
+        # Gradient steps from uniform weights kept every judge of this crowd
+        # on the first face factored; the opening move leaves about the
+        # planted 20.
+        model, planted = planted_crowd(seed=1, n=400, n_active=20)
+        orders = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda m: orders.append(m.shape[0]) or cholesky(m)
+        )
+        solution = optimal_weights(model)
+        assert solution.kkt_residual <= 1e-10
+        np.testing.assert_allclose(solution.weights.weights, planted, rtol=0.0, atol=1e-9)
+        assert max(orders) <= model.n_judges // 2
+
+    def test_cold_solves_end_no_higher_than_solves_without_it(self):
+        # A start skips the opening move.
+        for model in model_corpus(400):
+            cold = optimal_weights(model)
+            assert cold.kkt_residual <= 1e-10
+            warm = optimal_weights(model, start=uniform_weights(model.n_judges))
+            assert cold.objective <= warm.objective + 1e-10
+
+    def test_opening_stops_once_no_iterate_lowers_f(self, monkeypatch):
+        # Every judge carries weight, and judge_cov has three eigenvalues;
+        # restricted to the steps that sum to zero it has at most five, so
+        # conjugate gradients reach the face minimizer in at most five
+        # iterates, and the next lowers f by rounding at most.
+        n = 300
+        cov = matrix_with_spectrum(np.repeat([1.0, 3.0, 9.0], n // 3), seed=7)
+        planted = np.random.default_rng(7).uniform(0.5, 1.5, size=n)
+        planted /= planted.sum()
+        cross = cov @ planted - 0.1
+        criterion_var = float(cross @ np.linalg.solve(cov, cross)) + 1.0
+        model = CrowdModel(np.zeros(n), cov, 0.0, criterion_var, cross)
+        iterates = self.opening_iterates(monkeypatch)
+        solution = optimal_weights(model)
+        np.testing.assert_allclose(solution.weights.weights, planted, rtol=0.0, atol=1e-9)
+        assert len(iterates) == 1 and iterates[0] <= 10
+
+    def test_warm_solves_make_no_opening_move(self, monkeypatch):
+        iterates = self.opening_iterates(monkeypatch)
+        model = model_corpus(1, base_seed=5, sizes=(8,))[0]
+        optimal_weights(model, start=uniform_weights(8))
+        assert iterates == []
+        optimal_weights(model)
+        assert len(iterates) == 1
 
 
 class TestCertificateFieldsOnFirstRead:
