@@ -15,25 +15,23 @@ Toraldo (1991).  A solve with no given start opens, at uniform weights, with
 conjugate gradients (Hestenes and Stiefel, 1952) on the whole face (every
 judge, with steps that sum to zero) and takes the best of their projected
 iterates.  On a crowd with a small optimal support that usually leaves few
-judges beside it, so no face of the whole crowd is factored.  If no iterate
-lowers the objective, the solve goes on as below.  After that opening move,
-each iteration makes one of two moves.  A gradient step tries
-first the length that minimizes f along the negative gradient and halves it
-until the Armijo rule holds; no Lipschitz constant is needed.  Once two steps
-in a row have kept the set of judges carrying weight (the support), or
-gradient steps stall, a face step searches toward the exact minimizer on the
-current face instead.  That face is the support plus the judge with the
-smallest partial, the one that most wants to enter, so an active-set step
-can grow the support as well as shrink it.  An accepted face step or opening
-move is followed by a face step, and a solve from a given start begins with
-one, so a start near the optimum finishes in a face step or two.  The face
-minimizer comes from a Cholesky factor of the face's Hessian and the Schur
-complement of its sum-to-one row; a singular face, such as one holding
-duplicated judges, takes the minimum-norm least-squares solution.
-Every accepted move lowers the objective, so the last iterate is the best
-one, and a move back to an earlier iterate can only have lowered it by
-rounding: it counts as failed.  When neither move lowers the objective the
-iterate is a fixed point, and the solver stops there.
+judges beside it, so no face of the whole crowd is factored.  Every later
+iteration, and the first when no iterate of the opening lowers the
+objective, tries two moves in one order and makes the first that lowers it.
+A face step searches toward the exact minimizer on the current face: the
+judges carrying weight (the support) plus the judge with the smallest
+partial, the one that most wants to enter, so an active-set step can grow
+the support as well as shrink it.  A start near the optimum thus finishes
+in a face step or two.  The face minimizer comes from a Cholesky factor of
+the face's Hessian and the Schur complement of its sum-to-one row; a
+singular face, such as one holding duplicated judges, takes the
+minimum-norm least-squares solution.  Only where the face step fails does a
+gradient step follow: it tries first the length that minimizes f along the
+negative gradient and halves it until the Armijo rule holds; no Lipschitz
+constant is needed.  Every accepted move lowers the objective, so the last
+iterate is the best one, and a move back to an earlier iterate can only
+have lowered it by rounding: it counts as failed.  When no move lowers the
+objective the iterate is a fixed point, and the solver stops there.
 Convergence is certified by the first-order residual over the simplex: with
 tau = min_i df/dw_i, the residual is the largest excess df/dw_i - tau over
 judges carrying weight.  A residual of r guarantees the objective is within
@@ -70,10 +68,6 @@ ACTIVE_WEIGHT = 1e-12
 # halving each time, to find one.
 ARMIJO = 1e-4
 MAX_HALVINGS = 60
-# Gradient steps have stalled, and the solver turns to the face, once the
-# latest lowers the objective by at most this fraction of the largest fall
-# since the last face move (the progress test of Moré and Toraldo's GPCG).
-STALL = 0.1
 # Rows per block of the face solve's triangular substitutions.
 _SOLVE_BLOCK = 64
 
@@ -266,13 +260,13 @@ def _certificate_residual(w: np.ndarray, grad: np.ndarray) -> float:
 
 def _projected_search(
     q2: np.ndarray, grad: np.ndarray, w: np.ndarray, d: np.ndarray
-) -> tuple[np.ndarray, float] | None:
+) -> np.ndarray | None:
     """The first of P(w + d), P(w + d/2), P(w + d/4), ... that passes Armijo.
 
     Armijo: f falls by at least ARMIJO times the first-order decrease
-    -grad'(x - w).  Returns the point and how far f fell there, or None if
-    none of the first MAX_HALVINGS passes, or a trial projects back onto w
-    itself: steps that short only reach the rounding floor.
+    -grad'(x - w).  None if none of the first MAX_HALVINGS passes, or a
+    trial projects back onto w itself: steps that short only reach the
+    rounding floor.
     """
     for _ in range(MAX_HALVINGS):
         x = _project(w + d)
@@ -283,7 +277,7 @@ def _projected_search(
         # f(x) - f(w), from the step itself: it keeps its digits when f is large.
         change = slope + 0.5 * float(step @ (q2 @ step))
         if slope < 0.0 and change <= ARMIJO * slope:
-            return x, -change
+            return x
         d = 0.5 * d
     return None
 
@@ -341,7 +335,7 @@ def _newton_face_step(lower: np.ndarray, g_face: np.ndarray, total: float) -> np
 
 def _face_step(
     q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, float] | None:
+) -> np.ndarray | None:
     """Projected search toward the minimizer of f on the affine hull of w's face.
 
     The face is the judges carrying weight plus the judge with the smallest
@@ -353,15 +347,21 @@ def _face_step(
     judges.  A poor factor of a nearly singular face only costs iterations:
     the search accepts no step that fails Armijo.  None when there is no
     finite step or it is not downhill.
+
+    The step and its search read the excesses grad - min(grad), which have
+    grad's slopes along the simplex without the rounding of its common part.
+    ``_gradient_step`` keeps that rounding, so it stops at it rather than
+    crawl where f has no curvature.
     """
+    excess = grad - grad.min()
     on_face = w > ACTIVE_WEIGHT
-    on_face[np.argmin(grad)] = True
+    on_face[np.argmin(excess)] = True
     active = np.nonzero(on_face)[0]
     q_face = q2.take(active, axis=0).take(active, axis=1)
     d = np.where(on_face, 0.0, -w)
     lower = _definite_factor(q_face)
     if lower is not None:
-        g_face = (grad + q2 @ d)[active] if d.any() else grad[active]
+        g_face = (excess + q2 @ d)[active] if d.any() else excess[active]
         d[active] = _newton_face_step(lower, g_face, -float(d.sum()))
     else:
         # The KKT system; its sum-to-one row stays above lstsq's rank cutoff
@@ -370,14 +370,14 @@ def _face_step(
         kkt[:-1, :-1], kkt[-1, -1] = q_face, 0.0
         rhs = np.append(-b[active], 1.0)
         d[active] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1] - w[active]
-    if not (np.isfinite(d).all() and float(grad @ d) < 0.0):
+    if not (np.isfinite(d).all() and float(excess @ d) < 0.0):
         return None
-    return _projected_search(q2, grad, w, d)
+    return _projected_search(q2, excess, w, d)
 
 
 def _conjugate_opening(
-    q2: np.ndarray, w: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, float] | None:
+    q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
+) -> np.ndarray | None:
     """The best of P(w + d_1), P(w + d_2), ..., with d_j the conjugate
     gradient iterates (Hestenes and Stiefel, 1952) toward the minimizer of f
     on the whole face: every judge, with steps that sum to zero.
@@ -387,17 +387,18 @@ def _conjugate_opening(
     ``_projected_search``.  The run stops at the first projected iterate
     that does not lower f below the best so far, at a direction whose
     curvature is not positive and finite, at a zero residual, or after
-    n - 1 iterates.  Returns the best point and how far f fell there, or
-    None if no iterate lowers f.
+    n - 1 iterates.  None if no iterate lowers f.  As in ``_face_step``,
+    the run reads the excesses grad - min(grad).
     """
+    excess = grad - grad.min()
     n = w.shape[0]
     d = np.zeros_like(w)
-    # The residual -grad, projected onto the steps that sum to zero; sum / n
+    # The residual -excess, projected onto the steps that sum to zero; sum / n
     # is ndarray.mean's value at a quarter of its cost.
-    r = float(grad.sum()) / n - grad
+    r = float(excess.sum()) / n - excess
     p = r.copy()
     rr = float(r @ r)
-    best, best_fall = None, 0.0
+    best, deepest = None, 0.0
     for _ in range(n - 1):
         if rr == 0.0:
             break
@@ -411,19 +412,19 @@ def _conjugate_opening(
             break
         x = _project(w + d)
         step = x - w
-        fall = -float(grad @ step) - 0.5 * float(step @ (q2 @ step))
-        if not fall > best_fall:
+        fall = -float(excess @ step) - 0.5 * float(step @ (q2 @ step))
+        if not fall > deepest:
             break
-        best, best_fall = x, fall
+        best, deepest = x, fall
         r -= alpha * (qp - float(qp.sum()) / n)
         rr, previous = float(r @ r), rr
         p = r + (rr / previous) * p
-    return None if best is None else (best, best_fall)
+    return best
 
 
 def _gradient_step(
-    q2: np.ndarray, w: np.ndarray, grad: np.ndarray
-) -> tuple[np.ndarray, float] | None:
+    q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
+) -> np.ndarray | None:
     """Projected search along -grad.
 
     The first trial length minimizes f along -grad, g'g / g'Qg.  Where f has
@@ -473,16 +474,12 @@ def optimal_weights(
 ) -> QPSolution:
     """Minimize the crowd squared error over the simplex.
 
-    Each iteration from ``start`` (uniform weights when None) makes one move.
-    With no start, iteration 0 makes the opening move
-    (``_conjugate_opening``), if one of its iterates lowers f.  Otherwise it
-    is a face step when the solve was given a start and has not yet moved,
-    when the last move was a face step or the opening move, when two steps
-    in a row have kept the support, or when the latest gradient step lowered
-    f by at most STALL times the largest fall since the last face move;
-    otherwise, or if that would not lower the objective, a projected
-    gradient step.  A move back to an earlier iterate counts as one that
-    does not lower the objective.  No move raises the objective, from any
+    Each iteration from ``start`` (uniform weights when None) tries the
+    moves in one order and makes the first that lowers f: the opening move
+    (``_conjugate_opening``), at iteration 0 of a solve with no start only;
+    a face step (``_face_step``); a projected gradient step
+    (``_gradient_step``).  A move back to an earlier iterate counts as one
+    that does not lower the objective.  No move raises the objective, from any
     feasible start, so a start near the optimum, such as a smaller crowd's
     optimum padded with zero weights, can certify in a face step or two, or
     none, and then comes back bit for bit.
@@ -497,7 +494,7 @@ def optimal_weights(
     Raises:
         ValidationFailed: some moment of the model is nan or inf.
         ShapeMismatch: ``start`` does not have one weight per judge.
-        NoConvergence: iteration cap reached, or neither move lowers the
+        NoConvergence: iteration cap reached, or no move lowers the
             objective any more, so every later iteration would repeat the
             last one.  Carries the last iterate, which is the best one,
             certified and tested for uniqueness at its stored weights, with
@@ -524,49 +521,24 @@ def optimal_weights(
         )
 
     w = np.full(n, 1.0 / n) if start is None else start.weights
-    # ``kept``: steps in a row that kept the support.  ``best_fall`` and
-    # ``last_fall``: the largest and the latest fall in f over the gradient
-    # steps since the last face move.  A failed gradient step, an accepted
-    # face step or opening move and a given start all set a fall of zero, so
-    # the next iteration tries the face.  ``seen``: digests of the iterates
-    # so far.  f fell on the way from each of them to w, so a move back to
-    # one lowers f only by rounding, and counts as failed.
-    support, kept, seen = None, 0, set()
+    # Digests of the iterates so far.  f fell on the way from each of them to
+    # w, so a move back to one lowers f only by rounding, and counts as failed.
+    seen = set()
     _first_visit(seen, w)
-    best_fall, last_fall = 0.0, math.inf if start is None else 0.0
     for iteration in range(max_iterations + 1):
         grad = q2 @ w + b
         if _certificate_residual(w, grad) <= tol:
             return build(w, iteration)
         if iteration == max_iterations:
             break
-        if start is None and iteration == 0:
-            # As for the face step, the excesses drop grad's common part.
-            moved = _conjugate_opening(q2, w, grad - grad.min())
-            if moved is not None and _first_visit(seen, moved[0]):
-                w, last_fall = moved[0], 0.0
-                continue
-        active = w > ACTIVE_WEIGHT
-        kept = kept + 1 if np.array_equal(active, support) else 0
-        support = active
-        face_tried = kept >= 2 or last_fall <= STALL * best_fall
-        if face_tried:
-            kept, best_fall, last_fall = 0, 0.0, math.inf
-            # The excesses have grad's slopes along the simplex, without the
-            # rounding of its common part; gradient steps keep that rounding,
-            # so they stop at it rather than crawl where f has no curvature.
-            moved = _face_step(q2, b, w, grad - grad.min())
-            if moved is not None and _first_visit(seen, moved[0]):
-                w, last_fall = moved[0], 0.0
-                continue
-        moved = _gradient_step(q2, w, grad)
-        if moved is not None and _first_visit(seen, moved[0]):
-            w, last_fall = moved
-            best_fall = max(best_fall, last_fall)
-        elif face_tried:
-            # Neither move lowers f from w, so every later iteration would
-            # repeat this one.
-            raise NoConvergence(build(w, iteration), stalled=True)
+        opening = (_conjugate_opening,) if start is None and iteration == 0 else ()
+        for move in (*opening, _face_step, _gradient_step):
+            moved = move(q2, b, w, grad)
+            if moved is not None and _first_visit(seen, moved):
+                w = moved
+                break
         else:
-            last_fall = 0.0
+            # No move lowers f from w, so every later iteration would repeat
+            # this one.
+            raise NoConvergence(build(w, iteration), stalled=True)
     raise NoConvergence(build(w, max_iterations))

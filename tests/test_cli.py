@@ -1639,10 +1639,10 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: optimizer stopped at iteration 3: no step lowers the "
+            "error: optimizer stopped at iteration 2: no step lowers the "
             "objective (residual 6.853e+183)\n"
         )
-        assert len(certificate_calls) == 3 + 2
+        assert len(certificate_calls) == 2 + 2
 
     @pytest.mark.parametrize(
         "flag", ["--data", "--model", "--candidates", "--weights", "--sweep-grid"]

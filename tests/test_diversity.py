@@ -478,6 +478,38 @@ class TestRankingReusesTheBaseSolve:
             assert abs(ev.marginal_gain) <= 1e-12
         assert checked >= 5
 
+    def test_gradient_steps_only_follow_a_face_step(self, monkeypatch):
+        # Every warm solve starts from the padded base optimum.  Each
+        # iteration tries a face step first, so a gradient step is only its
+        # fallback, taken at the iterate where the face step was tried.
+        moves = []
+        for name in ("_face_step", "_gradient_step"):
+            def logged(q2, b, w, grad, name=name, move=getattr(schemes, name)):
+                moves.append((name, w.tobytes()))
+                return move(q2, b, w, grad)
+
+            monkeypatch.setattr(schemes, name, logged)
+        warm = []
+
+        def solve(model, *args, start=None, **kwargs):
+            moves.clear()
+            try:
+                return optimal_weights(model, *args, start=start, **kwargs)
+            finally:
+                if start is not None:
+                    warm.append(list(moves))
+
+        monkeypatch.setattr(diversity, "optimal_weights", solve)
+        for base, candidates in ranking_cases():
+            rank_candidates(base, candidates)
+        gradient_steps = 0
+        for log in warm:
+            for before, (name, w) in zip([None, *log], log):
+                if name == "_gradient_step":
+                    gradient_steps += 1
+                    assert before == ("_face_step", w)
+        assert gradient_steps > 0
+
     def test_no_solve_tests_uniqueness(self, monkeypatch):
         # The ranking reads neither flag nor objective of any solve.
         calls = []
