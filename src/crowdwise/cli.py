@@ -247,13 +247,13 @@ def read_candidates(
 
     Header must be exactly ``label,mean,variance,cov_with_criterion`` followed
     by the model's judge labels in order.  Every row needs a non-empty label.
-    The file is opened once and read cell by cell, so a pipe works as a file
-    does; errors name the file's physical line, counting from 1.
+    The file is opened once, so a pipe works as a file does; errors name the
+    file's physical line, counting from 1, and the first error is the one a
+    read row by row meets first.
     """
     expected = ["label", "mean", "variance", "cov_with_criterion"]
     expected += list(model.judge_labels)
-    candidates: list[CandidateMember] = []
-    labels: list[str] = []
+    records: list[tuple[int, list[str]]] = []
     with _opened(path) as handle:
         header, offset = _csv_header(path, handle)
         if header != expected:
@@ -261,26 +261,45 @@ def read_candidates(
                 f"{path}: header {header} does not match expected {expected} "
                 "(the model's judge labels, in order)"
             )
-        for line_no, row in _csv_records(path, handle, len(header), offset):
-            label = row[0].strip()
-            if not label:
-                raise ParseError(f"{path} line {line_no}: empty candidate label")
-            values = [
-                _parse_cell(cell, line_no, expected[i])
-                for i, cell in enumerate(row[1:], start=1)
-            ]
-            labels.append(label)
-            candidates.append(
-                CandidateMember(
-                    mean=values[0],
-                    variance=values[1],
-                    cov_with_criterion=values[2],
-                    cov_with_members=np.array(values[3:]),
-                )
-            )
-    if not candidates:
+        try:
+            for line_no, row in _csv_records(path, handle, len(header), offset):
+                if not row[0].strip():
+                    raise ParseError(f"{path} line {line_no}: empty candidate label")
+                records.append((line_no, row))
+        except (ParseError, UnicodeDecodeError):
+            _candidate_values(records, expected)  # a bad cell above comes first
+            raise
+    if not records:
         raise ParseError(f"{path} lists no candidates")
-    return candidates, labels
+    candidates = [
+        CandidateMember(
+            mean=values[0],
+            variance=values[1],
+            cov_with_criterion=values[2],
+            cov_with_members=values[3:],
+        )
+        for values in _candidate_values(records, expected)
+    ]
+    return candidates, [row[0].strip() for _, row in records]
+
+
+def _candidate_values(records: list[tuple[int, list[str]]], columns: list[str]) -> np.ndarray:
+    """The numeric cells of candidate ``records``, one row each.
+
+    orjson reads every cell in one call; ``float()`` reads them cell by cell,
+    and words the error, when orjson refuses the text or finds more numbers
+    than cells (a quoted cell holding a comma).
+    """
+    shape = (len(records), len(columns) - 1)
+    cells = [cell for _, row in records for cell in row[1:]]
+    values = _json_parse(*_span(",".join(cells))) if cells else None
+    if values is None or values.size != len(cells):
+        values = np.array([
+            _parse_cell(cell, line_no, column)
+            for line_no, row in records
+            for column, cell in zip(columns[1:], row[1:])
+        ])
+    return values.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

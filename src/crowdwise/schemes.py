@@ -307,7 +307,9 @@ def _definite_factor(q_face: np.ndarray) -> np.ndarray | None:
     """
     try:
         # q_face' is q_face, and numpy copies its columns into LAPACK's
-        # column-major buffer without a strided read.
+        # column-major buffer without a strided read.  The factor stays
+        # C-ordered: a column-major one changed _newton_face_step's last
+        # bits on faces of order above 64.
         lower = np.linalg.cholesky(q_face.T)
     except np.linalg.LinAlgError:
         return None

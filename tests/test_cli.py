@@ -1097,11 +1097,35 @@ class TestReadCandidates:
             values = [got.mean, got.variance, got.cov_with_criterion, *got.cov_with_members]
             assert np.array(values).tobytes() == np.array(want).tobytes()
 
+    def test_rows_orjson_reads_equal_the_per_cell_parse(self, tmp_path):
+        # Unlike the cells above, these are all JSON numbers: one orjson call.
+        rows = 'c,10, 2 ,"3",0,-0.5\nd,0.5,1e-3,\t-0.0,"4", 5\ne,0,1,0,0,1e-320\n'
+        candidates, labels = self.read(tmp_path, rows)
+        assert labels == ["c", "d", "e"]
+        for got, row in zip(candidates, csv.reader(io.StringIO(rows))):
+            want = [float(cell.strip()) for cell in row[1:]]
+            values = [got.mean, got.variance, got.cov_with_criterion, *got.cov_with_members]
+            assert np.array(values).tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("cell", ["x", '"1,5"', "nan", " ", "1e400"])
     def test_bad_cell_named_by_line_and_column(self, cell, tmp_path):
         with pytest.raises(NonNumericCell) as caught:
             self.read(tmp_path, f"c,0,1,0,0,0\n\nd,0,1,0,{cell},0\n")
         assert (caught.value.row, caught.value.column) == (4, "a")
+
+    @pytest.mark.parametrize(
+        "later",
+        [",0,1,0,0,0", "d,0,1", "d,0,1,0,0,0\n" * 2000 + "d,0,1,0,0,\xff"],
+        ids=["empty label", "short row", "not UTF-8"],
+    )
+    def test_first_bad_row_is_the_one_named(self, later, tmp_path):
+        # A bad cell is named before an empty label, a short row or a byte
+        # that is not UTF-8 on a later line (past the first block decoded).
+        path = tmp_path / "cands.csv"
+        path.write_bytes((self.HEADER + f"c,0,1,0,x,0\n{later}\n").encode("latin-1"))
+        with pytest.raises(NonNumericCell) as caught:
+            read_candidates(str(path), self.MODEL)
+        assert (caught.value.row, caught.value.column) == (2, "a")
 
 
 class TestSimulateCommand:

@@ -330,19 +330,41 @@ class TestFixedCriterionModel:
         for model in model_corpus(40):
             assert validate_model(model) == []
 
+    @staticmethod
+    def count_factorizations(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+        """Each Cholesky factorization from here on, as ("cholesky", shape)
+        for np.linalg.cholesky and ("certificate", shape) for the
+        certificate's own call."""
+        calls = []
+        cholesky = np.linalg.cholesky
+        completes = model_module._shifted_factor_completes
+
+        def counted_cholesky(m):
+            calls.append(("cholesky", m.shape))
+            return cholesky(m)
+
+        def counted_completes(m, shift):
+            calls.append(("certificate", m.shape))
+            return completes(m, shift)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(model_module, "_shifted_factor_completes", counted_completes)
+        return calls
+
     def test_joint_matrix_is_not_factored(self, monkeypatch):
         # Its last pivot is -|l|^2 <= 0, so Cholesky could never factor it.
         model = fixed_criterion_model([0.5, 1.0, 0.0], np.diag([1.0, 2.0, 3.0]), 0.0)
-        calls = []
-        cholesky = np.linalg.cholesky
-
-        def counted(m):
-            calls.append(m.shape)
-            return cholesky(m)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        calls = self.count_factorizations(monkeypatch)
         assert validate_model(model) == []
         assert calls == []
+
+    def test_random_criterion_joint_matrix_is_factored_once(self, monkeypatch):
+        # The control for the count above: a criterion of positive variance
+        # makes the certificate factor the joint matrix, by its own call.
+        model = random_model(50, seed=5, criterion_var=1.0)
+        calls = self.count_factorizations(monkeypatch)
+        assert validate_model(model) == []
+        assert calls == [("certificate", (51, 51))]
 
 
 def separate_spectra_violations(model: CrowdModel) -> list[str]:
@@ -618,6 +640,38 @@ class TestCholeskyCertificate:
                     assert exactly_positive_definite(extended), (seed, v)
                 decisions.append(bool(certified))
         assert any(decisions) and not all(decisions)
+
+    def test_gufunc_verdict_is_numpy_choleskys(self):
+        # The certificate calls numpy's private Cholesky gufunc: it must
+        # complete exactly when np.linalg.cholesky does, with no warning.
+        rng = np.random.default_rng(29)
+        twins = CrowdModel(
+            judge_means=[0.0, 0.0],
+            judge_cov=[[1.0, 1.0], [1.0, 1.0]],
+            criterion_mean=0.0,
+            criterion_var=1.0,
+            cross_cov=[0.5, 0.5],
+        )
+        matrices = [
+            *straddling_matrices(),
+            *(model.joint_covariance() for model in model_corpus(40)),
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            twins.joint_covariance(),
+            np.diag([1e308, 1e308, 1.0]),
+            np.array([[1e-300, 1e308], [1e308, 1.0]]),  # the factor overflows
+        ]
+        for order in (1, 2, 64, 65, 1001):
+            a = rng.normal(size=(order, order))
+            spd = a @ a.T + order * np.eye(order)
+            matrices.append((spd + spd.T) / 2.0)
+        verdicts = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in matrices:
+                expected = factor_or_none(m.T) is not None
+                assert model_module._shifted_factor_completes(m.copy(), 0.0) == expected
+                verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
 
     def test_nonpositive_diagonal_is_refused_without_overflow(self):
         # A tiny largest diagonal entry beside a huge negative one: the
