@@ -106,10 +106,11 @@ class CrowdModel:
         return self.judge_means.shape[0]
 
     def joint_covariance(self) -> np.ndarray:
-        """The (N+1) x (N+1) covariance of (judges, criterion)."""
+        """The (N+1) x (N+1) covariance of (judges, criterion), with
+        ``symmetric_cov`` as its judge block: it equals its transpose."""
         n = self.n_judges
         joint = np.empty((n + 1, n + 1))
-        joint[:n, :n] = self.judge_cov
+        joint[:n, :n] = self.symmetric_cov
         joint[:n, n] = self.cross_cov
         joint[n, :n] = self.cross_cov
         joint[n, n] = self.criterion_var
@@ -117,7 +118,7 @@ class CrowdModel:
 
     @cached_property
     def joint_spectrum(self) -> tuple[float, float]:
-        """Smallest and largest eigenvalue of the symmetrised joint covariance.
+        """Smallest and largest eigenvalue of the joint covariance.
 
         Computed at most once per model, and never for a model that
         ``validate_model`` certifies by its Cholesky factor: only for one the
@@ -131,13 +132,27 @@ class CrowdModel:
         """Whether ``judge_cov`` equals its transpose bit for bit.
 
         Compared once per model; ``extend_model`` carries the crowd's flag
-        over to the extended crowd.  When it does, the joint covariance is its
-        own symmetric part, and ``validate_model``, the solver and the
-        candidate certificate use the matrices as they are, with no
-        symmetrising pass.
+        over to the extended crowd.  When it holds, ``symmetric_cov`` is
+        ``judge_cov`` itself.
         """
         cov = self.judge_cov
         return bool((cov == cov.T).all())
+
+    @cached_property
+    def symmetric_cov(self) -> np.ndarray:
+        """The symmetric part of ``judge_cov``, read-only, the one place it
+        is formed: validation, the solver and the simulation read only it.
+
+        An exactly symmetric ``judge_cov`` is returned as it is.  Otherwise a
+        pair that agrees keeps its bits, and a pair that differs becomes the
+        sum of its halves, which cannot overflow.
+        """
+        cov = self.judge_cov
+        if self.exactly_symmetric:
+            return cov
+        symmetric = np.where(cov == cov.T, cov, 0.5 * cov + 0.5 * cov.T)
+        symmetric.flags.writeable = False
+        return symmetric
 
     @cached_property
     def nonfinite_moments(self) -> tuple[str, ...]:
@@ -231,9 +246,8 @@ def _symmetry_violation(cov: np.ndarray) -> float:
 
 
 def _extreme_eigenvalues(m: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the symmetric part of ``m``."""
-    # Halving before adding cannot overflow, and is exact above the subnormals.
-    eigs = np.linalg.eigvalsh(m / 2.0 + m.T / 2.0)
+    """Smallest and largest eigenvalue of the exactly symmetric ``m``."""
+    eigs = np.linalg.eigvalsh(m)
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -254,16 +268,22 @@ def _cholesky_shift(order: int, largest: float, ratio_sum: float) -> float:
     return coefficient * largest + 2.0 * order * (order + 1) * SUBNORMAL_SPACING
 
 
-def _shifted_factor(m: np.ndarray, shift: float) -> np.ndarray | None:
-    """The Cholesky factor of the exactly symmetric ``m - shift I``, or None;
-    overwrites ``m``.  C-ordered, for ``_certified_extensions``' row reads."""
-    m.flat[:: m.shape[0] + 1] -= shift
+def _cholesky(m: np.ndarray) -> np.ndarray | None:
+    """The C-ordered Cholesky factor of the exactly symmetric ``m``, or None
+    where the factorization fails."""
     try:
         # m' is m, and numpy copies its columns into LAPACK's column-major
         # buffer without a strided read.
         return np.linalg.cholesky(m.T)
     except np.linalg.LinAlgError:
         return None
+
+
+def _shifted_factor(m: np.ndarray, shift: float) -> np.ndarray | None:
+    """The Cholesky factor of the exactly symmetric ``m - shift I``, or None;
+    overwrites ``m``.  C-ordered, for ``_certified_extensions``' row reads."""
+    m.flat[:: m.shape[0] + 1] -= shift
+    return _cholesky(m)
 
 
 def _shifted_factor_completes(m: np.ndarray, shift: float) -> bool:
@@ -291,27 +311,15 @@ def _shifted_factor_completes(m: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _symmetrise(m: np.ndarray) -> np.ndarray:
-    """``m`` overwritten by its symmetric part; returns its diagonal.
-
-    The same bits as _extreme_eigenvalues' m / 2 + m' / 2; the overlapping
-    transpose costs numpy one copy.
-    """
-    m *= 0.5
-    m += m.T
-    return m.diagonal()
-
-
-def _certified_definite(m: np.ndarray, symmetric: bool = False) -> bool:
-    """Whether the symmetric part of ``m`` is provably positive definite.
+def _certified_definite(m: np.ndarray) -> bool:
+    """Whether the exactly symmetric ``m`` is provably positive definite.
 
     Overwrites ``m``.  A success is a proof about the exact matrix: its
     Cholesky factor, shifted down by a bound on the factorization's rounding,
     runs to completion (Rump, "Verification of positive definiteness", BIT
-    46, 2006).  A failure proves nothing.  A caller that knows ``m`` equals
-    its transpose passes ``symmetric``, and ``m`` is factored as it is.
+    46, 2006).  A failure proves nothing.
     """
-    diag = m.diagonal() if symmetric else _symmetrise(m)
+    diag = m.diagonal()
     if not diag.min() > 0.0:
         return False
     largest = diag.max()
@@ -356,19 +364,11 @@ def _certified_extensions(
     if not (model.criterion_var > 0.0 and symmetric):
         return certified
     m = model.joint_covariance()
-    if model.exactly_symmetric:
-        # So is the extended matrix, which validate_model factors as it is.
-        diag = m.diagonal()
-    else:
-        diag = _symmetrise(m)
-        # The symmetric part holds b / 2 + b / 2 for an entry b on both sides.
-        borders = borders * 0.5
-        borders += borders
-        corners = corners * 0.5
-        corners += corners
+    diag = m.diagonal()
     # Move the new judge last, a symmetric permutation that keeps the
     # spectrum: its extended joint matrix is A = [[J, b], [b', v]], of order
-    # N + 2, with J the symmetric part of the model's.  The derivation in
+    # N + 2, with J the model's; b is written on both sides, so the extended
+    # crowd's symmetric_cov keeps it beside J's own block.  The derivation in
     # _certified_definite holds for any shift c at least twice
     # g / (1 - g) d sum(A_ii / d) + u d + order (order + 1) eta, with d any
     # bound on A's diagonal: every step of it uses only A_ii <= d.  The
@@ -448,11 +448,9 @@ def validate_model(model: CrowdModel) -> list[str]:
     var_ok = model.criterion_var >= 0.0
     # A fixed criterion leaves the joint matrix a last pivot of -|l|^2 <= 0,
     # which Cholesky never factors, so it is not tried.
-    if model.criterion_var > 0.0 and _certified_definite(
-        model.joint_covariance(), model.exactly_symmetric
-    ):
+    if model.criterion_var > 0.0 and _certified_definite(model.joint_covariance()):
         return violations
-    cov_spectrum = _extreme_eigenvalues(model.judge_cov)
+    cov_spectrum = _extreme_eigenvalues(model.symmetric_cov)
     cov_ok = _psd_within_tolerance(cov_spectrum)
     if not cov_ok:
         violations.append(

@@ -96,14 +96,14 @@ class SimulationResult:
 
 
 def _moment_factor(joint_cov: np.ndarray) -> np.ndarray:
-    """A matrix A with A A' equal to the joint covariance (clamped PSD).
+    """A matrix A with A A' equal to the symmetric ``joint_cov`` (clamped PSD).
 
     An eigenvalue at or below ``EIGEN_ROUNDING`` times the order times the
     largest is indistinguishable from zero after the eigensolve's rounding,
     and is taken as zero: a singular covariance then gives draws whose
     degenerate combinations are exact, not rounding noise.
     """
-    eigs, vecs = np.linalg.eigh((joint_cov + joint_cov.T) / 2.0)
+    eigs, vecs = np.linalg.eigh(joint_cov)
     noise = EIGEN_ROUNDING * len(eigs) * eigs[-1]
     return vecs * np.sqrt(np.where(eigs > noise, eigs, 0.0))
 

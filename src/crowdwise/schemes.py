@@ -58,7 +58,7 @@ from .errors import (
     ZeroCriterionVariance,
     ZeroJudges,
 )
-from .model import CrowdModel, _nonfinite_violation, _readonly
+from .model import CrowdModel, _cholesky, _nonfinite_violation, _readonly
 from .wisdom import WeightVector, crowd_mse, per_judge_mse
 
 # Weights above this threshold count as active when certifying optimality.
@@ -222,9 +222,7 @@ def _scaled_qp(model: CrowdModel) -> tuple[np.ndarray, np.ndarray, int]:
     """
     # Halves first: mu - mu_y can overflow, their halves cannot.
     half = 0.5 * model.judge_means - 0.5 * model.criterion_mean
-    cov = model.judge_cov
-    if not model.exactly_symmetric:
-        cov = 0.5 * cov + 0.5 * cov.T
+    cov = model.symmetric_cov
     top = max(2 * _exponent(half) + 2, _exponent(cov), _exponent(model.cross_cov))
     shift = 0 if top == -math.inf else -2 * ((top - 1) // 2)
     m = np.ldexp(half, shift // 2 + 1)
@@ -305,13 +303,10 @@ def _definite_factor(q_face: np.ndarray) -> np.ndarray | None:
     as that at or below lstsq's own rank cutoff, (k + 1) eps times the
     largest eigenvalue, taken here at its upper bound, the trace.
     """
-    try:
-        # q_face' is q_face, and numpy copies its columns into LAPACK's
-        # column-major buffer without a strided read.  The factor stays
-        # C-ordered: a column-major one changed _newton_face_step's last
-        # bits on faces of order above 64.
-        lower = np.linalg.cholesky(q_face.T)
-    except np.linalg.LinAlgError:
+    # The factor stays C-ordered: a column-major one changed
+    # _newton_face_step's last bits on faces of order above 64.
+    lower = _cholesky(q_face)
+    if lower is None:
         return None
     k = q_face.shape[0]
     cutoff = (k + 1) * np.finfo(float).eps * float(np.trace(q_face))

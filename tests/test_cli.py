@@ -1604,6 +1604,29 @@ class TestExitCodes:
             "crowd_mse_se, individual_mse_se, wisdom_gap_se\n",
         )
 
+    def test_simulate_of_variances_near_the_float_limit_is_three(self, tmp_path, capsys):
+        # Variances of 1.5e308: judge_cov + judge_cov' overflows, and a factor
+        # of that sum halved was all zero, reporting every error as exactly 0.
+        path = tmp_path / "vast.txt"
+        path.write_text(
+            "judge_labels = a, b\n"
+            "judge_means = 0.0, 0.0\n"
+            "judge_cov = 1.5e308, 0.0, 0.0, 1.5e308\n"
+            "criterion_mean = 0.0\n"
+            "criterion_var = 1.0\n"
+            "cross_cov = 0.0, 0.0\n"
+        )
+        model = load_model(str(path))
+        factor = montecarlo._moment_factor(model.joint_covariance())
+        assert np.isfinite(factor).all() and factor.any()
+        assert main(["analyze", "--model", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--model", str(path), "--trials", "10"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: non-finite values in the report: ")
+
     @staticmethod
     def huge_model(tmp_path) -> str:
         """A valid model file with judge means of 1e200 and 3."""

@@ -26,8 +26,8 @@ from crowdwise.model import (
     fixed_criterion_model,
     validate_model,
 )
-from crowdwise.montecarlo import random_model
-from crowdwise.schemes import optimal_weights
+from crowdwise.montecarlo import SimulationSpec, random_model, simulate
+from crowdwise.schemes import optimal_weights, uniform_selection, uniform_weights
 
 
 def eigs_2x2(m):
@@ -756,20 +756,20 @@ class TestExactSymmetry:
             assert (got.iterations, got.kkt_residual) == (
                 expected.iterations, expected.kkt_residual
             )
+            w, p = uniform_weights(off.n_judges), uniform_selection(off.n_judges)
+            got, expected = (
+                simulate(SimulationSpec(m, trials=500, seed=7), w, p) for m in (off, symmetrised)
+            )
+            assert repr(got) == repr(expected)
 
     def test_validate_and_solve_compare_with_the_transpose_once(self, monkeypatch):
-        calls = []
-        symmetrise = model_module._symmetrise
-        monkeypatch.setattr(
-            model_module, "_symmetrise", lambda m: calls.append(1) or symmetrise(m)
-        )
         monkeypatch.setattr(TransposeCompares, "count", 0)
         model = model_corpus(1, base_seed=3, sizes=(6,), criterion_vars=(1.0,))[0]
         object.__setattr__(model, "judge_cov", model.judge_cov.view(TransposeCompares))
         assert validate_model(model) == []
         optimal_weights(model)
         assert TransposeCompares.count == 1
-        assert calls == []
+        assert model.symmetric_cov is model.judge_cov
 
     def test_bordered_certificate_agrees_on_subnormal_borders(self, linalg_calls):
         # Every moment is a multiple of the subnormal spacing eta, so an odd
@@ -777,6 +777,16 @@ class TestExactSymmetry:
         # 2 order (order + 1) eta, and the bordered certificate decides each
         # candidate as validate_model's own factor of the extended crowd.
         eta = 2.0**-1074
+
+        def decisions_agree(base, borders, corners) -> list[bool]:
+            certified = _certified_extensions(base, borders, corners)
+            for b, v, decision in zip(borders.T, corners, certified):
+                extended = extend_model(base, CandidateMember(0.0, v, b[:2], b[2]), certified=True)
+                before = linalg_calls["eigvalsh"]
+                own = validate_model(extended) == [] and linalg_calls["eigvalsh"] == before
+                assert decision == own, (b / eta, v / eta)
+            return certified.tolist()
+
         rng = np.random.default_rng(43)
         decisions = []
         for _ in range(20):
@@ -790,13 +800,29 @@ class TestExactSymmetry:
             )
             borders = (2 * rng.integers(0, 40, size=(3, 12)) + 1) * eta
             corners = rng.integers(40, 200, size=12) * eta
-            certified = _certified_extensions(base, borders, corners)
-            for b, v, decision in zip(borders.T, corners, certified):
-                extended = extend_model(base, CandidateMember(0.0, v, b[:2], b[2]), certified=True)
-                before = linalg_calls["eigvalsh"]
-                own = validate_model(extended) == [] and linalg_calls["eigvalsh"] == before
-                assert decision == own, (b / eta, v / eta)
-                decisions.append(bool(decision))
+            decisions += decisions_agree(base, borders, corners)
+        assert any(decisions) and not all(decisions)
+        # A crowd asymmetric within PSD_RTOL: variances near 2^40 eta and one
+        # pair that differs by eta.  The extended crowd's symmetric_cov keeps
+        # each border and corner as it is.  Every r_i^2 is below eta / 2, so
+        # a candidate is certified when its corner v clears the shift, 40 eta;
+        # an odd v halved to v / 2 + v / 2 would lose an eta there.
+        rng = np.random.default_rng(47)
+        decisions = []
+        for _ in range(20):
+            variances = rng.integers(2**40, 2**41, size=3)
+            pair = int(rng.integers(0, 2**38))
+            base = CrowdModel(
+                judge_means=np.zeros(2),
+                judge_cov=np.array([[variances[0], pair], [pair + 1, variances[1]]]) * eta,
+                criterion_mean=0.0,
+                criterion_var=float(variances[2] * eta),
+                cross_cov=np.zeros(2),
+            )
+            assert not base.exactly_symmetric and validate_model(base) == []
+            borders = (2 * rng.integers(0, 2**17, size=(3, 12)) + 1) * eta
+            corners = rng.integers(30, 60, size=12) * eta
+            decisions += decisions_agree(base, borders, corners)
         assert any(decisions) and not all(decisions)
 
     def test_bordered_certificate_holds_beside_subnormal_borders(self, linalg_calls):
