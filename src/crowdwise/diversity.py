@@ -148,8 +148,10 @@ def extend_model(
         judge_labels=model.judge_labels + (label,),
     )
     # The border is written on both sides, so the extended judge_cov equals
-    # its transpose exactly when the crowd's does.
+    # its transpose exactly when the crowd's does; a candidate's moments are
+    # finite, so the extended crowd's non-finite moments are the crowd's.
     object.__setattr__(extended, "exactly_symmetric", model.exactly_symmetric)
+    object.__setattr__(extended, "nonfinite_moments", model.nonfinite_moments)
     if certified:
         return extended
     violations = validate_model(extended)

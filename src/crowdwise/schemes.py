@@ -7,9 +7,9 @@ The optimal aggregate solves
 
 a convex quadratic program.  Each solve builds it once (``_scaled_qp``):
 centred, symmetric and scaled by one power of two, so that the certificate,
-the Armijo test and the face systems all read one gradient q2 w + b near
-unit scale, while the tolerance, objective and residual keep the caller's
-units.  The QP is solved by projected search with exact Euclidean projection
+the Armijo test and the face systems all read one q2 and b, with gradient
+q2 w + b, near unit scale, while the tolerance, objective and residual keep
+the caller's units.  The QP is solved by projected search with exact Euclidean projection
 onto the simplex, after Bertsekas (1982) and the GPCG method of Moré and
 Toraldo (1991).  A solve with no given start opens, at uniform weights, with
 conjugate gradients (Hestenes and Stiefel, 1952) on the whole face (every
@@ -17,21 +17,22 @@ judge, with steps that sum to zero) and takes the best of their projected
 iterates.  On a crowd with a small optimal support that usually leaves few
 judges beside it, so no face of the whole crowd is factored.  Every later
 iteration, and the first when no iterate of the opening lowers the
-objective, tries two moves in one order and makes the first that lowers it.
-A face step searches toward the exact minimizer on the current face: the
-judges carrying weight (the support) plus the judge with the smallest
-partial, the one that most wants to enter, so an active-set step can grow
-the support as well as shrink it.  A start near the optimum thus finishes
-in a face step or two.  The face minimizer comes from a Cholesky factor of
-the face's Hessian and the Schur complement of its sum-to-one row; a
-singular face, such as one holding duplicated judges, takes the
-minimum-norm least-squares solution.  Only where the face step fails does a
-gradient step follow: it tries first the length that minimizes f along the
-negative gradient and halves it until the Armijo rule holds; no Lipschitz
-constant is needed.  Every accepted move lowers the objective, so the last
-iterate is the best one, and a move back to an earlier iterate can only
-have lowered it by rounding: it counts as failed.  When no move lowers the
-objective the iterate is a fixed point, and the solver stops there.
+objective, makes one move, the face step.  It solves for the exact minimizer
+of f on the current face: the judges carrying weight (the support) plus the
+judge with the smallest partial, the one that most wants to enter, so an
+active-set step can grow the support as well as shrink it.  A start near
+the optimum thus finishes in a face step or two.  The face minimizer comes
+from a Cholesky factor of the face's Hessian and the Schur complement of its
+sum-to-one row; a singular face, such as one holding duplicated judges,
+takes the minimum-norm least-squares solution.  It is solved for itself,
+not as a step from the iterate, so a judge at 1e300 times the crowd's scale
+can take a weight of 1e-300, which no step from weights near 1 could add.
+A nonnegative minimizer is the next iterate as it is; otherwise a projected
+search runs toward it and halves its length until the Armijo rule holds.
+No move raises the objective, so the last iterate is the best one, and a
+move back to an earlier iterate can only be a cycle at the rounding of f:
+it counts as failed.  When the face step fails the iterate is a fixed
+point, and the solver stops there.
 Convergence is certified by the first-order residual over the simplex: with
 tau = min_i df/dw_i, the residual is the largest excess df/dw_i - tau over
 judges carrying weight.  A residual of r guarantees the objective is within
@@ -299,77 +300,76 @@ def _definite_factor(q_face: np.ndarray) -> np.ndarray | None:
 
     A face holding duplicated judges is singular.  Cholesky then either
     fails or finishes with a pivot at rounding level, which would put the
-    weight of a duplicated pair on one judge of it.  A squared pivot counts
-    as that at or below lstsq's own rank cutoff, (k + 1) eps times the
-    largest eigenvalue, taken here at its upper bound, the trace.
+    weight of a duplicated pair on one judge of it.  A pivot counts as that
+    when its square is at or below (k + 1) k eps times its diagonal entry:
+    the pivot test of the unit-diagonal scaling D^-1/2 A D^-1/2, which
+    judges each judge at its own scale (van der Sluis, Numer. Math. 14,
+    1969), so one huge judge does not hide another's pivot.
     """
-    # The factor stays C-ordered: a column-major one changed
-    # _newton_face_step's last bits on faces of order above 64.
+    # The factor stays C-ordered: a column-major one changes
+    # _face_minimizer's last bits on faces of order above 64.
     lower = _cholesky(q_face)
     if lower is None:
         return None
     k = q_face.shape[0]
-    cutoff = (k + 1) * np.finfo(float).eps * float(np.trace(q_face))
-    return lower if float(np.diagonal(lower).min()) ** 2 > cutoff else None
+    pivots = np.diagonal(lower) ** 2 / np.diagonal(q_face)
+    return lower if float(pivots.min()) > (k + 1) * k * np.finfo(float).eps else None
 
 
-def _newton_face_step(lower: np.ndarray, g_face: np.ndarray, total: float) -> np.ndarray:
-    """The d minimizing g'd + d'Hd/2 subject to sum d = total, with H = LL'.
+def _face_minimizer(lower: np.ndarray, b_face: np.ndarray) -> np.ndarray:
+    """The x minimizing x'Hx/2 + b'x subject to sum x = 1, with H = LL'.
 
-    One forward solve gives z = L^-1 1 and y = -L^-1 g, the Schur complement
-    z'z = 1'H^-1 1 gives the multiplier (z'y - total) / z'z of the sum row,
-    and one backward solve gives d.  Solving for the step from the gradient,
-    rather than for the face minimizer itself, keeps its digits when it is
-    small beside the weights.
+    One forward solve gives z = L^-1 1 and y = L^-1 b, the Schur complement
+    z'z = 1'H^-1 1 gives the multiplier tau = (1 + z'y) / z'z of the sum
+    row, and one backward solve gives x = L^-T (tau z - y).
     """
-    k = g_face.shape[0]
-    z, y = _lower_solve(lower, np.column_stack([np.ones(k), -g_face])).T
-    multiplier = (float(z @ y) - total) / float(z @ z)
+    k = b_face.shape[0]
+    z, y = _lower_solve(lower, np.column_stack([np.ones(k), b_face])).T
+    tau = (1.0 + float(z @ y)) / float(z @ z)
     # L' is lower triangular with its rows and columns reversed.
     upper_reversed = lower.T[::-1, ::-1]
-    return _lower_solve(upper_reversed, (y - multiplier * z)[::-1])[::-1]
+    return _lower_solve(upper_reversed, (tau * z - y)[::-1])[::-1]
 
 
 def _face_step(
     q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
 ) -> np.ndarray | None:
-    """Projected search toward the minimizer of f on the affine hull of w's face.
+    """The minimizer x of f on the affine hull of w's face, or a projected
+    search toward it.
 
     The face is the judges carrying weight plus the judge with the smallest
-    partial.  Weights that would turn negative on the way stay at zero, and
-    judges off the face go to zero.  On a face whose Hessian has a Cholesky
-    factor the step is the constrained Newton step from w
-    (``_newton_face_step``); a singular face takes the minimum-norm
+    partial.  x is solved for itself, not as a step from w, so a judge whose
+    scale dwarfs the face's can take or give up a weight far below the
+    rounding of the others'.  On a face whose Hessian has a Cholesky factor
+    x is ``_face_minimizer``'s; a singular face takes the minimum-norm
     least-squares minimizer, which spreads weight evenly over duplicated
-    judges.  A poor factor of a nearly singular face only costs iterations:
-    the search accepts no step that fails Armijo.  None when there is no
-    finite step or it is not downhill.
-
-    The step and its search read the excesses grad - min(grad), which have
-    grad's slopes along the simplex without the rounding of its common part.
-    ``_gradient_step`` keeps that rounding, so it stops at it rather than
-    crawl where f has no curvature.
+    judges.  A finite, nonnegative x is the move as it is.  Otherwise the
+    search reads the excesses grad - min(grad), which have grad's slopes
+    along the simplex without the rounding of its common part.  None when
+    x is not finite or not downhill from w.
     """
     excess = grad - grad.min()
     on_face = w > ACTIVE_WEIGHT
     on_face[np.argmin(excess)] = True
     active = np.nonzero(on_face)[0]
     q_face = q2.take(active, axis=0).take(active, axis=1)
-    d = np.where(on_face, 0.0, -w)
+    x = np.zeros_like(w)
     lower = _definite_factor(q_face)
     if lower is not None:
-        g_face = (excess + q2 @ d)[active] if d.any() else excess[active]
-        d[active] = _newton_face_step(lower, g_face, -float(d.sum()))
+        x[active] = _face_minimizer(lower, b[active])
     else:
         # The KKT system; its sum-to-one row stays above lstsq's rank cutoff
         # beside curvature rows at the scale of _scaled_qp.
         kkt = np.ones((len(active) + 1,) * 2)
         kkt[:-1, :-1], kkt[-1, -1] = q_face, 0.0
         rhs = np.append(-b[active], 1.0)
-        d[active] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1] - w[active]
-    if not (np.isfinite(d).all() and float(excess @ d) < 0.0):
+        x[active] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
+    if not np.isfinite(x).all():
         return None
-    return _projected_search(q2, excess, w, d)
+    if (x >= 0.0).all():
+        return x
+    d = x - w
+    return _projected_search(q2, excess, w, d) if float(excess @ d) < 0.0 else None
 
 
 def _conjugate_opening(
@@ -419,23 +419,6 @@ def _conjugate_opening(
     return best
 
 
-def _gradient_step(
-    q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
-) -> np.ndarray | None:
-    """Projected search along -grad.
-
-    The first trial length minimizes f along -grad, g'g / g'Qg.  Where f has
-    no curvature along grad it falls linearly, and the first trial is the
-    length that empties the judge with the largest partial.
-    """
-    curvature = float(grad @ (q2 @ grad))
-    if curvature > 0.0:
-        t = float(grad @ grad) / curvature
-    else:
-        t = 2.0 / (float(np.ptp(grad)) or 2.0)
-    return _projected_search(q2, grad, w, -t * grad)
-
-
 def _first_visit(seen: set[bytes], w: np.ndarray) -> bool:
     """Whether ``seen`` lacks the digest of ``w``, a contiguous vector; adds it."""
     import hashlib  # not at module level: ``import crowdwise.cli`` stays cheap
@@ -471,15 +454,14 @@ def optimal_weights(
 ) -> QPSolution:
     """Minimize the crowd squared error over the simplex.
 
-    Each iteration from ``start`` (uniform weights when None) tries the
-    moves in one order and makes the first that lowers f: the opening move
-    (``_conjugate_opening``), at iteration 0 of a solve with no start only;
-    a face step (``_face_step``); a projected gradient step
-    (``_gradient_step``).  A move back to an earlier iterate counts as one
-    that does not lower the objective.  No move raises the objective, from any
-    feasible start, so a start near the optimum, such as a smaller crowd's
-    optimum padded with zero weights, can certify in a face step or two, or
-    none, and then comes back bit for bit.
+    Each iteration from ``start`` (uniform weights when None) makes one
+    move: the face step (``_face_step``), after the opening move
+    (``_conjugate_opening``) at iteration 0 of a solve with no start when
+    that fails to lower f.  A move back to an earlier iterate counts as
+    failed.  No move raises the objective, from any feasible start, so a
+    start near the optimum, such as a smaller crowd's optimum padded with
+    zero weights, can certify in a face step or two, or none, and then comes
+    back bit for bit.
     The iterate is accepted only once its own first-order certificate is
     within ``tolerance``, so the result is guaranteed wise against every
     selection distribution up to that slack; ``kkt_residual`` is that
@@ -491,11 +473,11 @@ def optimal_weights(
     Raises:
         ValidationFailed: some moment of the model is nan or inf.
         ShapeMismatch: ``start`` does not have one weight per judge.
-        NoConvergence: iteration cap reached, or no move lowers the
-            objective any more, so every later iteration would repeat the
-            last one.  Carries the last iterate, which is the best one,
-            certified and tested for uniqueness at its stored weights, with
-            ``iterations`` the cap or the iteration at which it stopped.
+        NoConvergence: iteration cap reached, or the face step fails, so
+            every later iteration would repeat the last one.  Carries the
+            last iterate, which is the best one, certified and tested for
+            uniqueness at its stored weights, with ``iterations`` the cap or
+            the iteration at which it stopped.
     """
     nonfinite = _nonfinite_violation(model)
     if nonfinite:
@@ -518,8 +500,9 @@ def optimal_weights(
         )
 
     w = np.full(n, 1.0 / n) if start is None else start.weights
-    # Digests of the iterates so far.  f fell on the way from each of them to
-    # w, so a move back to one lowers f only by rounding, and counts as failed.
+    # Digests of the iterates so far.  f did not rise on the way from each of
+    # them to w, so a move back to one can only close a cycle at the rounding
+    # of f, and counts as failed.
     seen = set()
     _first_visit(seen, w)
     for iteration in range(max_iterations + 1):
@@ -529,13 +512,13 @@ def optimal_weights(
         if iteration == max_iterations:
             break
         opening = (_conjugate_opening,) if start is None and iteration == 0 else ()
-        for move in (*opening, _face_step, _gradient_step):
+        for move in (*opening, _face_step):
             moved = move(q2, b, w, grad)
             if moved is not None and _first_visit(seen, moved):
                 w = moved
                 break
         else:
-            # No move lowers f from w, so every later iteration would repeat
-            # this one.
+            # The face step fails from w, so every later iteration would
+            # repeat this one.
             raise NoConvergence(build(w, iteration), stalled=True)
     raise NoConvergence(build(w, max_iterations))

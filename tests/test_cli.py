@@ -1036,6 +1036,50 @@ class TestCandidateCommand:
             np.testing.assert_array_equal(got.cov_with_members, want.cov_with_members)
 
 
+    @pytest.mark.parametrize(
+        "crowd, row, weight, mse_after",
+        [
+            # A candidate 1e300 times the crowd's scale takes a weight of
+            # about 1e-300 and gains nothing.
+            (
+                ("0, 0.5", "1, 0.3, 0.3, 2", "0.5, 0.4"),
+                "big,0,1e300,0,0,0",
+                3.415e-301,
+                0.8641509433962264,
+            ),
+            # A crowd of variances 1e160 gives all but about 1e-160 of its
+            # weight to a unit-scale candidate.
+            (
+                ("0, 0", "1e160, 0, 0, 1e160", "0, 0"),
+                "hedge,0.1,1,0.2,-0.3,0.1",
+                1.0,
+                1.61,
+            ),
+        ],
+        ids=["big", "hedge"],
+    )
+    def test_candidate_at_another_scale_is_ranked(
+        self, tmp_path, capsys, crowd, row, weight, mse_after
+    ):
+        means, cov, cross_cov = crowd
+        model = tmp_path / "crowd.txt"
+        model.write_text(
+            "judge_labels = a, b\n"
+            f"judge_means = {means}\n"
+            f"judge_cov = {cov}\n"
+            "criterion_mean = 0\n"
+            "criterion_var = 1\n"
+            f"cross_cov = {cross_cov}\n"
+        )
+        cands = tmp_path / "cands.csv"
+        cands.write_text(f"label,mean,variance,cov_with_criterion,a,b\n{row}\n")
+        argv = ["candidate", "--model", str(model), "--candidates", str(cands)]
+        assert main(argv + ["--format", "machine"]) == 0
+        fields = machine_fields(capsys.readouterr().out)
+        assert fields["n_failures"] == "0"
+        assert float(fields["candidate_1_weight"]) == pytest.approx(weight, rel=1e-3)
+        assert float(fields["candidate_1_crowd_mse_after"]) == pytest.approx(mse_after, rel=1e-12)
+
     @staticmethod
     def crowd_with_a_constant_judge(tmp_path) -> tuple[str, str]:
         """A model whose judge b never varies, and one candidate for it."""
@@ -1687,7 +1731,7 @@ class TestExitCodes:
         assert out == ""
         assert err == (
             "error: optimizer stopped at iteration 2: no step lowers the "
-            "objective (residual 6.853e+183)\n"
+            "objective (residual 2.385e+184)\n"
         )
         assert len(certificate_calls) == 2 + 2
 

@@ -116,6 +116,17 @@ class TestExtendModel:
         fresh = dataclasses.replace(extended)
         assert extended.exactly_symmetric is fresh.exactly_symmetric is (asymmetry == 0.0)
 
+    def test_extended_crowd_of_a_finite_crowd_is_finite_unscanned(self, monkeypatch):
+        base = random_model(5, seed=41, criterion_var=1.0)
+        assert base.nonfinite_moments == ()
+        candidate = CandidateMember(0.5, 1.0, np.zeros(5), 0.2)
+        scans = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: scans.append(1) or isfinite(a))
+        extended = extend_model(base, candidate, certified=True)
+        assert extended.nonfinite_moments == ()
+        assert scans == []
+
     def test_perfect_hedge_is_consistent(self):
         # Extended covariance has eigenvalues 0 and 2: PSD.
         candidate = CandidateMember(
@@ -478,38 +489,6 @@ class TestRankingReusesTheBaseSolve:
             assert abs(ev.marginal_gain) <= 1e-12
         assert checked >= 5
 
-    def test_gradient_steps_only_follow_a_face_step(self, monkeypatch):
-        # Every warm solve starts from the padded base optimum.  Each
-        # iteration tries a face step first, so a gradient step is only its
-        # fallback, taken at the iterate where the face step was tried.
-        moves = []
-        for name in ("_face_step", "_gradient_step"):
-            def logged(q2, b, w, grad, name=name, move=getattr(schemes, name)):
-                moves.append((name, w.tobytes()))
-                return move(q2, b, w, grad)
-
-            monkeypatch.setattr(schemes, name, logged)
-        warm = []
-
-        def solve(model, *args, start=None, **kwargs):
-            moves.clear()
-            try:
-                return optimal_weights(model, *args, start=start, **kwargs)
-            finally:
-                if start is not None:
-                    warm.append(list(moves))
-
-        monkeypatch.setattr(diversity, "optimal_weights", solve)
-        for base, candidates in ranking_cases():
-            rank_candidates(base, candidates)
-        gradient_steps = 0
-        for log in warm:
-            for before, (name, w) in zip([None, *log], log):
-                if name == "_gradient_step":
-                    gradient_steps += 1
-                    assert before == ("_face_step", w)
-        assert gradient_steps > 0
-
     def test_no_solve_tests_uniqueness(self, monkeypatch):
         # The ranking reads neither flag nor objective of any solve.
         calls = []
@@ -706,6 +685,35 @@ class TestBorderedCertificate:
         # faces of judges carrying weight.
         assert orders.count(n + 1) == 1
         assert max(orders) == n + 1
+
+
+class TestCandidatesOfAnotherScale:
+    """Candidates whose variance dwarfs the crowd's: the weight they take or
+    give up lies far below the rounding of the crowd's weights."""
+
+    @pytest.mark.parametrize("case", [0, 6, 12])
+    def test_variance_sweep_certifies_cold(self, case):
+        base = ranking_cases()[case][0]
+        n = base.n_judges
+        variances = [10.0**e for e in range(2, 21, 2)] + [1e40, 1e100, 1e300]
+        for variance in variances:
+            extended = extend_model(base, CandidateMember(0.0, variance, np.zeros(n), 0.0))
+            # Raises NoConvergence unless it certifies.
+            solution = optimal_weights(extended)
+            assert solution.weights.weights[-1] <= 1.0 / variance
+
+    def test_huge_variance_candidates_rank(self):
+        ranked = 0
+        for base, candidates in ranking_cases():
+            if candidates[-1].variance != 1e300:
+                continue
+            labels = [f"c{i}" for i in range(len(candidates))]
+            ranking = rank_candidates(base, candidates, labels=labels)
+            (huge,) = [ev for ev in ranking.evaluations if ev.label == labels[-1]]
+            assert huge.candidate_weight <= 1e-299
+            assert abs(huge.marginal_gain) <= 1e-12
+            ranked += 1
+        assert ranked == 8
 
 
 class TestCandidateMember:

@@ -749,10 +749,7 @@ class TestFaceSolve:
                 q_face = q2[np.ix_(active, active)]
                 lower = schemes._definite_factor(q_face)
                 assert lower is not None
-                w = np.zeros(n)
-                w[active] = rng.dirichlet(np.ones(k))
-                grad = q2 @ w + b
-                x = w[active] + schemes._newton_face_step(lower, grad[active], 0.0)
+                x = schemes._face_minimizer(lower, b[active])
                 kkt = np.block([[q_face, np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
                 rhs = np.append(-b[active], 1.0)
                 reference = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
