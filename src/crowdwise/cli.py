@@ -864,6 +864,9 @@ def _parse_sweep_grid(
     path: str | None,
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
     fields = _parse_document(path) if path is not None else {}
+    unknown = [key for key in fields if key not in ("bias_scale", "correlation", "n_judges")]
+    if unknown:
+        raise ParseError(f"{path}: unknown keys {unknown}")
 
     def axis(key: str, default: tuple) -> tuple:
         if key not in fields:

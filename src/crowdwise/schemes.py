@@ -29,10 +29,10 @@ not as a step from the iterate, so a judge at 1e300 times the crowd's scale
 can take a weight of 1e-300, which no step from weights near 1 could add.
 A nonnegative minimizer is the next iterate as it is; otherwise a projected
 search runs toward it and halves its length until the Armijo rule holds.
-No move raises the objective, so the last iterate is the best one, and a
-move back to an earlier iterate can only be a cycle at the rounding of f:
-it counts as failed.  When the face step fails the iterate is a fixed
-point, and the solver stops there.
+No move raises the objective, so the last iterate is the best one.  The
+iterate is the solver's only state: a face step that lands on the iterate
+itself, or a search whose trials all fail, is a fixed point, and the solver
+stops there.
 Convergence is certified by the first-order residual over the simplex: with
 tau = min_i df/dw_i, the residual is the largest excess df/dw_i - tau over
 judges carrying weight.  A residual of r guarantees the objective is within
@@ -62,8 +62,6 @@ from .errors import (
 from .model import CrowdModel, _cholesky, _nonfinite_violation, _readonly
 from .wisdom import WeightVector, crowd_mse, per_judge_mse
 
-# Weights above this threshold count as active when certifying optimality.
-ACTIVE_WEIGHT = 1e-12
 # A step must lower the objective by this fraction of its first-order
 # decrease (the Armijo rule); a search tries at most MAX_HALVINGS lengths,
 # halving each time, to find one.
@@ -252,7 +250,7 @@ def _certificate_residual(w: np.ndarray, grad: np.ndarray) -> float:
     bounds how far the objective sits above the true minimum.
     """
     tau = float(grad.min())
-    active = w > ACTIVE_WEIGHT
+    active = w > 0.0
     weighted_excess = float(w @ grad) - tau
     return max(float((grad[active] - tau).max()), weighted_excess)
 
@@ -332,7 +330,7 @@ def _face_minimizer(lower: np.ndarray, b_face: np.ndarray) -> np.ndarray:
 
 
 def _face_step(
-    q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
+    q2: np.ndarray, b: np.ndarray, w: np.ndarray, excess: np.ndarray
 ) -> np.ndarray | None:
     """The minimizer x of f on the affine hull of w's face, or a projected
     search toward it.
@@ -346,10 +344,10 @@ def _face_step(
     judges.  A finite, nonnegative x is the move as it is.  Otherwise the
     search reads the excesses grad - min(grad), which have grad's slopes
     along the simplex without the rounding of its common part.  None when
-    x is not finite or not downhill from w.
+    x is not finite, equals w entry for entry, or is not downhill from w,
+    or when the search fails.
     """
-    excess = grad - grad.min()
-    on_face = w > ACTIVE_WEIGHT
+    on_face = w > 0.0
     on_face[np.argmin(excess)] = True
     active = np.nonzero(on_face)[0]
     q_face = q2.take(active, axis=0).take(active, axis=1)
@@ -367,13 +365,13 @@ def _face_step(
     if not np.isfinite(x).all():
         return None
     if (x >= 0.0).all():
-        return x
+        return None if np.array_equal(x, w) else x
     d = x - w
     return _projected_search(q2, excess, w, d) if float(excess @ d) < 0.0 else None
 
 
 def _conjugate_opening(
-    q2: np.ndarray, b: np.ndarray, w: np.ndarray, grad: np.ndarray
+    q2: np.ndarray, w: np.ndarray, excess: np.ndarray
 ) -> np.ndarray | None:
     """The best of P(w + d_1), P(w + d_2), ..., with d_j the conjugate
     gradient iterates (Hestenes and Stiefel, 1952) toward the minimizer of f
@@ -387,7 +385,6 @@ def _conjugate_opening(
     n - 1 iterates.  None if no iterate lowers f.  As in ``_face_step``,
     the run reads the excesses grad - min(grad).
     """
-    excess = grad - grad.min()
     n = w.shape[0]
     d = np.zeros_like(w)
     # The residual -excess, projected onto the steps that sum to zero; sum / n
@@ -419,17 +416,6 @@ def _conjugate_opening(
     return best
 
 
-def _first_visit(seen: set[bytes], w: np.ndarray) -> bool:
-    """Whether ``seen`` lacks the digest of ``w``, a contiguous vector; adds it."""
-    import hashlib  # not at module level: ``import crowdwise.cli`` stays cheap
-
-    key = hashlib.blake2b(w, digest_size=16).digest()
-    if key in seen:
-        return False
-    seen.add(key)
-    return True
-
-
 def _nonunique_on_face(
     q2: np.ndarray, w: np.ndarray, grad: np.ndarray, tolerance: float
 ) -> bool:
@@ -441,7 +427,7 @@ def _nonunique_on_face(
     is PSD, so H + c 11', c = trace(H) / k, is singular exactly when such a
     d exists.  One judge is unique.
     """
-    face = np.nonzero((w > ACTIVE_WEIGHT) | (grad - grad.min() <= tolerance))[0]
+    face = np.nonzero((w > 0.0) | (grad - grad.min() <= tolerance))[0]
     h = q2.take(face, axis=0).take(face, axis=1)
     return len(face) > 1 and _definite_factor(h + np.trace(h) / len(face)) is None
 
@@ -457,11 +443,11 @@ def optimal_weights(
     Each iteration from ``start`` (uniform weights when None) makes one
     move: the face step (``_face_step``), after the opening move
     (``_conjugate_opening``) at iteration 0 of a solve with no start when
-    that fails to lower f.  A move back to an earlier iterate counts as
-    failed.  No move raises the objective, from any feasible start, so a
-    start near the optimum, such as a smaller crowd's optimum padded with
-    zero weights, can certify in a face step or two, or none, and then comes
-    back bit for bit.
+    that fails to lower f.  The face step fails when its minimizer is w
+    itself or its search finds no lower point.  No move raises the
+    objective, from any feasible start, so a start near the optimum, such
+    as a smaller crowd's optimum padded with zero weights, can certify in a
+    face step or two, or none, and then comes back bit for bit.
     The iterate is accepted only once its own first-order certificate is
     within ``tolerance``, so the result is guaranteed wise against every
     selection distribution up to that slack; ``kkt_residual`` is that
@@ -473,11 +459,12 @@ def optimal_weights(
     Raises:
         ValidationFailed: some moment of the model is nan or inf.
         ShapeMismatch: ``start`` does not have one weight per judge.
-        NoConvergence: iteration cap reached, or the face step fails, so
-            every later iteration would repeat the last one.  Carries the
-            last iterate, which is the best one, certified and tested for
-            uniqueness at its stored weights, with ``iterations`` the cap or
-            the iteration at which it stopped.
+        NoConvergence: iteration cap reached, or the face step fails (its
+            minimizer is w itself or not finite, or no search trial lowers
+            f), so every later iteration would repeat the last one.  Carries
+            the last iterate, which is the best one, certified and tested
+            for uniqueness at its stored weights, with ``iterations`` the cap
+            or the iteration at which it stopped.
     """
     nonfinite = _nonfinite_violation(model)
     if nonfinite:
@@ -500,25 +487,19 @@ def optimal_weights(
         )
 
     w = np.full(n, 1.0 / n) if start is None else start.weights
-    # Digests of the iterates so far.  f did not rise on the way from each of
-    # them to w, so a move back to one can only close a cycle at the rounding
-    # of f, and counts as failed.
-    seen = set()
-    _first_visit(seen, w)
     for iteration in range(max_iterations + 1):
         grad = q2 @ w + b
         if _certificate_residual(w, grad) <= tol:
             return build(w, iteration)
         if iteration == max_iterations:
             break
-        opening = (_conjugate_opening,) if start is None and iteration == 0 else ()
-        for move in (*opening, _face_step):
-            moved = move(q2, b, w, grad)
-            if moved is not None and _first_visit(seen, moved):
-                w = moved
-                break
-        else:
+        excess = grad - grad.min()
+        moved = _conjugate_opening(q2, w, excess) if start is None and iteration == 0 else None
+        if moved is None:
+            moved = _face_step(q2, b, w, excess)
+        if moved is None:
             # The face step fails from w, so every later iteration would
             # repeat this one.
             raise NoConvergence(build(w, iteration), stalled=True)
+        w = moved
     raise NoConvergence(build(w, max_iterations))

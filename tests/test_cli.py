@@ -1278,8 +1278,10 @@ class TestSweepCommand:
             "bias_scale = nan\n",
             "correlation = nan\n",
             "correlation = 0.0, 1.5\n",
+            "bias_scales = 7\nn_judge = 3\n",
         ],
-        ids=["n_judges_inf", "bias_scale_nan", "correlation_nan", "correlation_1.5"],
+        ids=["n_judges_inf", "bias_scale_nan", "correlation_nan", "correlation_1.5",
+             "misspelt_keys"],
     )
     def test_bad_grid_is_two_with_empty_stdout(self, grid, tmp_path, capsys):
         path = tmp_path / "grid.txt"

@@ -350,9 +350,10 @@ class TestOptimalWeights:
         assert best.objective == crowd_mse(model, best.weights).total
 
     def test_capped_objective_never_rises(self):
-        # Every accepted move lowers the objective (the Armijo rule on each
-        # projected search), so the last iterate at each cap is the best one
-        # seen so far.
+        # Every accepted move lowers the objective: a nonnegative face
+        # minimizer is the minimum of f over a face that holds the iterate,
+        # and a projected search passes the Armijo rule.  So the last iterate
+        # at each cap is the best one seen so far.
         for model in model_corpus(12, base_seed=6, sizes=(5, 8)):
             previous = math.inf
             for cap in range(40):
@@ -431,6 +432,24 @@ class TestOptimalWeights:
                 optimal_weights(model, max_iterations=1000)
             except NoConvergence as err:
                 assert str(err).startswith("optimizer stopped at iteration ")
+
+    def test_face_step_onto_the_iterate_itself_is_no_move(self):
+        # The crowd of the tests above at 10^100: the solve stops where the
+        # face minimizer comes back as the iterate, entry for entry.
+        s, r = 1e100, 1e50
+        model = CrowdModel(
+            judge_means=[0.3 * r, -0.2 * r],
+            judge_cov=[[s, 0.6 * s], [0.6 * s, 2.0 * s]],
+            criterion_mean=0.1 * r,
+            criterion_var=1.5 * s,
+            cross_cov=[0.5 * s, 0.4 * s],
+        )
+        with pytest.raises(NoConvergence, match="^optimizer stopped at iteration 2: ") as exc:
+            optimal_weights(model)
+        w = exc.value.best.weights.weights
+        q2, b, _ = schemes._scaled_qp(model)
+        grad = q2 @ w + b
+        assert schemes._face_step(q2, b, w, grad - grad.min()) is None
 
     def test_matches_grid_oracle_small_models(self):
         models = model_corpus(24, base_seed=3, sizes=(2, 3))
