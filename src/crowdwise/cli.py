@@ -491,6 +491,12 @@ def _parse_document(path: str) -> dict[str, tuple[bytearray, int, int]]:
         start = end + 1
 
 
+def _refuse_unknown(fields: dict, known: tuple[str, ...], path: str) -> None:
+    unknown = [key for key in fields if key not in known]
+    if unknown:
+        raise ParseError(f"{path}: unknown keys {unknown}")
+
+
 def save_model(model: CrowdModel, path: str) -> None:
     """Write a model file that ``load_model`` reproduces exactly."""
     for label in model.judge_labels:
@@ -516,11 +522,12 @@ def load_model(path: str) -> CrowdModel:
     """Read a model file and certify it.
 
     Raises:
-        ParseError: malformed document, non-finite numbers or inconsistent
-            shapes.
+        ParseError: malformed document, a key other than the six fields and
+            ``schema_version``, non-finite numbers or inconsistent shapes.
         ValidationFailed: the stored moments violate a model invariant.
     """
     fields = _parse_document(path)
+    _refuse_unknown(fields, (*_MODEL_FIELDS, "schema_version"), path)
     missing = [f for f in _MODEL_FIELDS if f not in fields]
     if missing:
         raise ParseError(f"{path}: missing fields {missing}")
@@ -722,7 +729,8 @@ def _human_simulate(values: dict, args: argparse.Namespace) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns its machine pairs (sweep: its CSV rows)
+# Commands: each returns its machine pairs after the header that main writes
+# (sweep: its CSV rows)
 # ---------------------------------------------------------------------------
 
 
@@ -740,8 +748,6 @@ def _report_pairs(
     report: WisdomReport,
 ) -> list[tuple[str, object]]:
     pairs: list[tuple[str, object]] = [
-        ("schema_version", SCHEMA_VERSION),
-        ("command", args.command),
         ("n_judges", model.n_judges),
         ("judge_labels", model.judge_labels),
         ("weight_scheme", args.weight_scheme),
@@ -791,8 +797,6 @@ def _cmd_candidate(args: argparse.Namespace) -> list[tuple[str, object]]:
         model, candidates, p_rule=args.selection_scheme, labels=labels
     )
     pairs: list[tuple[str, object]] = [
-        ("schema_version", SCHEMA_VERSION),
-        ("command", args.command),
         ("n_judges", model.n_judges),
         ("selection_scheme", args.selection_scheme),
         ("n_candidates", len(candidates)),
@@ -839,8 +843,6 @@ def _cmd_simulate(args: argparse.Namespace) -> list[tuple[str, object]]:
     _require_finite(analytic_pairs)
     result = simulate(spec, w, p)
     return [
-        ("schema_version", SCHEMA_VERSION),
-        ("command", args.command),
         ("n_judges", model.n_judges),
         ("weight_scheme", args.weight_scheme),
         ("selection_scheme", args.selection_scheme),
@@ -864,9 +866,7 @@ def _parse_sweep_grid(
     path: str | None,
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
     fields = _parse_document(path) if path is not None else {}
-    unknown = [key for key in fields if key not in ("bias_scale", "correlation", "n_judges")]
-    if unknown:
-        raise ParseError(f"{path}: unknown keys {unknown}")
+    _refuse_unknown(fields, ("bias_scale", "correlation", "n_judges"), path)
 
     def axis(key: str, default: tuple) -> tuple:
         if key not in fields:
@@ -1067,6 +1067,7 @@ def main(argv: list[str] | None = None) -> int:
             if render_human is None:
                 csv.writer(sys.stdout, lineterminator="\n").writerows(output)
             else:
+                output = [("schema_version", SCHEMA_VERSION), ("command", args.command), *output]
                 _require_finite(output)
                 if args.output_format == "machine":
                     sys.stdout.write(_render_document(output))

@@ -268,37 +268,20 @@ def _cholesky_shift(order: int, largest: float, ratio_sum: float) -> float:
     return coefficient * largest + 2.0 * order * (order + 1) * SUBNORMAL_SPACING
 
 
-def _cholesky(m: np.ndarray) -> np.ndarray | None:
-    """The C-ordered Cholesky factor of the exactly symmetric ``m``, or None
-    where the factorization fails."""
-    try:
-        # m' is m, and numpy copies its columns into LAPACK's column-major
-        # buffer without a strided read.
-        return np.linalg.cholesky(m.T)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _shifted_factor(m: np.ndarray, shift: float) -> np.ndarray | None:
-    """The Cholesky factor of the exactly symmetric ``m - shift I``, or None;
-    overwrites ``m``.  C-ordered, for ``_certified_extensions``' row reads."""
-    m.flat[:: m.shape[0] + 1] -= shift
-    return _cholesky(m)
-
-
-def _shifted_factor_completes(m: np.ndarray, shift: float) -> bool:
-    """Whether LAPACK's Cholesky factorization of the exactly symmetric
-    ``m - shift I`` completes; overwrites ``m``.
+    """The column-major Cholesky factor of the exactly symmetric
+    ``m - shift I``, or None where the factorization fails; overwrites ``m``.
+    The one Cholesky call of this module: both certificates read it.
 
     ``np.linalg.cholesky`` runs this same gufunc, then copies LAPACK's
     column-major factor into a fresh C-ordered array one strided column at a
-    time, about 40% of its time at order 1000.  Only the verdict is needed,
-    so the factor goes to a column-major ``out``, a contiguous copy.  The
-    gufunc is in a private numpy module, the only use of one here; numpy's
-    wrapper sets these error flags, with ``call`` where this has ``raise``.
-    On failure the gufunc signals invalid and fills ``out`` with nan.
-    ``TestCholeskyCertificate`` pins the verdicts to ``np.linalg.cholesky``'s
-    on every numpy in the CI matrix.
+    time, about 40% of its time at order 1000.  Here the factor goes to a
+    column-major ``out``, a contiguous copy, with the same values bit for
+    bit.  The gufunc is in a private numpy module, the only use of one here;
+    numpy's wrapper sets these error flags, with ``call`` where this has
+    ``raise``.  On failure the gufunc signals invalid and fills ``out`` with
+    nan.  ``TestCholeskyCertificate`` pins the factors to
+    ``np.linalg.cholesky``'s on every numpy in the CI matrix.
     """
     m.flat[:: m.shape[0] + 1] -= shift
     out = np.empty(m.shape, order="F")
@@ -307,8 +290,8 @@ def _shifted_factor_completes(m: np.ndarray, shift: float) -> bool:
             # m' is m, and LAPACK reads its columns without a strided copy.
             _umath_linalg.cholesky_lo(m.T, out=out)
     except FloatingPointError:
-        return False
-    return True
+        return None
+    return out
 
 
 def _certified_definite(m: np.ndarray) -> bool:
@@ -340,7 +323,7 @@ def _certified_definite(m: np.ndarray) -> bool:
     # + u d + order (order + 1) eta; the factor 2 covers the (1 + u), the
     # order d eta term and the rounding of computing c itself.
     shift = _cholesky_shift(m.shape[0], largest, float((diag / largest).sum()))
-    return _shifted_factor_completes(m, shift)
+    return _shifted_factor(m, shift) is not None
 
 
 def _certified_extensions(

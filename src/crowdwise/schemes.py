@@ -59,7 +59,7 @@ from .errors import (
     ZeroCriterionVariance,
     ZeroJudges,
 )
-from .model import CrowdModel, _cholesky, _nonfinite_violation, _readonly
+from .model import CrowdModel, _nonfinite_violation, _readonly
 from .wisdom import WeightVector, crowd_mse, per_judge_mse
 
 # A step must lower the objective by this fraction of its first-order
@@ -304,10 +304,11 @@ def _definite_factor(q_face: np.ndarray) -> np.ndarray | None:
     judges each judge at its own scale (van der Sluis, Numer. Math. 14,
     1969), so one huge judge does not hide another's pivot.
     """
-    # The factor stays C-ordered: a column-major one changes
-    # _face_minimizer's last bits on faces of order above 64.
-    lower = _cholesky(q_face)
-    if lower is None:
+    try:
+        # q_face' is q_face, which LAPACK reads without a strided copy; the
+        # factor comes back C-ordered, as _face_minimizer's bits need.
+        lower = np.linalg.cholesky(q_face.T)
+    except np.linalg.LinAlgError:
         return None
     k = q_face.shape[0]
     pivots = np.diagonal(lower) ** 2 / np.diagonal(q_face)

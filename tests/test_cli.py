@@ -1442,6 +1442,13 @@ class TestExitCodes:
                 id="duplicate model key",
             ),
             pytest.param(
+                {"m.txt": VALID_MODEL + "tolerance = 7\n"},
+                "optimize --model {d}/m.txt",
+                2,
+                "error: {d}/m.txt: unknown keys ['tolerance']",
+                id="unknown model key",
+            ),
+            pytest.param(
                 {"m.txt": VALID_MODEL.replace("a, b", "a, , b")},
                 "analyze --model {d}/m.txt",
                 2,

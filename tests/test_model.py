@@ -337,18 +337,18 @@ class TestFixedCriterionModel:
         certificate's own call."""
         calls = []
         cholesky = np.linalg.cholesky
-        completes = model_module._shifted_factor_completes
+        shifted_factor = model_module._shifted_factor
 
         def counted_cholesky(m):
             calls.append(("cholesky", m.shape))
             return cholesky(m)
 
-        def counted_completes(m, shift):
+        def counted_shifted_factor(m, shift):
             calls.append(("certificate", m.shape))
-            return completes(m, shift)
+            return shifted_factor(m, shift)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-        monkeypatch.setattr(model_module, "_shifted_factor_completes", counted_completes)
+        monkeypatch.setattr(model_module, "_shifted_factor", counted_shifted_factor)
         return calls
 
     def test_joint_matrix_is_not_factored(self, monkeypatch):
@@ -643,7 +643,8 @@ class TestCholeskyCertificate:
 
     def test_gufunc_verdict_is_numpy_choleskys(self):
         # The certificate calls numpy's private Cholesky gufunc: it must
-        # complete exactly when np.linalg.cholesky does, with no warning.
+        # complete exactly when np.linalg.cholesky does, with no warning,
+        # and give its factor bit for bit.
         rng = np.random.default_rng(29)
         twins = CrowdModel(
             judge_means=[0.0, 0.0],
@@ -668,9 +669,12 @@ class TestCholeskyCertificate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m in matrices:
-                expected = factor_or_none(m.T) is not None
-                assert model_module._shifted_factor_completes(m.copy(), 0.0) == expected
-                verdicts.append(expected)
+                expected = factor_or_none(m.T)
+                got = model_module._shifted_factor(m.copy(), 0.0)
+                assert (got is None) == (expected is None)
+                if got is not None:
+                    assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+                verdicts.append(got is not None)
         assert any(verdicts) and not all(verdicts)
 
     def test_nonpositive_diagonal_is_refused_without_overflow(self):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     model_corpus,
     random_simplex_points,
 )
+from exact_oracle import exact_optimum, exact_qp, objective
 from crowdwise import schemes
 from crowdwise.errors import (
     NoConvergence,
@@ -412,12 +414,12 @@ class TestOptimalWeights:
                 )
         assert len(projections) <= 10 * schemes.MAX_HALVINGS
 
-    def test_moves_back_to_an_earlier_iterate_count_as_failed(self):
-        # The crowd of the test above at every scale 10^k: where the
-        # tolerance lies below the certificate's rounding, face and gradient
-        # steps that lower f only by rounding can cycle between neighbouring
-        # points.  A move back to an earlier iterate is refused, so each
-        # solve certifies or stops at a fixed point, far below the cap.
+    def test_every_scale_certifies_or_stops_at_a_fixed_point(self):
+        # The crowd of the test above at every scale 10^0 .. 10^307.  Where
+        # the tolerance lies below the certificate's rounding, no move can
+        # reach it; the solve must then stop where the face step lands on
+        # its own iterate or its search fails, far below the cap, never run
+        # into the cap.
         for exponent in range(308):
             s = 10.0**exponent
             r = math.sqrt(s)
@@ -812,6 +814,52 @@ class TestFaceSolve:
             # Raises NoConvergence unless it certifies.
             w = optimal_weights(with_twin(model, judge, perturb, 1e-15)).weights.weights
             assert abs(w[judge] - w[-1]) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def exact_corpus():
+    """model_corpus(400): each crowd, its solved weights, its exact QP, and
+    its exact w* and f*, found first at the solved weights' support."""
+    cases = []
+    for model in model_corpus(400):
+        w = optimal_weights(model).weights.weights
+        qp = exact_qp(model)
+        cases.append((model, w, qp, *exact_optimum(qp, np.nonzero(w > 0.0)[0].tolist())))
+    return cases
+
+
+class TestExactOptimum:
+    """optimal_weights against the exact optimum of ``exact_oracle``.
+
+    The contract is the absolute one: f(w) - f* <= tolerance, in the caller's
+    units.  Crowds scaled by c = 1e-6 meet it too, yet 336 of these 400 then
+    certify with f(w) - f* above 1e-6 times f*, up to 7.1 times it.  A
+    certificate relative to the crowd's own error (ROADMAP item 2) is to be
+    tested on them; this test is not that one.
+    """
+
+    def test_corpus_meets_the_exact_optimum(self, exact_corpus):
+        for _, w, qp, exact, f_star in exact_corpus:
+            # f(w / sum(w)) >= f* holds for any point, so it checks f*.
+            assert 0 <= objective(qp, w.tolist()) - f_star <= Fraction(1e-10)
+            assert np.nonzero(w > 0.0)[0].tolist() == [i for i, x in enumerate(exact) if x > 0]
+            # Q is positive definite, so w* is unique.
+            assert np.abs(w - np.array(exact, dtype=float)).max() <= 1e-9
+
+    def test_twinned_corpus_meets_the_base_optimum(self, exact_corpus):
+        # A copy of judge 0 leaves the values f takes on the simplex as they
+        # are: f* is the base crowd's, and every split of w*_0 between the
+        # twins is optimal.  The solver splits it evenly, or leaves it all on
+        # judge 0 when the copy's partial certifies without the copy entering.
+        for model, _, _, exact, f_star in exact_corpus:
+            twin = with_twin(model, 0)
+            qp = exact_qp(twin)
+            assert objective(qp, [exact[0] / 2, *exact[1:], exact[0] / 2]) == f_star
+            w = optimal_weights(twin).weights.weights
+            assert 0 <= objective(qp, w.tolist()) - f_star <= Fraction(1e-10)
+            merged = np.append(w[0] + w[-1], w[1:-1])
+            assert np.abs(merged - np.array(exact, dtype=float)).max() <= 1e-9
+            assert w[-1] == 0.0 or abs(w[0] - w[-1]) <= 1e-9
 
 
 class TestWarmStart:
