@@ -498,13 +498,18 @@ def _refuse_unknown(fields: dict, known: tuple[str, ...], path: str) -> None:
 
 
 def save_model(model: CrowdModel, path: str) -> None:
-    """Write a model file that ``load_model`` reproduces exactly."""
-    for label in model.judge_labels:
-        if "," in label or "=" in label or label != label.strip() or not label:
+    """Write a model file that ``load_model`` reproduces exactly, or raise
+    ``ParseError``, before the file is opened, for labels it cannot hold."""
+    labels = model.judge_labels
+    for label in labels:
+        if any(c in label for c in ",=\n\r") or label != label.strip() or not label:
             raise ParseError(
                 f"judge label {label!r} cannot be stored in a model file "
-                "(empty, padded, or contains ',' or '=')"
+                "(empty, padded, or contains ',', '=' or a line break)"
             )
+    if len(set(labels)) < len(labels):
+        dupes = sorted({label for label in labels if labels.count(label) > 1})
+        raise ParseError(f"duplicated judge labels cannot be stored in a model file: {dupes}")
     pairs: list[tuple[str, object]] = [
         ("schema_version", SCHEMA_VERSION),
         ("judge_labels", model.judge_labels),

@@ -21,10 +21,11 @@ validation, which reports every failure.  If one huge candidate's share of
 the shift sinks the factor, it is taken again at the crowd's own scale, for
 the candidates within it.
 
-Each candidate then costs a copy of the moments grown by one judge, one
-column of the substitution, one warm-started solve (a face factor per face
-step), one evaluation, its skill and its uniform crowd error.  The solve's
-objective and uniqueness flag are never read, so they are never computed.
+Each candidate then costs a copy of the moments grown by one judge, the
+finiteness scan of that copy's constructor, one column of the substitution,
+one warm-started solve (a face factor per face step), one evaluation, its
+skill and its uniform crowd error.  The solve's objective and uniqueness
+flag are never read, so they are never computed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import (
 from .model import (
     CrowdModel,
     _certified_extensions,
-    _nonfinite_violation,
     _readonly,
     validate_model,
 )
@@ -123,7 +123,6 @@ def extend_model(
 
     Raises:
         ShapeMismatch: covariance vector length disagrees with the crowd.
-        ValidationFailed: the crowd's moments hold nan or inf.
         JointNotPSD: the extended covariance admits no joint distribution.
     """
     n = model.n_judges
@@ -148,16 +147,12 @@ def extend_model(
         judge_labels=model.judge_labels + (label,),
     )
     # The border is written on both sides, so the extended judge_cov equals
-    # its transpose exactly when the crowd's does; a candidate's moments are
-    # finite, so the extended crowd's non-finite moments are the crowd's.
+    # its transpose exactly when the crowd's does.
     object.__setattr__(extended, "exactly_symmetric", model.exactly_symmetric)
-    object.__setattr__(extended, "nonfinite_moments", model.nonfinite_moments)
     if certified:
         return extended
     violations = validate_model(extended)
     if violations:
-        if _nonfinite_violation(extended):
-            raise ValidationFailed(violations)
         raise JointNotPSD(
             extended.joint_spectrum[0],
             f"candidate {label!r} is inconsistent with the crowd: "

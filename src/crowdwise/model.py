@@ -12,13 +12,14 @@ downstream use by listing every violated invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg  # loaded by ``import numpy`` already
 
-from .errors import SampleTooSmall, ShapeMismatch, ValidationFailed
+from .errors import SampleTooSmall, ShapeMismatch, ValidationFailed, ZeroJudges
 
 # Relative tolerance for symmetry and positive semidefiniteness checks.
 # Eigenvalues below -PSD_RTOL times the largest eigenvalue are hard failures;
@@ -62,9 +63,11 @@ class CrowdModel:
         cross_cov: length-N vector, covariance of each judge with the criterion.
         judge_labels: display names, one per judge.
 
-    Construction enforces shapes only.  Numeric invariants (symmetry, positive
-    semidefiniteness, joint consistency of ``cross_cov``) are checked by
-    ``validate_model`` so that invalid models can still be inspected.
+    Construction enforces shapes and refuses zero judges (``ZeroJudges``)
+    and nan or inf moments (``ValidationFailed``, naming each in field
+    order).  The other invariants (symmetry, positive semidefiniteness, joint
+    consistency of ``cross_cov``) are checked by ``validate_model`` so that
+    invalid models can still be inspected.
     """
 
     judge_means: np.ndarray
@@ -94,11 +97,22 @@ class CrowdModel:
             raise ShapeMismatch(
                 f"{len(labels)} judge labels for {n} judges"
             )
+        if n == 0:
+            raise ZeroJudges("model has no judges")
+        mean, var = float(self.criterion_mean), float(self.criterion_var)
+        finite = (
+            np.isfinite(means).all(), np.isfinite(cov).all(),
+            math.isfinite(mean), math.isfinite(var), np.isfinite(cross).all(),
+        )
+        if not all(finite):
+            names = ("judge_means", "judge_cov", "criterion_mean", "criterion_var", "cross_cov")
+            nonfinite = ", ".join(name for name, ok in zip(names, finite) if not ok)
+            raise ValidationFailed([f"non-finite values in {nonfinite}"])
         object.__setattr__(self, "judge_means", means)
         object.__setattr__(self, "judge_cov", cov)
         object.__setattr__(self, "cross_cov", cross)
-        object.__setattr__(self, "criterion_mean", float(self.criterion_mean))
-        object.__setattr__(self, "criterion_var", float(self.criterion_var))
+        object.__setattr__(self, "criterion_mean", mean)
+        object.__setattr__(self, "criterion_var", var)
         object.__setattr__(self, "judge_labels", labels)
 
     @property
@@ -153,18 +167,6 @@ class CrowdModel:
         symmetric = np.where(cov == cov.T, cov, 0.5 * cov + 0.5 * cov.T)
         symmetric.flags.writeable = False
         return symmetric
-
-    @cached_property
-    def nonfinite_moments(self) -> tuple[str, ...]:
-        """The names of the moments that hold nan or inf, in field order.
-
-        Scanned once per model, for ``validate_model`` and the solver alike;
-        the arrays are read-only, so it cannot go stale.
-        """
-        moments = (
-            "judge_means", "judge_cov", "criterion_mean", "criterion_var", "cross_cov"
-        )
-        return tuple(m for m in moments if not np.all(np.isfinite(getattr(self, m))))
 
 
 @dataclass(frozen=True, init=False)
@@ -392,21 +394,15 @@ def _certified_extensions(
         return (corners <= bound) & (pivots > 0.0)
 
 
-def _nonfinite_violation(model: CrowdModel) -> list[str]:
-    """The violation naming every moment that holds nan or inf, or []."""
-    nonfinite = model.nonfinite_moments
-    return [f"non-finite values in {', '.join(nonfinite)}"] if nonfinite else []
-
-
 def validate_model(model: CrowdModel) -> list[str]:
     """Return every invariant violation; an empty list certifies the model.
 
-    Checks, in order: every moment finite (if not, that is the only violation
-    reported), at least one judge, judge_cov symmetry (relative tolerance
-    1e-9), judge_cov positive semidefinite, criterion_var >= 0, and the joint
-    (judges, criterion) covariance positive semidefinite.  The last check
-    subsumes the zero-variance-criterion case: with criterion_var = 0, any
-    nonzero cross_cov breaks joint PSD, so it is reported once, there.
+    The constructor has already refused zero judges and non-finite moments.
+    Checks, in order: judge_cov symmetry (relative tolerance 1e-9), judge_cov
+    positive semidefinite, criterion_var >= 0, and the joint (judges,
+    criterion) covariance positive semidefinite.  The last check subsumes the
+    zero-variance-criterion case: with criterion_var = 0, any nonzero
+    cross_cov breaks joint PSD, so it is reported once, there.
 
     A positive definite joint matrix settles both PSD checks, and one
     Cholesky factor of it, shifted by a proven bound on its rounding,
@@ -416,13 +412,7 @@ def validate_model(model: CrowdModel) -> list[str]:
     cannot pass, such as a singular one, takes that path: judge_cov's own
     spectrum, then the model's cached ``joint_spectrum``.
     """
-    nonfinite = _nonfinite_violation(model)
-    if nonfinite:
-        return nonfinite
     violations: list[str] = []
-    if model.n_judges < 1:
-        violations.append("model has no judges")
-        return violations
     asym = 0.0 if model.exactly_symmetric else _symmetry_violation(model.judge_cov)
     if asym > PSD_RTOL:
         violations.append(

@@ -55,11 +55,10 @@ from .errors import (
     ShapeMismatch,
     SkillDegenerateWarning,
     UndefinedSkill,
-    ValidationFailed,
     ZeroCriterionVariance,
     ZeroJudges,
 )
-from .model import CrowdModel, _nonfinite_violation, _readonly
+from .model import CrowdModel, _readonly
 from .wisdom import WeightVector, crowd_mse, per_judge_mse
 
 # A step must lower the objective by this fraction of its first-order
@@ -458,7 +457,6 @@ def optimal_weights(
     reads one scaled, symmetric QP (``_scaled_qp``).
 
     Raises:
-        ValidationFailed: some moment of the model is nan or inf.
         ShapeMismatch: ``start`` does not have one weight per judge.
         NoConvergence: iteration cap reached, or the face step fails (its
             minimizer is w itself or not finite, or no search trial lowers
@@ -467,9 +465,6 @@ def optimal_weights(
             for uniqueness at its stored weights, with ``iterations`` the cap
             or the iteration at which it stopped.
     """
-    nonfinite = _nonfinite_violation(model)
-    if nonfinite:
-        raise ValidationFailed(nonfinite)
     n = model.n_judges
     if start is not None and len(start) != n:
         raise ShapeMismatch(f"start has {len(start)} weights for {n} judges")

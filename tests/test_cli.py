@@ -587,6 +587,26 @@ class TestModelFiles:
         assert loaded.n_judges == 1
         assert loaded.judge_labels == ("solo",)
 
+    @pytest.mark.parametrize(
+        "labels, reason",
+        [
+            (("", "b"), "cannot be stored"),
+            ((" a", "b"), "cannot be stored"),
+            (("a,c", "b"), "cannot be stored"),
+            (("a=c", "b"), "cannot be stored"),
+            (("a\nb", "c"), "cannot be stored"),
+            (("a\rb", "c"), "cannot be stored"),
+            (("a", "a"), r"duplicated judge labels .*\['a'\]"),
+        ],
+        ids=["empty", "padded", "comma", "equals", "newline", "return", "duplicated"],
+    )
+    def test_unstorable_labels_refused_before_writing(self, tmp_path, labels, reason):
+        model = fixed_criterion_model([0.0, 1.0], np.eye(2), 0.5, judge_labels=labels)
+        path = tmp_path / "model.txt"
+        with pytest.raises(ParseError, match=reason):
+            save_model(model, str(path))
+        assert not path.exists()
+
     def test_non_psd_model_file_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(
@@ -1638,6 +1658,17 @@ class TestExitCodes:
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr.count("\n") == 1
         assert done.stderr.startswith("error: non-finite values in the report: ")
+
+    def test_closed_stdout_exits_zero_silently(self, data_csv):
+        # The reader goes away, as `head` does, long before the report is
+        # written: importing numpy alone takes the child about 100 ms.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-m", "crowdwise", "analyze", "--data", data_csv,
+                "--format", "machine"]
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (0, b"")
 
     def test_simulate_whose_pooled_squares_overflow_is_three(self, tmp_path, capsys):
         # Variances of 1e160: every trial's error is finite, its spread is not.

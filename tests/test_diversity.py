@@ -116,17 +116,6 @@ class TestExtendModel:
         fresh = dataclasses.replace(extended)
         assert extended.exactly_symmetric is fresh.exactly_symmetric is (asymmetry == 0.0)
 
-    def test_extended_crowd_of_a_finite_crowd_is_finite_unscanned(self, monkeypatch):
-        base = random_model(5, seed=41, criterion_var=1.0)
-        assert base.nonfinite_moments == ()
-        candidate = CandidateMember(0.5, 1.0, np.zeros(5), 0.2)
-        scans = []
-        isfinite = np.isfinite
-        monkeypatch.setattr(np, "isfinite", lambda a: scans.append(1) or isfinite(a))
-        extended = extend_model(base, candidate, certified=True)
-        assert extended.nonfinite_moments == ()
-        assert scans == []
-
     def test_perfect_hedge_is_consistent(self):
         # Extended covariance has eigenvalues 0 and 2: PSD.
         candidate = CandidateMember(
@@ -187,7 +176,7 @@ class TestExtendModel:
         ],
     )
     def test_non_finite_crowd_rejected_without_eigen_solve(self, field, value):
-        # CrowdModel itself does not validate, so a nan can reach extend_model.
+        # The crowd's own constructor refuses the nan, before extend_model.
         moments = dict(
             judge_means=[0.0, 1.0],
             judge_cov=[[1.0, 0.2], [0.2, 1.0]],
@@ -421,6 +410,13 @@ class TestRankCandidates:
         split_after = next(ev for ev in ranking.evaluations if ev.label == "candidate_1")
         assert split_after.after.individual_mse == full_individual
 
+    def test_wrong_label_count_rejected(self):
+        fine = CandidateMember(
+            mean=0.0, variance=1.0, cov_with_members=[0.0], cov_with_criterion=0.0
+        )
+        with pytest.raises(ShapeMismatch, match="1 labels for 2 candidates"):
+            rank_candidates(one_judge_crowd(), [fine, fine], labels=["only"])
+
     def test_unknown_selection_rule_fails_every_candidate(self):
         fine = CandidateMember(
             mean=0.0, variance=1.0, cov_with_members=[0.0], cov_with_criterion=0.0
@@ -516,20 +512,15 @@ class TestRankingReusesTheBaseSolve:
         assert all(f.error is failure for f in ranking.failures)
 
     def test_non_finite_base_fails_every_candidate(self):
-        base = CrowdModel(
-            judge_means=[0.0, 1.0],
-            judge_cov=[[np.nan, 0.2], [0.2, 1.0]],
-            criterion_mean=0.0,
-            criterion_var=1.0,
-            cross_cov=[0.3, 0.1],
-        )
-        fine = CandidateMember(
-            mean=0.0, variance=1.0, cov_with_members=[0.0, 0.0], cov_with_criterion=0.0
-        )
-        ranking = rank_candidates(base, [fine, fine])
-        assert ranking.evaluations == ()
-        assert [f.index for f in ranking.failures] == [0, 1]
-        assert all(isinstance(f.error, ValidationFailed) for f in ranking.failures)
+        # The constructor refuses the base crowd, so there is none to rank.
+        with pytest.raises(ValidationFailed, match="non-finite values in judge_cov"):
+            CrowdModel(
+                judge_means=[0.0, 1.0],
+                judge_cov=[[np.nan, 0.2], [0.2, 1.0]],
+                criterion_mean=0.0,
+                criterion_var=1.0,
+                cross_cov=[0.3, 0.1],
+            )
 
 
 def with_judge_cov(model: CrowdModel, cov: np.ndarray) -> CrowdModel:

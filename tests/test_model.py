@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 from conftest import affine_model, matrix_with_spectrum, model_corpus
 from crowdwise import model as model_module
 from crowdwise.diversity import CandidateMember, extend_model
-from crowdwise.errors import SampleTooSmall, ShapeMismatch, ValidationFailed
+from crowdwise.errors import SampleTooSmall, ShapeMismatch, ValidationFailed, ZeroJudges
 from crowdwise.model import (
     PSD_RTOL,
     CrowdModel,
     JudgmentSample,
     _certified_definite,
     _certified_extensions,
-    _nonfinite_violation,
     _symmetry_violation,
     estimate_model,
     fixed_criterion_model,
@@ -97,27 +96,60 @@ class TestValidateModel:
         assert any("criterion_var" in v for v in validate_model(model))
 
     def test_non_finite_moments_listed_first_and_alone(self):
-        model = CrowdModel(
-            judge_means=[np.nan, 3.0],
-            judge_cov=[[1.0, 0.0], [0.0, np.inf]],
+        # The constructor refuses them, before the negative criterion_var
+        # that validate_model would report.
+        with pytest.raises(ValidationFailed) as exc:
+            CrowdModel(
+                judge_means=[np.nan, 3.0],
+                judge_cov=[[1.0, 0.0], [0.0, np.inf]],
+                criterion_mean=0.0,
+                criterion_var=-1.0,
+                cross_cov=[0.0, 0.0],
+            )
+        assert exc.value.violations == ["non-finite values in judge_means, judge_cov"]
+
+    def test_zero_judges_refused_by_the_constructor(self):
+        with pytest.raises(ZeroJudges, match="model has no judges"):
+            CrowdModel(
+                judge_means=np.zeros(0),
+                judge_cov=np.zeros((0, 0)),
+                criterion_mean=0.0,
+                criterion_var=1.0,
+                cross_cov=np.zeros(0),
+            )
+
+    @pytest.mark.parametrize(
+        "moments, message",
+        [
+            ({"judge_means": [[0.0, 1.0]]}, "judge_means must be a vector"),
+            ({"judge_cov": np.eye(3)}, r"judge_cov has shape \(3, 3\), expected \(2, 2\)"),
+            ({"cross_cov": [0.0]}, "cross_cov has length 1, expected 2"),
+            ({"judge_labels": ("a",)}, "1 judge labels for 2 judges"),
+        ],
+        ids=["means", "cov", "cross", "labels"],
+    )
+    def test_shape_mismatches_refused_by_the_constructor(self, moments, message):
+        fields = dict(
+            judge_means=[0.0, 1.0],
+            judge_cov=np.eye(2),
             criterion_mean=0.0,
-            criterion_var=-1.0,
+            criterion_var=1.0,
             cross_cov=[0.0, 0.0],
         )
-        assert validate_model(model) == [
-            "non-finite values in judge_means, judge_cov"
-        ]
+        with pytest.raises(ShapeMismatch, match=message):
+            CrowdModel(**{**fields, **moments})
 
     def test_validation_and_solve_scan_the_moments_once(self, monkeypatch):
-        model = random_model(6, seed=17, criterion_var=1.0)
-        scans = []
+        scanned = []
         isfinite = np.isfinite
-        monkeypatch.setattr(
-            np, "isfinite", lambda a: scans.append(a is model.judge_cov) or isfinite(a)
-        )
+        monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(a) or isfinite(a))
+        model = random_model(6, seed=17, criterion_var=1.0)
+        built = len(scanned)
         assert validate_model(model) == []
         optimal_weights(model)
-        assert scans.count(True) == 1
+        # Construction scans judge_cov once; validation and the solve never.
+        assert [a is model.judge_cov for a in scanned[:built]].count(True) == 1
+        assert not any(a is model.judge_cov for a in scanned[built:])
 
     def test_largest_finite_variances_validate_without_overflow(self):
         model = CrowdModel(
@@ -246,6 +278,13 @@ class TestEstimateModel:
         with pytest.raises(ShapeMismatch):
             JudgmentSample(judgments=[[1.0], [2.0]], criterion=[1.0, 2.0, 3.0])
 
+    def test_joint_table_shape_and_label_count_rejected(self):
+        for joint in (np.zeros(3), np.zeros((3, 0))):
+            with pytest.raises(ShapeMismatch, match="joint table has shape"):
+                JudgmentSample.from_joint(joint)
+        with pytest.raises(ShapeMismatch, match="1 judge labels for 2 judges"):
+            JudgmentSample.from_joint(np.zeros((3, 3)), judge_labels=("a",))
+
     @given(seed=st.integers(0, 10_000), t=st.integers(2, 30), n=st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
     def test_estimate_always_validates(self, seed, t, n):
@@ -370,9 +409,6 @@ class TestFixedCriterionModel:
 def separate_spectra_violations(model: CrowdModel) -> list[str]:
     """The violations as one eigensolve each of judge_cov and of the joint
     matrix words them: the reference for the one-spectrum checks."""
-    nonfinite = _nonfinite_violation(model)
-    if nonfinite:
-        return nonfinite
     violations = []
     asym = _symmetry_violation(model.judge_cov)
     if asym > PSD_RTOL:
@@ -511,17 +547,6 @@ def validation_fixtures() -> list[CrowdModel]:
         joint[:4, 4] = joint[4, :4] = np.random.default_rng(seed).normal(size=4) * 1e-11
         joint[4, 4] = 1.0
         models.append(joint_model(joint, seed))
-    nan_cov = np.eye(3)
-    nan_cov[1, 2] = np.nan
-    models.append(
-        CrowdModel(
-            judge_means=np.zeros(3),
-            judge_cov=nan_cov,
-            criterion_mean=0.0,
-            criterion_var=1.0,
-            cross_cov=np.zeros(3),
-        )
-    )
     return models
 
 
@@ -536,8 +561,7 @@ def full_symmetry_violation(cov: np.ndarray) -> float:
 
 class TestSymmetryViolation:
     def test_bits_equal_the_full_formula(self):
-        # Finite matrices only, as validate_model passes after its
-        # nonfinite check.
+        # Finite matrices only, as every CrowdModel holds.
         rng = np.random.default_rng(23)
         matrices = [model.judge_cov for model in validation_fixtures()]
         for size in (1, 2, 5, 200):
@@ -560,7 +584,7 @@ class TestOneSpectrum:
             before = linalg_calls["eigvalsh"]
             assert validate_model(model) == expected
             eigen_path += linalg_calls["eigvalsh"] > before
-            certified += linalg_calls["eigvalsh"] == before and not _nonfinite_violation(model)
+            certified += linalg_calls["eigvalsh"] == before
         # Both paths ran: the Cholesky certificate alone, and the eigen path.
         assert certified > 0 and eigen_path > 0
 

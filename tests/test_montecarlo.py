@@ -202,6 +202,10 @@ class TestSimulate:
         with pytest.raises(ShapeMismatch):
             SimulationSpec(perfect_predictor_model(), trials=5, seed=0, distribution="cauchy")
 
+    def test_no_trials_rejected(self):
+        with pytest.raises(ShapeMismatch, match="trials must be >= 1, got 0"):
+            SimulationSpec(perfect_predictor_model(), trials=0, seed=0)
+
     def test_agreement_small_corpus(self):
         # Broader agreement sweep lives in the acceptance suite.
         for k, model in enumerate(model_corpus(6, base_seed=71)):
@@ -326,6 +330,20 @@ class TestRandomModel:
         # The equicorrelation floor for three judges is -1/2.
         with pytest.raises(InfeasibleCorrelationRange):
             random_model(3, seed=0, correlation_range=(-0.6, -0.6))
+
+    @pytest.mark.parametrize(
+        "n, correlation_range, message",
+        [
+            (0, (-1.0, 1.0), "n_judges must be >= 1, got 0"),
+            (3, (0.5, 0.2), "correlation_range must satisfy"),
+            (3, (-1.5, 0.2), "correlation_range must satisfy"),
+            (3, (0.0, 1.5), "correlation_range must satisfy"),
+        ],
+        ids=["no-judges", "reversed", "below-minus-one", "above-one"],
+    )
+    def test_bad_arguments_rejected(self, n, correlation_range, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            random_model(n, seed=0, correlation_range=correlation_range)
 
     def test_floor_itself_is_feasible(self):
         model = random_model(3, seed=0, correlation_range=(-0.5, -0.5))

@@ -532,15 +532,15 @@ class TestOptimalWeights:
             assert np.linalg.norm(analytic - fd) / scale <= 1e-5
 
     def test_non_finite_model_rejected_before_solving(self):
-        model = CrowdModel(
-            judge_means=[0.0, 1.0],
-            judge_cov=[[np.nan, 0.2], [0.2, 1.0]],
-            criterion_mean=0.0,
-            criterion_var=1.0,
-            cross_cov=[0.3, 0.1],
-        )
+        # The constructor refuses it, so no such model reaches the solver.
         with pytest.raises(ValidationFailed, match="non-finite values in judge_cov"):
-            optimal_weights(model)
+            CrowdModel(
+                judge_means=[0.0, 1.0],
+                judge_cov=[[np.nan, 0.2], [0.2, 1.0]],
+                criterion_mean=0.0,
+                criterion_var=1.0,
+                cross_cov=[0.3, 0.1],
+            )
 
 
     def test_possibly_nonunique_is_decided_on_the_optimal_face(self, linalg_calls):

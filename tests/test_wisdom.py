@@ -44,6 +44,11 @@ class TestSimplexTypes:
         with pytest.raises(ValidationFailed):
             WeightVector([0.0, 0.0])
 
+    def test_empty_rejected(self):
+        for empty in ([], [[]]):
+            with pytest.raises(ValidationFailed, match="nonempty vector"):
+                WeightVector(empty)
+
     @given(
         st.lists(
             st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
