@@ -248,12 +248,15 @@ def read_candidates(
     Header must be exactly ``label,mean,variance,cov_with_criterion`` followed
     by the model's judge labels in order.  Every row needs a non-empty label.
     The file is opened once, so a pipe works as a file does; errors name the
-    file's physical line, counting from 1, and the first error is the one a
-    read row by row meets first.
+    file's physical line, counting from 1.
+
+    Each row is parsed as it is read, cell by cell with ``float()``, so the
+    first error is the one on the earliest bad row.
     """
     expected = ["label", "mean", "variance", "cov_with_criterion"]
     expected += list(model.judge_labels)
-    records: list[tuple[int, list[str]]] = []
+    candidates: list[CandidateMember] = []
+    labels: list[str] = []
     with _opened(path) as handle:
         header, offset = _csv_header(path, handle)
         if header != expected:
@@ -261,45 +264,22 @@ def read_candidates(
                 f"{path}: header {header} does not match expected {expected} "
                 "(the model's judge labels, in order)"
             )
-        try:
-            for line_no, row in _csv_records(path, handle, len(header), offset):
-                if not row[0].strip():
-                    raise ParseError(f"{path} line {line_no}: empty candidate label")
-                records.append((line_no, row))
-        except (ParseError, UnicodeDecodeError):
-            _candidate_values(records, expected)  # a bad cell above comes first
-            raise
-    if not records:
+        for line_no, row in _csv_records(path, handle, len(header), offset):
+            label, cells = row[0].strip(), row[1:]
+            if not label:
+                raise ParseError(f"{path} line {line_no}: empty candidate label")
+            values = [
+                _parse_cell(cell, line_no, column)
+                for column, cell in zip(expected[1:], cells)
+            ]
+            candidates.append(CandidateMember(
+                mean=values[0], variance=values[1],
+                cov_with_criterion=values[2], cov_with_members=values[3:],
+            ))
+            labels.append(label)
+    if not candidates:
         raise ParseError(f"{path} lists no candidates")
-    candidates = [
-        CandidateMember(
-            mean=values[0],
-            variance=values[1],
-            cov_with_criterion=values[2],
-            cov_with_members=values[3:],
-        )
-        for values in _candidate_values(records, expected)
-    ]
-    return candidates, [row[0].strip() for _, row in records]
-
-
-def _candidate_values(records: list[tuple[int, list[str]]], columns: list[str]) -> np.ndarray:
-    """The numeric cells of candidate ``records``, one row each.
-
-    orjson reads every cell in one call; ``float()`` reads them cell by cell,
-    and words the error, when orjson refuses the text or finds more numbers
-    than cells (a quoted cell holding a comma).
-    """
-    shape = (len(records), len(columns) - 1)
-    cells = [cell for _, row in records for cell in row[1:]]
-    values = _json_parse(*_span(",".join(cells))) if cells else None
-    if values is None or values.size != len(cells):
-        values = np.array([
-            _parse_cell(cell, line_no, column)
-            for line_no, row in records
-            for column, cell in zip(columns[1:], row[1:])
-        ])
-    return values.reshape(shape)
+    return candidates, labels
 
 
 # ---------------------------------------------------------------------------
@@ -883,9 +863,13 @@ def _parse_sweep_grid(
     sizes = axis("n_judges", DEFAULT_SWEEP_SIZES)
     if any(v != np.round(v) or v < 1 for v in sizes):
         raise ParseError(f"{path}: n_judges must be positive integers")
+    sizes = tuple(int(v) for v in sizes)
+    # A crowd of n judges is drawn through an n x (n + 2) array of floats.
+    if any(n * (n + 2) * 8 > np.iinfo(np.intp).max for n in sizes):
+        raise ParseError(f"{path}: n_judges too large for numpy to index an n x (n + 2) array")
     if any(not -1.0 <= v <= 1.0 for v in correlation):
         raise ParseError(f"{path}: correlation values must lie in [-1, 1]")
-    return bias, correlation, tuple(int(v) for v in sizes)
+    return bias, correlation, sizes
 
 
 _SWEEP_HEADER = (
@@ -894,9 +878,19 @@ _SWEEP_HEADER = (
 )
 
 
+# The status of a sweep cell whose model, solve or values fail.
+_SWEEP_FAILURES = {
+    InfeasibleCorrelationRange: "infeasible_correlation",
+    ValidationFailed: "invalid_model",
+    NoConvergence: "no_convergence",
+    NonFiniteReport: "non_finite",
+}
+
+
 def _cmd_sweep(args: argparse.Namespace) -> list[list[object]]:
     bias_grid, corr_grid, size_grid = _parse_sweep_grid(args.sweep_grid_path)
-    rows: list[list[object]] = [_SWEEP_HEADER.split(",")]
+    header = _SWEEP_HEADER.split(",")
+    rows: list[list[object]] = [header]
     grid = itertools.product(bias_grid, corr_grid, size_grid)
     for cell, (bias, rho, n) in enumerate(grid, start=1):
         try:
@@ -910,19 +904,17 @@ def _cmd_sweep(args: argparse.Namespace) -> list[list[object]]:
             solution = optimal_weights(
                 model, tolerance=args.tolerance, max_iterations=args.max_iterations
             )
-        except InfeasibleCorrelationRange:
-            rows.append([bias, rho, n, "infeasible_correlation", "", "", "", "", ""])
+            u = uniform_weights(n)
+            uniform = evaluate(model, u, u)
+            optimal = evaluate(model, solution.weights, u)
+            values = (
+                uniform.crowd_mse, optimal.crowd_mse, uniform.individual_mse,
+                uniform.wisdom_gap, optimal.wisdom_gap,
+            )
+            _require_finite(list(zip(header[4:], values)))
+        except tuple(_SWEEP_FAILURES) as err:
+            rows.append([bias, rho, n, _SWEEP_FAILURES[type(err)], "", "", "", "", ""])
             continue
-        except NoConvergence:
-            rows.append([bias, rho, n, "no_convergence", "", "", "", "", ""])
-            continue
-        u = uniform_weights(n)
-        uniform = evaluate(model, u, u)
-        optimal = evaluate(model, solution.weights, u)
-        values = (
-            uniform.crowd_mse, optimal.crowd_mse, uniform.individual_mse,
-            uniform.wisdom_gap, optimal.wisdom_gap,
-        )
         rows.append([bias, rho, n, "ok"] + [repr(v) for v in values])
     return rows
 

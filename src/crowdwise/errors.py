@@ -61,13 +61,9 @@ class ZeroCriterionVariance(CrowdwiseError):
 class JointNotPSD(CrowdwiseError):
     """Extending a crowd produced a covariance no joint distribution admits."""
 
-    def __init__(self, eigenvalue: float, message: str | None = None):
+    def __init__(self, eigenvalue: float, message: str):
         self.eigenvalue = float(eigenvalue)
-        super().__init__(
-            message
-            or f"extended covariance is not positive semidefinite "
-            f"(offending eigenvalue {self.eigenvalue:.6g})"
-        )
+        super().__init__(message)
 
 
 class NoConvergence(CrowdwiseError):

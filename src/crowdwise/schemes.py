@@ -185,8 +185,18 @@ SELECTION_RULES = {
 
 
 def _project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the simplex (sort-and-threshold, exact)."""
+    """Euclidean projection onto the simplex (sort-and-threshold).
+
+    The threshold is rounded to about an ulp of max(v).  From |max(v)| =
+    2^53 on, that ulp is 2: the unit sum is lost, and the threshold tests
+    pick a wrong support or none.  There v - max(v), which has the same
+    projection, is projected instead; its entries at or below -1 project to
+    zero, and are clipped there so its sum stays finite.
+    """
     u = np.sort(v)[::-1]
+    if abs(u[0]) >= 2.0**53:
+        with np.errstate(over="ignore"):  # an entry far below max(v) goes to -inf
+            return _project(np.maximum(v - u[0], -1.0))
     shifted = np.cumsum(u) - 1.0
     counts = np.arange(1, v.shape[0] + 1)
     support = np.nonzero(u - shifted / counts > 0.0)[0][-1]

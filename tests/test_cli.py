@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import text_reader
@@ -1162,7 +1162,7 @@ class TestReadCandidates:
             assert np.array(values).tobytes() == np.array(want).tobytes()
 
     def test_rows_orjson_reads_equal_the_per_cell_parse(self, tmp_path):
-        # Unlike the cells above, these are all JSON numbers: one orjson call.
+        # Unlike the cells above, these are all JSON numbers; each reads as float() reads it.
         rows = 'c,10, 2 ,"3",0,-0.5\nd,0.5,1e-3,\t-0.0,"4", 5\ne,0,1,0,0,1e-320\n'
         candidates, labels = self.read(tmp_path, rows)
         assert labels == ["c", "d", "e"]
@@ -1291,6 +1291,36 @@ class TestSweepCommand:
         assert failed
         assert all(row[4:] == [""] * 5 for row in failed)
 
+    @staticmethod
+    def sweep_rows(tmp_path, capsys, bias: str) -> list[list[str]]:
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"bias_scale = {bias}\ncorrelation = 0.0, 0.5\nn_judges = 1, 3\n")
+        assert main(["sweep", "--sweep-grid", str(grid)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        for row in rows:
+            if row[3] == "ok":
+                assert all(math.isfinite(float(v)) for v in row[4:]), row
+            else:
+                assert row[4:] == [""] * 5
+        return rows
+
+    def test_cell_whose_crowd_is_refused_keeps_the_grid(self, tmp_path, capsys):
+        # Offsets of 1e308 overflow the judge means, which the model refuses.
+        rows = self.sweep_rows(tmp_path, capsys, "0, 1e308, 1.7e308")
+        assert len(rows) == 12
+        assert [row[3] for row in rows[:4]] == ["ok"] * 4
+        assert "invalid_model" in {row[3] for row in rows[4:]}
+
+    def test_cell_whose_values_overflow_is_non_finite(self, tmp_path, capsys):
+        # Offsets of 1e160 are finite, but their squares overflow.
+        rows = self.sweep_rows(tmp_path, capsys, "0, 1e160")
+        assert len(rows) == 8
+        assert [row[3] for row in rows[:4]] == ["ok"] * 4
+        assert {row[3] for row in rows[4:]} <= {"non_finite", "no_convergence"}
+        assert "non_finite" in {row[3] for row in rows[4:]}
+
     @pytest.mark.parametrize(
         "grid",
         [
@@ -1299,9 +1329,10 @@ class TestSweepCommand:
             "correlation = nan\n",
             "correlation = 0.0, 1.5\n",
             "bias_scales = 7\nn_judge = 3\n",
+            "n_judges = 3, 1073741824\n",
         ],
         ids=["n_judges_inf", "bias_scale_nan", "correlation_nan", "correlation_1.5",
-             "misspelt_keys"],
+             "misspelt_keys", "n_judges_2^30"],
     )
     def test_bad_grid_is_two_with_empty_stdout(self, grid, tmp_path, capsys):
         path = tmp_path / "grid.txt"
@@ -1848,6 +1879,25 @@ def diagonal_crowds(draw):
     )
 
 
+# The values the failure contract draws: zero, units, small integers, and
+# magnitudes out to the overflow threshold and the subnormals.
+EDGE_VALUES = st.sampled_from([
+    0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 1e200, -1e200, 1e100, 1e-100, 1e-200,
+    1e308, -1e308, 1.7e308, 1e-320, 5e-324,
+])
+
+
+@st.composite
+def edge_models(draw):
+    """Two-judge model files of edge values; about half have a diagonal
+    judge_cov and no cross covariance, so validation passes them on."""
+    v = draw(st.lists(EDGE_VALUES, min_size=10, max_size=10))
+    if draw(st.booleans()):
+        cov = [abs(v[2]), 0.0, 0.0, abs(v[3])]
+        return two_judge_model(v[:2], cov, v[6], abs(v[7]), [0.0, 0.0])
+    return two_judge_model(v[:2], v[2:6], v[6], v[7], v[8:])
+
+
 class TestWarnings:
     FALLBACK = "warning: all clipped skills are zero; falling back to uniform\n"
 
@@ -1930,6 +1980,77 @@ class TestFailureContract:
     @settings(max_examples=200, deadline=None)
     def test_valid_crowds_at_every_scale(self, model_path, text):
         self.check(model_path, text)
+
+    # A crowd every command accepts, for the tests that vary another input.
+    CROWD = two_judge_model([0.0, 0.5], [1.0, 0.3, 0.3, 2.0], 0.0, 1.0, [0.5, 0.4])
+
+    @staticmethod
+    def run(argv) -> str:
+        """``main(argv)``'s stdout, once its exit and stderr keep the contract."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3)
+        if code:
+            assert out == ""
+            assert err.startswith("error: ") and "internal:" not in err
+            assert err.endswith("\n") and err.count("\n") == 1
+        return out
+
+    @given(rows=st.lists(st.lists(EDGE_VALUES, min_size=5, max_size=5), max_size=3))
+    # The face minimizer of this crowd has an entry past 2^53 (see _project).
+    @example(rows=[[1.0, 1e200, 1e100, 2.0, 0.5]])
+    @settings(max_examples=60, deadline=None)
+    def test_edge_values_in_candidate_rows(self, model_path, rows):
+        model_path.write_text(self.CROWD)
+        cands = model_path.with_name("cands.csv")
+        cands.write_text("label,mean,variance,cov_with_criterion,a,b\n" + "".join(
+            f"c{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows)
+        ))
+        self.run(["candidate", "--model", str(model_path), "--candidates", str(cands),
+                  "--format", "machine"])
+
+    @given(text=edge_models())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_values_in_simulated_model_file(self, model_path, text):
+        model_path.write_text(text)
+        self.run(["simulate", "--model", str(model_path), "--trials", "20",
+                  "--format", "machine"])
+
+    @given(
+        bias=st.lists(EDGE_VALUES, min_size=1, max_size=2),
+        correlation=st.lists(EDGE_VALUES, min_size=1, max_size=2),
+        sizes=st.lists(EDGE_VALUES, min_size=1, max_size=2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_edge_values_in_sweep_grid(self, model_path, bias, correlation, sizes):
+        grid = model_path.with_name("grid.txt")
+        grid.write_text("".join(
+            f"{key} = {', '.join(map(repr, values))}\n"
+            for key, values in
+            (("bias_scale", bias), ("correlation", correlation), ("n_judges", sizes))
+        ))
+        out = self.run(["sweep", "--sweep-grid", str(grid), "--max-iterations", "1000"])
+        for row in csv.reader(io.StringIO(out)):
+            if row[3] == "ok":
+                assert all(math.isfinite(float(v)) for v in row[4:]), row
+
+    @given(
+        weights=st.lists(EDGE_VALUES, min_size=1, max_size=3),
+        selection=st.lists(EDGE_VALUES, min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_edge_values_in_weights_and_selection_files(
+        self, model_path, weights, selection
+    ):
+        model_path.write_text(self.CROWD)
+        argv = ["analyze", "--model", str(model_path), "--format", "machine"]
+        for flag, values in (("--weights", weights), ("--selection", selection)):
+            path = model_path.with_name(flag.strip("-") + ".txt")
+            path.write_text(", ".join(map(repr, values)) + "\n")
+            argv += [flag, str(path)]
+        self.run(argv)
 
 
 REQUEST_CASES = [

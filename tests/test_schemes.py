@@ -279,6 +279,18 @@ class TestProjectToSimplex:
         for v in ([1.0], [0.25, 0.75], [0.2, 0.0, 0.8]):
             np.testing.assert_allclose(schemes._project(np.array(v)), v, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "v, want",
+        [([1e20, 0.0], [1.0, 0.0]), ([0.5, 1e20, 1e20], [0.0, 0.5, 0.5]),
+         ([-1.7e308, 1e300, 1.7e308], [0.0, 0.0, 1.0]), ([1e16, 1e16 + 2], [0.0, 1.0]),
+         ([-1e17, -1e17], [0.5, 0.5])],
+    )
+    def test_entries_that_swamp_the_unit_sum(self, v, want):
+        # From 2^53 on the threshold tests round: the largest entry's own test
+        # fails, or (at 1e16 + 2) passes for the wrong support.  And v - max(v)
+        # overflows to -inf at -1.7e308 - 1.7e308, which the fallback clips to -1.
+        np.testing.assert_array_equal(schemes._project(np.array(v)), want)
+
     @given(
         v=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
         seed=st.integers(0, 1000),
