@@ -130,9 +130,8 @@ def _csv_records(path: str, lines, width: int, offset: int):
 
 
 def _parse_cell(raw: str, line: int, column: str) -> float:
-    text = raw.strip()
     try:
-        value = float(text)
+        value = float(raw)  # float() strips the whitespace str.strip() does
     except ValueError:
         raise NonNumericCell(line, column, raw) from None
     if not math.isfinite(value):
@@ -919,13 +918,17 @@ def _cmd_sweep(args: argparse.Namespace) -> list[list[object]]:
     return rows
 
 
+def _finite(value: object) -> bool:
+    """False only for a float, numpy scalar or array holding a nan or inf."""
+    if isinstance(value, float):  # np.float64 too: math reads it at Python speed
+        return math.isfinite(value)
+    if isinstance(value, (np.floating, np.ndarray)):
+        return bool(np.isfinite(value).all())
+    return True
+
+
 def _require_finite(pairs: list[tuple[str, object]]) -> None:
-    bad = [
-        key
-        for key, value in pairs
-        if isinstance(value, (float, np.floating, np.ndarray))
-        and not np.isfinite(value).all()
-    ]
+    bad = [key for key, value in pairs if not _finite(value)]
     if bad:
         raise NonFiniteReport(f"non-finite values in the report: {', '.join(bad)}")
 

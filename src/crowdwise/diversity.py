@@ -23,9 +23,11 @@ the candidates within it.
 
 Each candidate then costs a copy of the moments grown by one judge, the
 finiteness scan of that copy's constructor, one column of the substitution,
-one warm-started solve (a face factor per face step), one evaluation, its
-skill and its uniform crowd error.  The solve's objective and uniqueness
-flag are never read, so they are never computed.
+the base crowd's scaled QP bordered by one row and column (formed afresh
+only when the candidate moves its power-of-two shift), one warm-started
+solve (a face factor per face step), one evaluation, its skill and its
+uniform crowd error.  The solve's objective and uniqueness flag are never
+read, so they are never computed.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
 )
 from .model import (
     CrowdModel,
+    _bordered_qp,
     _certified_extensions,
     _readonly,
     validate_model,
@@ -149,15 +152,19 @@ def extend_model(
     # The border is written on both sides, so the extended judge_cov equals
     # its transpose exactly when the crowd's does.
     object.__setattr__(extended, "exactly_symmetric", model.exactly_symmetric)
-    if certified:
-        return extended
-    violations = validate_model(extended)
-    if violations:
-        raise JointNotPSD(
-            extended.joint_spectrum[0],
-            f"candidate {label!r} is inconsistent with the crowd: "
-            + "; ".join(violations),
-        )
+    if not certified:
+        violations = validate_model(extended)
+        if violations:
+            raise JointNotPSD(
+                extended.joint_spectrum[0],
+                f"candidate {label!r} is inconsistent with the crowd: "
+                + "; ".join(violations),
+            )
+    # A crowd whose scaled QP is formed lends it to the extended crowd,
+    # bordered by the candidate, unless the candidate moves its shift.
+    bordered = _bordered_qp(model, extended)
+    if bordered is not None:
+        object.__setattr__(extended, "scaled_qp", bordered)
     return extended
 
 

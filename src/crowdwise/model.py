@@ -131,15 +131,16 @@ class CrowdModel:
         return joint
 
     @cached_property
-    def joint_spectrum(self) -> tuple[float, float]:
-        """Smallest and largest eigenvalue of the joint covariance.
+    def joint_spectrum(self) -> tuple[float, bool]:
+        """The joint covariance's smallest eigenvalue, and whether it is PSD
+        within tolerance (``_psd_spectrum``).
 
         Computed at most once per model, and never for a model that
         ``validate_model`` certifies by its Cholesky factor: only for one the
         certificate cannot pass, and for the ``JointNotPSD`` of
         ``extend_model``.  The arrays are read-only, so it cannot go stale.
         """
-        return _extreme_eigenvalues(self.joint_covariance())
+        return _psd_spectrum(self.joint_covariance())
 
     @cached_property
     def exactly_symmetric(self) -> bool:
@@ -167,6 +168,33 @@ class CrowdModel:
         symmetric = np.where(cov == cov.T, cov, 0.5 * cov + 0.5 * cov.T)
         symmetric.flags.writeable = False
         return symmetric
+
+    @cached_property
+    def scaled_qp(self) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """q2, b, shift and top, with f(w) = (w'q2 w / 2 + b'w) / 2^shift + sigma_y^2
+        the crowd squared error on the simplex: the solver's QP, read-only.
+
+        q2 = 2(S + m m') and b = -2 sigma_xy, with S ``symmetric_cov`` and
+        m = mu - mu_y ((mu'w - mu_y)^2 = (m'w)^2 on the simplex), scaled by
+        the even shift, read from exponents before any square forms, that
+        brings the largest of |S|, |sigma_xy| and m_i^2 into [1, 4).  ``top``
+        is the exponent that picked it (``_qp_top``), -inf for an all-zero
+        crowd.  A crowd scaled by 2^j, with its tolerance, solves to the same
+        bits.  q2 equals its transpose bit for bit.  Formed once per model;
+        ``extend_model`` borders a crowd's cached QP for the crowd grown by
+        one judge (``_bordered_qp``).
+        """
+        half = _half_gaps(self)
+        cov = self.symmetric_cov
+        top = _qp_top(_magnitude(half), _magnitude(cov), _magnitude(self.cross_cov))
+        shift = _even_shift(top)
+        m = np.ldexp(half, shift // 2 + 1)
+        q2 = np.outer(m, m)
+        q2 += np.ldexp(cov, shift) if shift else cov
+        q2 *= 2.0
+        b = -2.0 * np.ldexp(self.cross_cov, shift)
+        q2.flags.writeable = b.flags.writeable = False
+        return q2, b, shift, top
 
 
 @dataclass(frozen=True, init=False)
@@ -247,15 +275,84 @@ def _symmetry_violation(cov: np.ndarray) -> float:
     return float(np.abs(cov - cov.T).max() / scale)
 
 
-def _extreme_eigenvalues(m: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the exactly symmetric ``m``."""
+def _magnitude(a: np.ndarray) -> float:
+    """max|a|, with no |a| array formed."""
+    return max(float(a.max()), -float(a.min()))
+
+
+def _exponent(x: float) -> float:
+    """The e with x in [2^(e-1), 2^e), frexp's exponent; -inf for 0."""
+    return math.frexp(x)[1] if x else -math.inf
+
+
+def _half_gaps(model: CrowdModel) -> np.ndarray:
+    """(mu - mu_y) / 2, halved first: mu - mu_y can overflow, its halves cannot."""
+    return 0.5 * model.judge_means - 0.5 * model.criterion_mean
+
+
+def _qp_top(half: float, cov: float, cross: float) -> float:
+    """The exponent of the largest of (2 half)^2, cov and cross, magnitudes
+    of the half gaps, covariances and cross covariances, read from their
+    exponents, so no square forms."""
+    return max(2 * _exponent(half) + 2, _exponent(cov), _exponent(cross))
+
+
+def _even_shift(top: float) -> int:
+    """The even shift that brings a magnitude of exponent ``top`` into
+    [1, 4); 0 for an all-zero crowd (top = -inf)."""
+    return 0 if top == -math.inf else -2 * ((top - 1) // 2)
+
+
+def _bordered_qp(
+    model: CrowdModel, extended: CrowdModel
+) -> tuple[np.ndarray, np.ndarray, int, float] | None:
+    """``extended.scaled_qp`` from ``model``'s, or None when ``model`` has
+    not formed its own or the judge ``extended`` adds moves the shift.
+
+    ``extended`` must hold ``model``'s moments as they are plus one judge,
+    with a last row of ``judge_cov`` equal to its last column, as
+    ``extend_model`` writes them.  Each border entry takes the operations
+    of the fresh formation, (m_i m_c + 2^shift cov_ic) 2, so the bordered
+    q2 equals a freshly formed one bit for bit.
+    """
+    if "scaled_qp" not in vars(model):  # cached_property keeps it there
+        return None
+    base_q2, base_b, shift, top = model.scaled_qp
+    n = base_q2.shape[0]
+    half = _half_gaps(extended)
+    row = extended.judge_cov[n]
+    cross = extended.cross_cov[n]
+    top = max(top, _qp_top(abs(float(half[n])), _magnitude(row), abs(cross)))
+    if _even_shift(top) != shift:
+        return None
+    m = np.ldexp(half, shift // 2 + 1)
+    border = (m * m[n] + np.ldexp(row, shift)) * 2.0
+    q2 = np.empty((n + 1, n + 1))
+    q2[:n, :n] = base_q2
+    q2[n] = border
+    q2[:, n] = border
+    b = np.append(base_b, -2.0 * np.ldexp(cross, shift))
+    q2.flags.writeable = b.flags.writeable = False
+    return q2, b, shift, top
+
+
+def _psd_spectrum(m: np.ndarray) -> tuple[float, bool]:
+    """The smallest eigenvalue of the exactly symmetric ``m``, and whether m
+    is PSD within tolerance: that eigenvalue at least -PSD_RTOL times the
+    largest.
+
+    Where the largest eigenvalue overflows, which would pass any smallest,
+    the verdict reads the spectrum of m scaled by the power of two that
+    brings its largest entry into [1/2, 1), whose largest eigenvalue is at
+    most the order.  The smallest is m's own, unscaled.
+    """
     eigs = np.linalg.eigvalsh(m)
-    return float(eigs[0]), float(eigs[-1])
-
-
-def _psd_within_tolerance(spectrum: tuple[float, float]) -> bool:
-    smallest, largest = spectrum
-    return smallest >= -PSD_RTOL * max(largest, 0.0)
+    smallest, largest = float(eigs[0]), float(eigs[-1])
+    scaled = smallest
+    if not math.isfinite(largest):
+        eigs = np.linalg.eigvalsh(np.ldexp(m, -_exponent(_magnitude(m))))
+        scaled, largest = float(eigs[0]), float(eigs[-1])
+    return smallest, scaled >= -PSD_RTOL * max(largest, 0.0)
 
 
 def _cholesky_shift(order: int, largest: float, ratio_sum: float) -> float:
@@ -423,18 +520,17 @@ def validate_model(model: CrowdModel) -> list[str]:
     # which Cholesky never factors, so it is not tried.
     if model.criterion_var > 0.0 and _certified_definite(model.joint_covariance()):
         return violations
-    cov_spectrum = _extreme_eigenvalues(model.symmetric_cov)
-    cov_ok = _psd_within_tolerance(cov_spectrum)
+    cov_smallest, cov_ok = _psd_spectrum(model.symmetric_cov)
     if not cov_ok:
         violations.append(
             f"judge_cov is not positive semidefinite "
-            f"(smallest eigenvalue {cov_spectrum[0]:.6g})"
+            f"(smallest eigenvalue {cov_smallest:.6g})"
         )
     if not var_ok:
         violations.append(f"criterion_var is negative ({model.criterion_var:.6g})")
     # The joint check subsumes the judge and criterion checks, so only run it
     # once those pass; otherwise a single defect would be reported twice.
-    if cov_ok and var_ok and not _psd_within_tolerance(model.joint_spectrum):
+    if cov_ok and var_ok and not model.joint_spectrum[1]:
         violations.append(
             "joint covariance of judges and criterion is not positive "
             f"semidefinite (smallest eigenvalue {model.joint_spectrum[0]:.6g}); "

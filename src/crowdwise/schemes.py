@@ -5,7 +5,8 @@ The optimal aggregate solves
     minimize  f(w) = (mu_x' w - mu_y)^2 + w' Sigma w - 2 w' sigma_xy + sigma_y^2
     over      w >= 0,  sum w = 1
 
-a convex quadratic program.  Each solve builds it once (``_scaled_qp``):
+a convex quadratic program.  Each model forms it once and keeps it
+(``CrowdModel.scaled_qp``; a crowd grown by one judge borders its crowd's):
 centred, symmetric and scaled by one power of two, so that the certificate,
 the Armijo test and the face systems all read one q2 and b, with gradient
 q2 w + b, near unit scale, while the tolerance, objective and residual keep
@@ -80,8 +81,8 @@ class QPSolution:
     minimizer may not be a point (one valid argmin is still returned).
 
     ``objective`` and ``possibly_nonunique`` are computed on first read, from
-    the model and the solve's scaled QP, whose N x N matrix the solution
-    keeps for as long as it lives.
+    the model and its scaled QP (``CrowdModel.scaled_qp``), which the model
+    keeps.
     """
 
     weights: WeightVector
@@ -212,32 +213,9 @@ def _ldexp(x: float, exponent: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _exponent(a: np.ndarray) -> float:
-    """The e with max|a| in [2^(e-1), 2^e), frexp's exponent; -inf for zeros."""
-    top = max(float(a.max()), -float(a.min()))
-    return math.frexp(top)[1] if top else -math.inf
-
-
 def _scaled_qp(model: CrowdModel) -> tuple[np.ndarray, np.ndarray, int]:
-    """q2, b and shift with f(w) = (w'q2 w / 2 + b'w) / 2^shift + sigma_y^2.
-
-    q2 = 2(S + m m') and b = -2 sigma_xy, with S the symmetric part of Sigma
-    and m = mu - mu_y ((mu'w - mu_y)^2 = (m'w)^2 on the simplex), scaled by
-    the even shift, read from exponents before any square forms, that brings
-    the largest of |S|, |sigma_xy| and m_i^2 into [1, 4).  A crowd scaled by
-    2^j, with its tolerance, solves to the same bits.  q2 equals its
-    transpose bit for bit.
-    """
-    # Halves first: mu - mu_y can overflow, their halves cannot.
-    half = 0.5 * model.judge_means - 0.5 * model.criterion_mean
-    cov = model.symmetric_cov
-    top = max(2 * _exponent(half) + 2, _exponent(cov), _exponent(model.cross_cov))
-    shift = 0 if top == -math.inf else -2 * ((top - 1) // 2)
-    m = np.ldexp(half, shift // 2 + 1)
-    q2 = np.outer(m, m)
-    q2 += np.ldexp(cov, shift) if shift else cov
-    q2 *= 2.0
-    return q2, -2.0 * np.ldexp(model.cross_cov, shift), shift
+    """q2, b and shift of the model's cached ``CrowdModel.scaled_qp``."""
+    return model.scaled_qp[:3]
 
 
 def objective_gradient(model: CrowdModel, w: np.ndarray) -> np.ndarray:
@@ -457,14 +435,15 @@ def optimal_weights(
     itself or its search finds no lower point.  No move raises the
     objective, from any feasible start, so a start near the optimum, such
     as a smaller crowd's optimum padded with zero weights, can certify in a
-    face step or two, or none, and then comes back bit for bit.
+    face step or two, or none, and then comes back as the start itself.
     The iterate is accepted only once its own first-order certificate is
     within ``tolerance``, so the result is guaranteed wise against every
     selection distribution up to that slack; ``kkt_residual`` is that
-    certificate, taken at the stored weights, where ``possibly_nonunique``
+    certificate, taken at the stored weights (the loop's own, unless
+    normalizing the iterate moved a bit of it), where ``possibly_nonunique``
     tests the optimal face that ``tolerance`` picks.  ``tolerance``,
     ``objective`` and ``kkt_residual`` are in the caller's units; the solve
-    reads one scaled, symmetric QP (``_scaled_qp``).
+    reads the model's scaled, symmetric QP (``_scaled_qp``).
 
     Raises:
         ShapeMismatch: ``start`` does not have one weight per judge.
@@ -481,13 +460,21 @@ def optimal_weights(
     q2, b, shift = _scaled_qp(model)
     tol = _ldexp(tolerance, shift)
 
-    def build(w: np.ndarray, iterations: int) -> QPSolution:
-        wv = WeightVector(w)
-        grad = q2 @ wv.weights + b
+    def build(
+        w: np.ndarray, iterations: int, certified: tuple[np.ndarray, float] | None = None
+    ) -> QPSolution:
+        # The start itself comes back as it was given.  ``certified`` is the
+        # loop's gradient and residual at w, kept unless WeightVector moves
+        # a bit of w; a failure certifies its iterate here.
+        wv = start if start is not None and w is start.weights else WeightVector(w)
+        if certified is None or wv.weights.tobytes() != w.tobytes():
+            grad = q2 @ wv.weights + b
+            certified = grad, _certificate_residual(wv.weights, grad)
+        grad, residual = certified
         return QPSolution(
             weights=wv,
             iterations=iterations,
-            kkt_residual=_ldexp(_certificate_residual(wv.weights, grad), -shift),
+            kkt_residual=_ldexp(residual, -shift),
             _model=model,
             _scaled=(q2, grad, tol),
         )
@@ -495,8 +482,9 @@ def optimal_weights(
     w = np.full(n, 1.0 / n) if start is None else start.weights
     for iteration in range(max_iterations + 1):
         grad = q2 @ w + b
-        if _certificate_residual(w, grad) <= tol:
-            return build(w, iteration)
+        residual = _certificate_residual(w, grad)
+        if residual <= tol:
+            return build(w, iteration, (grad, residual))
         if iteration == max_iterations:
             break
         excess = grad - grad.min()

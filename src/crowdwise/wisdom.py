@@ -51,7 +51,7 @@ class WeightVector:
         v = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if v.ndim != 1 or v.shape[0] < 1:
             raise ValidationFailed(["WeightVector must be a nonempty vector"])
-        if np.any(v < -1e-12) or np.any(~np.isfinite(v)):
+        if not ((v >= -1e-12).all() and np.isfinite(v).all()):
             raise ValidationFailed([
                 f"WeightVector entries must be nonnegative and finite, got {v.tolist()}"
             ])

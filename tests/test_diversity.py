@@ -135,13 +135,20 @@ class TestExtendModel:
 
     @pytest.mark.parametrize(
         "variance, scale, cov_with_criterion",
-        [(1.0, 3.0, 0.0), (-1.0, 0.0, 0.0), (1.0, 0.0, 10.0), (1e-12, 1e-3, 0.0)],
+        [
+            (1.0, 3.0, 0.0),
+            (-1.0, 0.0, 0.0),
+            (1.0, 0.0, 10.0),
+            (1e-12, 1e-3, 0.0),
+            (1e308, 0.0, 1.7e308),
+        ],
     )
     def test_failure_carries_the_joint_matrix_s_smallest_eigenvalue(
         self, variance, scale, cov_with_criterion
     ):
         # judge_cov fails, criterion-free; judge_cov fails on the diagonal;
-        # only the joint matrix fails; judge_cov fails at rounding scale.
+        # only the joint matrix fails; judge_cov fails at rounding scale;
+        # only the joint matrix fails, and its largest eigenvalue overflows.
         base = random_model(4, seed=37, criterion_var=1.0)
         candidate = CandidateMember(
             mean=0.5,
@@ -681,6 +688,76 @@ class TestBorderedCertificate:
         # faces of judges carrying weight.
         assert factors == [n + 1]
         assert faces and max(faces) <= n
+
+
+class TestBorderedScaledQP:
+    @staticmethod
+    def formed_afresh(model):
+        """The same moments in a new model, whose scaled QP is formed, not bordered."""
+        return CrowdModel(
+            model.judge_means,
+            model.judge_cov,
+            model.criterion_mean,
+            model.criterion_var,
+            model.cross_cov,
+        )
+
+    def assert_bordered_where_the_shift_stays(self, base, candidate):
+        """Extend ``base``, whose QP is formed, and compare the extended QP
+        with a fresh one; whether it was bordered."""
+        shift = base.scaled_qp[2]
+        extended = extend_model(base, candidate, certified=True)
+        bordered = "scaled_qp" in vars(extended)
+        q2, b, *rest = extended.scaled_qp
+        fresh_q2, fresh_b, *fresh_rest = self.formed_afresh(extended).scaled_qp
+        assert q2.tobytes() == fresh_q2.tobytes()
+        assert b.tobytes() == fresh_b.tobytes()
+        assert rest == fresh_rest
+        assert bordered == (fresh_rest[0] == shift)
+        return bordered
+
+    def test_bordered_qp_equals_a_fresh_one_bit_for_bit(self):
+        # Every candidate of every case, valid or not, the asymmetric bases
+        # and the 1e300-variance candidate, which moves the shift, included.
+        taken = [
+            self.assert_bordered_where_the_shift_stays(base, candidate)
+            for base, candidates in ranking_cases()
+            for candidate in candidates
+        ]
+        assert any(taken) and not all(taken)
+        base = ranking_cases()[0][0]
+        huge = CandidateMember(0.0, 1e300, np.zeros(base.n_judges), 0.0)
+        assert not self.assert_bordered_where_the_shift_stays(base, huge)
+
+    def test_all_zero_crowd_borders_until_the_shift_moves(self):
+        # The crowd's top is -inf and its shift 0; a judge of unit scale
+        # keeps that shift, one of variance 100 does not.
+        zero = CrowdModel(np.zeros(3), np.zeros((3, 3)), 0.0, 1.0, np.zeros(3))
+        assert zero.scaled_qp[2:] == (0, -math.inf)
+        taken = [
+            self.assert_bordered_where_the_shift_stays(
+                zero, CandidateMember(0.0, variance, np.zeros(3), 0.0)
+            )
+            for variance in (0.0, 1.0, 100.0)
+        ]
+        assert taken == [True, True, False]
+
+    def test_a_crowd_with_no_formed_qp_lends_none(self):
+        base, (candidate,) = split_candidates(random_model(6, seed=3, criterion_var=1.0), 1)
+        assert "scaled_qp" not in vars(extend_model(base, candidate))
+
+    def test_ranking_solves_read_bordered_qps(self, monkeypatch):
+        qps = []
+        border = diversity._bordered_qp
+        monkeypatch.setattr(
+            diversity,
+            "_bordered_qp",
+            lambda model, extended: qps.append(border(model, extended)) or qps[-1],
+        )
+        base, candidates = split_candidates(random_model(9, seed=5, criterion_var=1.0), 3)
+        ranking = rank_candidates(base, candidates)
+        assert len(ranking.evaluations) == len(qps) == 3
+        assert all(qp is not None for qp in qps)
 
 
 class TestCandidatesOfAnotherScale:

@@ -921,3 +921,57 @@ class TestWarmStart:
             warm = optimal_weights(model, start=cold.weights)
             assert warm.iterations == 0
             assert warm.weights.weights.tobytes() == cold.weights.weights.tobytes()
+
+    def test_certified_start_comes_back_as_itself(self):
+        for model in model_corpus(10, base_seed=53, sizes=(3, 5, 8)):
+            cold = optimal_weights(model)
+            assert optimal_weights(model, start=cold.weights).weights is cold.weights
+
+
+class TestReturnedCertificate:
+    @staticmethod
+    def loop_iterates(monkeypatch):
+        """Every w the solver certifies, in call order."""
+        seen = []
+        original = schemes._certificate_residual
+        monkeypatch.setattr(
+            schemes,
+            "_certificate_residual",
+            lambda w, grad: seen.append(w.copy()) or original(w, grad),
+        )
+        return seen
+
+    @staticmethod
+    def solve_and_branch(model, seen):
+        """Solve; whether the returned weights differ from the loop's last
+        iterate, with the certificate checked at the stored weights."""
+        seen.clear()
+        solution = optimal_weights(model)
+        moved = seen[solution.iterations].tobytes() != solution.weights.weights.tobytes()
+        # The loop certifies iterations 0 .. k; only a moved iterate is
+        # certified once more.
+        assert len(seen) == solution.iterations + 1 + moved
+        w = solution.weights.weights
+        assert solution.kkt_residual == _certificate_residual(w, objective_gradient(model, w))
+        return moved
+
+    def test_loop_certificate_is_kept_for_weights_it_certified(self, monkeypatch):
+        seen = self.loop_iterates(monkeypatch)
+        corpus = model_corpus(20, base_seed=7, sizes=(3, 5, 8, 13))
+        branches = [self.solve_and_branch(model, seen) for model in corpus]
+        assert not all(branches)
+
+    def test_iterate_that_normalizing_moves_is_certified_again(self, monkeypatch):
+        # Each face step lands 8 eps off the unit sum, which WeightVector
+        # divides away, so the returned weights are not the loop's iterate.
+        face_step = schemes._face_step
+
+        def off_the_simplex(*args):
+            x = face_step(*args)
+            return None if x is None else x * (1.0 + 8.0 * np.finfo(float).eps)
+
+        monkeypatch.setattr(schemes, "_face_step", off_the_simplex)
+        seen = self.loop_iterates(monkeypatch)
+        corpus = model_corpus(20, base_seed=7, sizes=(3, 5, 8, 13))
+        branches = [self.solve_and_branch(model, seen) for model in corpus]
+        assert any(branches)
